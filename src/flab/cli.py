@@ -26,6 +26,7 @@ from .errors import ConfigError, CostGuardError
 from .fluctuations import (
     InducedMomentFunctional,
     ccr_decay_check,
+    check_tuple_sum,
     induced_moment,
     seminorm_comparison_check,
     seminorm_nu_omega_estimate,
@@ -69,6 +70,30 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _map_rows(fn, items, threads: int) -> list:
+    """``fn`` over ``items`` on a thread pool, results in item order."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def _checked_int(key: str, value, minimum: int) -> int:
+    # bool is an int subclass, so True would otherwise pass as 1
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _config_int(cfg: dict, key: str, default: int, minimum: int) -> int:
+    return _checked_int(key, cfg.get(key, default), minimum)
+
+
+def _config_ints(cfg: dict, key: str, default, minimum: int) -> list[int]:
+    values = cfg.get(key, default)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{key!r} must be a nonempty list of integers")
+    return [_checked_int(key, v, minimum) for v in values]
+
+
 def _parse_operator(spec, dim: int) -> SiteOperator:
     if isinstance(spec, str):
         name = spec.strip().upper()
@@ -101,14 +126,7 @@ def _parse_word(cfg: dict, key: str, dim: int, required: bool = True) -> tuple:
 
 
 def _parse_sizes(cfg: dict, state: GlobalState) -> list[int]:
-    sizes = cfg.get("sizes")
-    if not isinstance(sizes, list) or len(sizes) == 0:
-        raise ConfigError("config needs a nonempty list of region sizes")
-    out = []
-    for s in sizes:
-        if not isinstance(s, int) or s < 1:
-            raise ConfigError(f"region sizes must be positive integers, got {s!r}")
-        out.append(s)
+    out = _config_ints(cfg, "sizes", None, 1)
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigError("region sizes must be strictly ascending")
     if isinstance(state, CircuitState) and out[-1] > state.length:
@@ -149,8 +167,7 @@ def run_moments(cfg: dict, state: GlobalState, threads: int) -> str:
         val = induced_moment(state, _segment(state, size), word)
         return [size, len(word), val.real, val.imag]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(row, sizes))
+    rows = _map_rows(row, sizes, threads)
     return _format_csv(["region_size", "degree", "moment_re", "moment_im"], rows)
 
 
@@ -174,8 +191,7 @@ def run_converge(cfg: dict, state: GlobalState, threads: int) -> str:
             abs(val - wick),
         ]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(row, sizes))
+    rows = _map_rows(row, sizes, threads)
     return _format_csv(
         [
             "region_size",
@@ -197,8 +213,10 @@ def run_ccr_decay(cfg: dict, state: GlobalState, threads: int, seed: int) -> str
     prefix = _parse_word(cfg, "prefix", state.site_dim, required=False)
     suffix = _parse_word(cfg, "suffix", state.site_dim, required=False)
     sizes = _parse_sizes(cfg, state)
-    budget = int(cfg.get("search_budget", 8))
+    budget = _config_int(cfg, "search_budget", 8, 0)
     degree = len(prefix) + 1 + len(suffix)
+    # the defect word is the largest moment; refuse it before any search
+    check_tuple_sum(sizes[-1], degree + 1)
 
     def constant(size: int) -> float:
         region = _segment(state, size)
@@ -212,8 +230,7 @@ def run_ccr_decay(cfg: dict, state: GlobalState, threads: int, seed: int) -> str
         )
         return est.value
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        c_values = list(pool.map(constant, sizes))
+    c_values = _map_rows(constant, sizes, threads)
     c_const = max(c_values) if c_values else 0.0
 
     norms = 1.0
@@ -241,8 +258,7 @@ def run_ccr_decay(cfg: dict, state: GlobalState, threads: int, seed: int) -> str
         flag = value_abs <= check.bound + 1e-12 and ratio <= cap + 1e-12
         return [size, value_abs, check.bound, ratio, flag]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(row, sizes))
+    rows = _map_rows(row, sizes, threads)
     return _format_csv(
         ["region_size", "value_abs", "bound", "ratio", "flag"], rows
     )
@@ -250,11 +266,7 @@ def run_ccr_decay(cfg: dict, state: GlobalState, threads: int, seed: int) -> str
 
 def run_cluster_verify(cfg: dict, state: GlobalState, threads: int) -> tuple[str, bool]:
     sizes = _parse_sizes(cfg, state)
-    degrees = cfg.get("degrees", [2, 3, 4])
-    if not isinstance(degrees, list) or not all(
-        isinstance(n, int) and n >= 1 for n in degrees
-    ):
-        raise ConfigError("degrees must be a list of positive integers")
+    degrees = _config_ints(cfg, "degrees", [2, 3, 4], 1)
     op_spec = cfg.get("op", "Z")
     op = _parse_operator(op_spec, state.site_dim)
     _homogeneous_restriction(state)
@@ -266,20 +278,19 @@ def run_cluster_verify(cfg: dict, state: GlobalState, threads: int) -> tuple[str
         check = decomposition_check(state, _segment(state, size), (op,) * n)
         return [size, n, check.residual]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(row, tasks))
+    rows = _map_rows(row, tasks, threads)
     ok = all(r[2] <= 1e-9 for r in rows)
     return _format_csv(["region_size", "n", "residual"], rows), ok
 
 
 def _counting_checks(cfg: dict) -> list[dict]:
-    sizes = cfg.get("counting_sizes", [6, 10, 14])
-    max_k = int(cfg.get("counting_max_k", 4))
-    max_r = int(cfg.get("counting_max_r", 3))
+    sizes = _config_ints(cfg, "counting_sizes", [6, 10, 14], 1)
+    max_k = _config_int(cfg, "counting_max_k", 4, 2)
+    max_r = _config_int(cfg, "counting_max_r", 3, 0)
     metric = chain_metric(1.0)
     out = []
     for size in sizes:
-        region = Region(metric, range(int(size)))
+        region = Region(metric, range(size))
         for k in range(2, max_k + 1):
             for r in range(0, max_r + 1):
                 lhs = count_subsets_with_spread(region, k, float(r))
@@ -300,15 +311,15 @@ def _counting_checks(cfg: dict) -> list[dict]:
 
 
 def _weight_sum_checks(cfg: dict) -> list[dict]:
-    sizes = cfg.get("weight_sizes", [4, 8])
-    degrees = cfg.get("weight_degrees", [2, 3])
+    sizes = _config_ints(cfg, "weight_sizes", [4, 8], 1)
+    degrees = _config_ints(cfg, "weight_degrees", [2, 3], 1)
     metric = chain_metric(1.0)
     out = []
     for size in sizes:
-        region = Region(metric, range(int(size)))
+        region = Region(metric, range(size))
         for n in degrees:
-            lhs = b_n_quantity(region, int(n))
-            rhs = b_hat_bound(int(n), metric) * float(size) ** (n / 2.0)
+            lhs = b_n_quantity(region, n)
+            rhs = b_hat_bound(n, metric) * float(size) ** (n / 2.0)
             out.append(
                 {
                     "name": f"weight-sum size={size} n={n}",
@@ -321,16 +332,16 @@ def _weight_sum_checks(cfg: dict) -> list[dict]:
 
 
 def _seminorm_checks(cfg: dict, state: GlobalState, seed: int) -> list[dict]:
-    size = int(cfg.get("seminorm_size", 6))
-    degrees = cfg.get("seminorm_degrees", [2, 3])
-    budget = int(cfg.get("search_budget", 8))
+    size = _config_int(cfg, "seminorm_size", 6, 1)
+    degrees = _config_ints(cfg, "seminorm_degrees", [2, 3], 0)
+    budget = _config_int(cfg, "search_budget", 8, 0)
     omega = _homogeneous_restriction(state)
     region = _segment(state, size)
     functional = InducedMomentFunctional(state, region)
     out = []
     for n in degrees:
         check = seminorm_comparison_check(
-            functional, int(n), omega, search_budget=budget, seed=seed
+            functional, n, omega, search_budget=budget, seed=seed
         )
         out.append(
             {
@@ -344,7 +355,7 @@ def _seminorm_checks(cfg: dict, state: GlobalState, seed: int) -> list[dict]:
 
 
 def _wick_difference_checks(cfg: dict, seed: int) -> list[dict]:
-    budget = int(cfg.get("search_budget", 32))
+    budget = _config_int(cfg, "search_budget", 32, 0)
     out = []
     one = identity(1)
     w1 = Covariance(1, [[1.0]])
@@ -362,7 +373,7 @@ def _wick_difference_checks(cfg: dict, seed: int) -> list[dict]:
             }
         )
     rng = np.random.default_rng(seed)
-    pairs = int(cfg.get("random_pairs", 20))
+    pairs = _config_int(cfg, "random_pairs", 20, 0)
     word4 = (SX, SY, SZ, SX)
     for idx in range(pairs):
         ca = covariance_from_state(random_density(rng, 2))
@@ -382,7 +393,7 @@ def _wick_difference_checks(cfg: dict, seed: int) -> list[dict]:
     return out
 
 
-def run_bounds(cfg: dict, threads: int, seed: int) -> tuple[str, bool]:
+def run_bounds(cfg: dict, seed: int) -> tuple[str, bool]:
     known = ["counting", "weight-sum", "seminorm-comparison", "wick-difference"]
     selected = cfg.get("checks", known)
     if not isinstance(selected, list) or not selected:
@@ -436,16 +447,14 @@ def main(argv=None) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        threads = args.threads
-        if threads is None:
-            threads = int(cfg.get("threads", 1))
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-        seed = int(cfg.get("seed", 0))
+        threads = _checked_int(
+            "threads", cfg.get("threads", 1) if args.threads is None else args.threads, 1
+        )
+        seed = _config_int(cfg, "seed", 0, 0)
         out_path = args.out if args.out is not None else cfg.get("out")
 
         if args.experiment == "bounds":
-            text, ok = run_bounds(cfg, threads, seed)
+            text, ok = run_bounds(cfg, seed)
             _emit(text, out_path)
             if not ok:
                 _err(1, "one or more bound checks failed")

@@ -37,9 +37,8 @@ from .algebra import (
 )
 from ._moments import (
     classified_moment,
-    markov_moment,
     markov_moment_batch,
-    product_moment,
+    product_moment,  # no caller here; bench/tracing.py wraps this name
     product_moment_batch,
 )
 from .errors import CostGuardError
@@ -50,12 +49,44 @@ TUPLE_SUM_GUARD = 10**8
 TRANSPORT_TOL = 1e-10
 
 
-def _check_word(state: GlobalState, word: Sequence[SiteOperator]) -> None:
-    for a in word:
-        if a.dim != state.site_dim:
-            raise ValueError(
-                f"word operator dimension {a.dim} does not match site dimension"
-            )
+def check_tuple_sum(size: int, n: int) -> None:
+    """Refuse an induced moment whose tuple sum has more than TUPLE_SUM_GUARD terms."""
+    if float(size) ** n > TUPLE_SUM_GUARD:
+        raise CostGuardError(
+            "induced-moment tuple sum",
+            f"|X|^n = {size}^{n} exceeds {TUPLE_SUM_GUARD}",
+        )
+
+
+def _moments_of(
+    state: GlobalState, region: Region, words: Sequence[Sequence[SiteOperator]]
+) -> np.ndarray:
+    """Induced moments of equal-degree words, checked, by the state's engine."""
+    if not words:
+        return np.zeros(0, dtype=complex)
+    n = len(words[0])
+    if any(len(w) != n for w in words):
+        raise ValueError("batch evaluation needs words of equal degree")
+    if n == 0:
+        return np.ones(len(words), dtype=complex)
+    for w in words:
+        for a in w:
+            if a.dim != state.site_dim:
+                raise ValueError(
+                    f"word operator dimension {a.dim} does not match site dimension"
+                )
+    for x in region.sites:
+        if not state.contains_site(x):
+            raise ValueError(f"region site {x!r} outside the state's domain")
+    size = len(region)
+    check_tuple_sum(size, n)
+    stack = np.array([[a.mat for a in w] for w in words])
+    if isinstance(state, ProductState):
+        return product_moment_batch(state.site.rho, size, stack)
+    if isinstance(state, MarkovState):
+        return markov_moment_batch(state, region.sites, stack)
+    sites = region.sorted_sites()
+    return np.array([classified_moment(state, sites, w) for w in words])
 
 
 def induced_moment(state: GlobalState, region: Region, word: Sequence[SiteOperator]) -> complex:
@@ -65,24 +96,9 @@ def induced_moment(state: GlobalState, region: Region, word: Sequence[SiteOperat
     the value is well defined for inhomogeneous circuit states too.
     """
     word = tuple(word)
-    n = len(word)
-    if n < 1:
+    if not word:
         raise ValueError("induced_moment needs a word of degree >= 1")
-    size = len(region)
-    _check_word(state, word)
-    for x in region.sites:
-        if not state.contains_site(x):
-            raise ValueError(f"region site {x!r} outside the state's domain")
-    if float(size) ** n > TUPLE_SUM_GUARD:
-        raise CostGuardError(
-            "induced-moment tuple sum",
-            f"|X|^n = {size}^{n} exceeds {TUPLE_SUM_GUARD}",
-        )
-    if isinstance(state, ProductState):
-        return product_moment(state.site.rho, size, [a.mat for a in word])
-    if isinstance(state, MarkovState):
-        return markov_moment(state, region.sites, [a.mat for a in word])
-    return classified_moment(state, region.sorted_sites(), word)
+    return complex(_moments_of(state, region, [word])[0])
 
 
 class TensorPolynomial:
@@ -144,25 +160,7 @@ class InducedMomentFunctional:
         return induced_moment(self.state, self.region, tuple(word))
 
     def batch(self, words: Sequence[Sequence[SiteOperator]]) -> np.ndarray:
-        if not words:
-            return np.zeros(0, dtype=complex)
-        n = len(words[0])
-        if any(len(w) != n for w in words):
-            raise ValueError("batch evaluation needs words of equal degree")
-        if n == 0:
-            return np.ones(len(words), dtype=complex)
-        stack = np.array([[a.mat for a in w] for w in words])
-        size = len(self.region)
-        if float(size) ** n > TUPLE_SUM_GUARD:
-            raise CostGuardError(
-                "induced-moment tuple sum",
-                f"|X|^n = {size}^{n} exceeds {TUPLE_SUM_GUARD}",
-            )
-        if isinstance(self.state, ProductState):
-            return product_moment_batch(self.state.site.rho, size, stack)
-        if isinstance(self.state, MarkovState):
-            return markov_moment_batch(self.state, self.region.sites, stack)
-        return np.array([self(w) for w in words])
+        return _moments_of(self.state, self.region, words)
 
 
 def gamma_form(state, a: SiteOperator, b: SiteOperator, region: Region | None = None) -> complex:

@@ -34,6 +34,7 @@ from .lattice import Metric, Region, chain_metric, region_distance
 
 STATEVEC_MAX_DIM = 2**14
 DENSITY_MAX_DIM = 2**20  # squared Hilbert space dimension
+POWER_CACHE_SIZE = 1024  # cached Markov transition powers T^0..T^1023
 
 UNITARY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-12
@@ -192,13 +193,21 @@ class MarkovState(GlobalState):
         self._powers = {0: np.eye(d), 1: T.copy()}
 
     def transition_power(self, g: int) -> np.ndarray:
+        """T^g, stepped up as T @ T^(k-1) from the largest cached power.
+
+        The cache holds the powers below POWER_CACHE_SIZE and always the
+        contiguous run 0..k, so concurrent callers only write equal
+        values; a larger gap is stepped from the top of the cache.
+        """
         if g < 0:
             raise ValueError("gap must be nonnegative")
-        cached = self._powers.get(g)
-        if cached is None:
-            cached = self.transition @ self.transition_power(g - 1)
-            self._powers[g] = cached
-        return cached
+        top = min(g, len(self._powers) - 1)
+        power = self._powers[top]
+        for k in range(top + 1, g + 1):
+            power = self.transition @ power
+            if k < POWER_CACHE_SIZE:
+                self._powers[k] = power
+        return power
 
     def expect(self, ops: Dict) -> complex:
         self._check_ops(ops)

@@ -273,11 +273,14 @@ def test_empty_sizes_rejected(tmp_path, capsys):
 
 
 def test_descending_sizes_rejected(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, {"state": PRODUCT_GROUND, "word": ["X"], "sizes": [4, 2]}
-    )
-    code, _, err = run(["converge", "--config", cfg], capsys)
-    assert code == 2
+    # a bool or float size is refused too, not read as 1 or truncated
+    for sizes in ([4, 2], [True, 2], [2.5, 3]):
+        cfg = write_config(
+            tmp_path, {"state": PRODUCT_GROUND, "word": ["X"], "sizes": sizes}
+        )
+        code, _, err = run(["converge", "--config", cfg], capsys)
+        assert code == 2
+        assert err.startswith("ERR 2:")
 
 
 def test_unknown_operator_rejected(tmp_path, capsys):
@@ -305,13 +308,68 @@ def test_cost_guard_exit_three(tmp_path, capsys):
     assert err.startswith("ERR 3: cost guard '")
 
 
-def test_threads_must_be_positive(tmp_path, capsys):
+def test_ccr_decay_guard_before_search(tmp_path, capsys, monkeypatch):
+    """The degree-5 defect word at size 40 trips the guard before any search."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("seminorm search ran before the cost guard")
+
+    monkeypatch.setattr("flab.cli.seminorm_nu_omega_estimate", no_search)
     cfg = write_config(
         tmp_path,
-        {"state": PRODUCT_GROUND, "word": ["X"], "sizes": [2], "threads": 0},
+        {
+            "state": MARKOV_STD,
+            "prefix": ["X", "Z"],
+            "pair": ["Z", "X"],
+            "suffix": ["Z"],
+            "sizes": [8, 40],
+        },
     )
-    code, _, err = run(["converge", "--config", cfg], capsys)
-    assert code == 2
+    code, _, err = run(["ccr-decay", "--config", cfg], capsys)
+    assert code == 3
+    assert err.startswith("ERR 3: cost guard '")
+
+
+def test_threads_must_be_positive(tmp_path, capsys):
+    for threads in (0, "x", True, 1.5):
+        cfg = write_config(
+            tmp_path,
+            {"state": PRODUCT_GROUND, "word": ["X"], "sizes": [2], "threads": threads},
+        )
+        code, _, err = run(["converge", "--config", cfg], capsys)
+        assert code == 2
+        assert err.startswith("ERR 2:")
+
+
+def test_config_integers_rejected(tmp_path, capsys):
+    """Integer keys refuse strings, bools, floats and out-of-range values."""
+    cases = [
+        ("converge", {"seed": "q"}),
+        ("converge", {"seed": -1}),
+        ("ccr-decay", {"search_budget": -3}),
+        ("ccr-decay", {"search_budget": "8"}),
+        ("cluster-verify", {"degrees": [2, True]}),
+        ("cluster-verify", {"degrees": [0]}),
+        ("bounds", {"checks": ["counting"], "counting_sizes": [6.0]}),
+        ("bounds", {"checks": ["counting"], "counting_max_k": "4"}),
+        ("bounds", {"checks": ["counting"], "counting_max_r": -1}),
+        ("bounds", {"checks": ["weight-sum"], "weight_sizes": [False]}),
+        ("bounds", {"checks": ["weight-sum"], "weight_degrees": []}),
+        ("bounds", {"checks": ["seminorm-comparison"], "seminorm_size": 0}),
+        ("bounds", {"checks": ["seminorm-comparison"], "seminorm_degrees": [2.0]}),
+        ("bounds", {"checks": ["wick-difference"], "random_pairs": -2}),
+    ]
+    base = {
+        "state": PRODUCT_TILTED,
+        "word": ["X", "X"],
+        "pair": ["X", "Y"],
+        "sizes": [2, 3],
+    }
+    for experiment, bad in cases:
+        cfg = write_config(tmp_path, {**base, **bad})
+        code, _, err = run([experiment, "--config", cfg], capsys)
+        assert code == 2, (experiment, bad)
+        assert err.startswith("ERR 2:"), (experiment, bad)
 
 
 # =============================================================================

@@ -193,10 +193,23 @@ def test_induced_moment_argument_errors():
     assert "tuple" in err.value.guard
 
 
-def test_functional_batch_matches_scalar_calls():
-    mk = MarkovState(T_STD, alpha=0.4)
-    region = Region(mk.metric, range(5))
-    F = InducedMomentFunctional(mk, region)
+def _circuit_state(length):
+    layers = [(0, random_two_site_unitary(RNG))]
+    return CircuitState(pure_state([1.0, 0.0]), length, layers)
+
+
+FAMILIES = {
+    "product": lambda: ProductState(SiteState(np.diag([0.75, 0.25]))),
+    "markov": lambda: MarkovState(T_STD, alpha=0.4),
+    "circuit": lambda: _circuit_state(5),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_functional_batch_matches_scalar_calls(family):
+    state = FAMILIES[family]()
+    region = Region(state.metric, range(5))
+    F = InducedMomentFunctional(state, region)
     words = []
     for _ in range(7):
         n = 3
@@ -206,7 +219,30 @@ def test_functional_batch_matches_scalar_calls():
     batch = F.batch(words)
     for w, v in zip(words, batch):
         assert abs(v - F(w)) < 1e-12
-        assert abs(v - induced_moment(mk, region, w)) < 1e-12
+        assert abs(v - induced_moment(state, region, w)) < 1e-12
+
+
+def test_batch_raises_scalar_argument_errors():
+    """The batch path refuses what the scalar path refuses, with its message."""
+    wide = SiteOperator(np.eye(3))
+    for family in sorted(FAMILIES):
+        state = FAMILIES[family]()
+        F = InducedMomentFunctional(state, Region(state.metric, range(3)))
+        for call in (lambda: F.batch([(SZ, wide)]), lambda: F((SZ, wide))):
+            with pytest.raises(ValueError, match="does not match site dimension"):
+                call()
+    circ = _circuit_state(4)
+    F = InducedMomentFunctional(circ, Region(circ.metric, range(6)))
+    for call in (lambda: F.batch([(SZ, SZ)]), lambda: F((SZ, SZ))):
+        with pytest.raises(ValueError, match="outside the state's domain"):
+            call()
+
+
+def test_markov_long_gap_moment():
+    """A gap of 5000 sites steps T^g iteratively: 1 + 0.6^5000 to rounding."""
+    mk = MarkovState(T_STD, alpha=0.4)
+    val = induced_moment(mk, Region(mk.metric, [0, 5000]), (SZ, SZ))
+    assert abs(val - 1.0) < 1e-12
 
 
 # =============================================================================
