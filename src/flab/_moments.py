@@ -1,40 +1,38 @@
-"""Moment evaluation engines.
+"""Moment evaluation engines, one per state family.
 
-Three interchangeable evaluation strategies for induced fluctuation
-moments, all summing the same classified tuple decomposition of the
-n-fold site sum:
+Each engine takes the same (N, n, d, d) stack of raw word operators and
+returns the N induced moments omega(F(a_1)...F(a_n)) of the fluctuation
+operators F(a) = |X|^{-1/2} sum_x (a_x - omega_x(a)):
 
-* a closed form for product states: tuples grouped by block structure
-  give falling-factorial multiplicities times products of single-site
-  traces of block products
+* a closed form for product states: site tuples grouped by block
+  structure give falling-factorial multiplicities times products of
+  single-site traces of block products
 * a subset-lattice transfer recursion for Markov states: sites are
   processed left to right, the DP state tracks which word slots have
   been placed plus the chain-state vector, so the full |X|^n tuple sum
   collapses to 3^n transitions per site
-* a generic classifier loop that works for every state family, used for
-  circuits and as the cross-check oracle for the fast paths
+* the direct product for circuit states: the n fluctuation operators
+  are applied right to left to the cached statevector or density
+  tensor, n |X| single-site contractions per word
 
-Product and Markov states each have one batched closed form, which
-evaluates many words of one degree at once over the leading numpy axis;
-the seminorm searches depend on that throughput. A scalar call is a
-batch of one. The product closed form adds its partition terms with a
-plain sum: over 3000 random cases (d in {2, 3}, n = 1..7, |X| = 1..199)
-it differed from a compensated (Kahan) sum by at most 3e-15 in absolute
-value. The classifier loop, with up to |X|^n terms, keeps compensated
-summation.
+Product and Markov states evaluate many words of one degree at once over
+the leading numpy axis; the seminorm searches depend on that throughput.
+The circuit engine loops over the words, since circuit rows come one
+word at a time. A scalar call is a batch of one. The product closed form
+adds its partition terms with a plain sum: over 3000 random cases (d in
+{2, 3}, n = 1..7, |X| = 1..199) it differed from a compensated (Kahan)
+sum by at most 3e-15 in absolute value. The independent oracles for all
+three engines are the dense and brute-force helpers of the test suite.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import SiteOperator
 from .combinatorics import falling_factorial, set_partitions
-from .errors import KahanSum
-from .states import GlobalState, MarkovState
+from .states import CircuitState, MarkovState, _apply_site
 
 # ---------------------------------------------------------------------------
 # product states
@@ -142,39 +140,30 @@ def markov_moment_batch(
 
 
 # ---------------------------------------------------------------------------
-# generic states
+# circuit states
 # ---------------------------------------------------------------------------
 
 
-def classified_moment(state: GlobalState, sites: Sequence, word: Sequence[SiteOperator]) -> complex:
-    """Induced moment via explicit classified tuple enumeration.
+def classified_moment(
+    state: CircuitState, positions: Sequence[int], words: np.ndarray
+) -> np.ndarray:
+    """Induced moments of a word stack on a circuit state, as applied operators.
 
-    Works for every state family. Tuples of sites are grouped by their
-    block partition: for each partition with k blocks and each ordered
-    choice of k distinct sites, the block operators (per-site centered,
-    multiplied in ascending slot order) are assigned and the global
-    state is queried once.
+    Each slot, right to left, maps phi to sum_x a_x phi - (sum_x tr(rho_x
+    a)) phi, with rho_x the site restriction; the state's closing step
+    then gives omega(F(a_1)...F(a_n)) up to the |X|^{-n/2} scale.
+    The name predates this engine; bench/tracing.py wraps it by name.
     """
-    n = len(word)
-    size = len(sites)
-    eye = np.eye(word[0].dim)
-    centered: dict = {}
-    for x in sites:
-        rho = state.site_restriction(x).rho
-        centered[x] = [
-            SiteOperator(a.mat - complex(np.trace(rho @ a.mat)) * eye) for a in word
-        ]
-    acc = KahanSum()
-    for part in set_partitions(n):
-        k = len(part)
-        if k > size:
-            continue
-        for tup in itertools.permutations(sites, k):
-            ops = {}
-            for y, block in zip(tup, part):
-                m = centered[y][block[0] - 1].mat
-                for i in block[1:]:
-                    m = m @ centered[y][i - 1].mat
-                ops[y] = SiteOperator(m)
-            acc.add(state.expect(ops))
-    return acc.value * float(size) ** (-n / 2.0)
+    n = words.shape[1]
+    rhos = np.array([state.site_restriction(x).rho for x in positions])
+    means = np.einsum("xij,wkji->wk", rhos, words)
+    out = np.empty(len(words), dtype=complex)
+    for w, word in enumerate(words):
+        phi = state.tensor
+        for k in range(n - 1, -1, -1):
+            acc = -means[w, k] * phi
+            for x in positions:
+                acc += _apply_site(phi, word[k], x)
+            phi = acc
+        out[w] = state.close(phi)
+    return out * float(len(positions)) ** (-n / 2.0)

@@ -43,7 +43,7 @@ from ._moments import (
 )
 from .errors import CostGuardError
 from .lattice import Region
-from .states import GlobalState, MarkovState, ProductState, random_hermitian_unit
+from .states import CircuitState, GlobalState, MarkovState, ProductState, random_hermitian_unit
 
 TUPLE_SUM_GUARD = 10**8
 TRANSPORT_TOL = 1e-10
@@ -85,8 +85,9 @@ def _moments_of(
         return product_moment_batch(state.site.rho, size, stack)
     if isinstance(state, MarkovState):
         return markov_moment_batch(state, region.sites, stack)
-    sites = region.sorted_sites()
-    return np.array([classified_moment(state, sites, w) for w in words])
+    if isinstance(state, CircuitState):
+        return classified_moment(state, region.sites, stack)
+    raise TypeError(f"no moment engine for state family {type(state).__name__}")
 
 
 def induced_moment(state: GlobalState, region: Region, word: Sequence[SiteOperator]) -> complex:

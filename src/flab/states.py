@@ -229,6 +229,11 @@ class MarkovState(GlobalState):
         return SiteState(np.diag(self.pi))
 
 
+def _apply_site(tensor: np.ndarray, mat: np.ndarray, x: int) -> np.ndarray:
+    """Apply a single-site matrix on tensor axis x."""
+    return np.moveaxis(np.tensordot(mat, tensor, axes=[[1], [x]]), 0, x)
+
+
 def _apply_two_site(tensor: np.ndarray, gate: np.ndarray, i: int, d: int) -> np.ndarray:
     """Apply a two-site gate on tensor axes (i, i+1)."""
     g = gate.reshape(d, d, d, d)
@@ -280,33 +285,26 @@ class CircuitState(GlobalState):
                     "circuit statevector size",
                     f"d^L = {dim_total} exceeds {STATEVEC_MAX_DIM}",
                 )
-            vec = np.linalg.eigh(base.rho)[1][:, -1]
-            psi = vec.copy()
-            for _ in range(length - 1):
-                psi = np.kron(psi, vec)
-            tensor = psi.reshape((d,) * length)
-            for offset, g in self.layers:
-                for i in range(offset, length - 1, 2):
-                    tensor = _apply_two_site(tensor, g, i, d)
-            self._psi = tensor
-            self._rho = None
+            start = np.linalg.eigh(base.rho)[1][:, -1]
         else:
             if dim_total * dim_total > DENSITY_MAX_DIM:
                 raise CostGuardError(
                     "circuit density-matrix size",
                     f"d^2L = {dim_total * dim_total} exceeds {DENSITY_MAX_DIM}",
                 )
-            rho = base.rho.copy()
-            for _ in range(length - 1):
-                rho = np.kron(rho, base.rho)
-            tensor = rho.reshape((d,) * (2 * length))
-            for offset, g in self.layers:
-                for i in range(offset, length - 1, 2):
+            start = base.rho
+        tensor = start.copy()
+        for _ in range(length - 1):
+            tensor = np.kron(tensor, start)
+        tensor = tensor.reshape((d,) * (start.ndim * length))
+        for offset, g in self.layers:
+            for i in range(offset, length - 1, 2):
+                tensor = _apply_two_site(tensor, g, i, d)
+                if not pure:
                     # rho -> G rho G+: left-multiply rows by G, columns by conj(G)
-                    tensor = _apply_two_site(tensor, g, i, d)
                     tensor = _apply_two_site(tensor, g.conj(), length + i, d)
-            self._psi = None
-            self._rho = tensor
+        self.pure = pure
+        self.tensor = tensor  # statevector, or density tensor with row axes first
 
     @property
     def depth(self) -> int:
@@ -315,35 +313,33 @@ class CircuitState(GlobalState):
     def contains_site(self, x) -> bool:
         return isinstance(x, int) and 0 <= x < self.length
 
+    def close(self, phi: np.ndarray) -> complex:
+        """omega(A) from phi = A applied to ``tensor``: <psi|phi> or tr(phi)."""
+        if self.pure:
+            return complex(np.vdot(self.tensor.reshape(-1), phi.reshape(-1)))
+        dim_total = self.site_dim**self.length
+        return complex(np.trace(phi.reshape(dim_total, dim_total)))
+
     def expect(self, ops: Dict) -> complex:
         self._check_ops(ops)
-        d = self.site_dim
-        if self._psi is not None:
-            phi = self._psi
-            for x, op in ops.items():
-                phi = np.tensordot(op.mat, phi, axes=[[1], [x]])
-                phi = np.moveaxis(phi, 0, x)
-            return complex(np.vdot(self._psi.reshape(-1), phi.reshape(-1)))
-        phi = self._rho
+        phi = self.tensor
         for x, op in ops.items():
-            phi = np.tensordot(op.mat, phi, axes=[[1], [x]])
-            phi = np.moveaxis(phi, 0, x)
-        dim_total = d**self.length
-        return complex(np.trace(phi.reshape(dim_total, dim_total)))
+            phi = _apply_site(phi, op.mat, x)
+        return self.close(phi)
 
     def site_restriction(self, x) -> SiteState:
         if not self.contains_site(x):
             raise ValueError(f"site {x!r} outside circuit segment")
         d = self.site_dim
-        if self._psi is not None:
-            p = np.moveaxis(self._psi, x, 0).reshape(d, -1)
+        if self.pure:
+            p = np.moveaxis(self.tensor, x, 0).reshape(d, -1)
             return SiteState(p @ p.conj().T)
         letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
         rows = list(letters[: self.length])
         cols = rows.copy()
         cols[x] = letters[self.length]
         sub = "".join(rows) + "".join(cols) + "->" + rows[x] + cols[x]
-        return SiteState(np.einsum(sub, self._rho))
+        return SiteState(np.einsum(sub, self.tensor))
 
     def single_site_restriction(self) -> SiteState:
         mats = [self.site_restriction(x).rho for x in range(self.length)]

@@ -17,6 +17,7 @@ from conftest import (
 from flab import (
     CircuitState,
     CostGuardError,
+    GlobalState,
     InducedMomentFunctional,
     MarkovState,
     ProductState,
@@ -48,8 +49,8 @@ RNG = np.random.default_rng(271828)
 T_STD = [[0.8, 0.2], [0.2, 0.8]]
 
 
-def random_two_site_unitary(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def random_two_site_unitary(rng, d=2):
+    m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     q, _ = np.linalg.qr(m)
     return q
 
@@ -121,21 +122,33 @@ def test_markov_engine_matches_brute_force():
             assert abs(got - want) < 1e-11, (size, word)
 
 
-def test_circuit_engine_matches_brute_force():
-    base = pure_state([1.0, 0.0])
-    layers = [(0, random_two_site_unitary(RNG))]
-    L = 5
+@pytest.mark.parametrize("region_kind", ["full", "sparse"])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("base_kind", ["pure", "mixed"])
+def test_circuit_engine_matches_brute_force(base_kind, d, depth, region_kind):
+    rng = np.random.default_rng([d, depth, len(base_kind), len(region_kind)])
+    L = 5 if d == 2 else 4
+    if base_kind == "pure":
+        base = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d))
+    else:
+        base = random_density(rng, d)
+    layers = [(k % 2, random_two_site_unitary(rng, d)) for k in range(depth)]
     circ = CircuitState(base, L, layers)
+    assert circ.tensor.ndim == (L if base_kind == "pure" else 2 * L)
     full = circuit_dense_density(base.rho, L, layers)
-    oracle_expect = dense_expect(full, L, 2)
-    oracle_mean = dense_site_mean(full, L, 2)
-    region = Region(circ.metric, range(L))
-    for word in [(SZ,), (SX, SX), (SZ, SX, SY)]:
+    oracle_expect = dense_expect(full, L, d)
+    oracle_mean = dense_site_mean(full, L, d)
+    sites = range(L) if region_kind == "full" else [0, 2, L - 1]
+    region = Region(circ.metric, sites)
+    a, b = (random_hermitian_unit(rng, d) for _ in range(2))
+    skew = SiteOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    for word in [(a,), (a, b), (a, skew, b)]:
         got = induced_moment(circ, region, word)
         want = brute_induced_moment(
-            range(L), [a.mat for a in word], oracle_expect, oracle_mean
+            sites, [w.mat for w in word], oracle_expect, oracle_mean
         )
-        assert abs(got - want) < 1e-10, word
+        assert abs(got - want) < 1e-10, len(word)
 
 
 def test_kurtosis_law_small_sizes():
@@ -191,6 +204,12 @@ def test_induced_moment_argument_errors():
     with pytest.raises(CostGuardError) as err:
         induced_moment(ps, Region(ps.metric, range(30)), (SX,) * 8)
     assert "tuple" in err.value.guard
+    # The circuit engine would be cheap here (8 * 14 contractions), but the
+    # |X|^n guard is part of the spec: 14^8 > 1e8 is refused all the same.
+    circ = _circuit_state(14)
+    with pytest.raises(CostGuardError) as err:
+        induced_moment(circ, Region(circ.metric, range(14)), (SX,) * 8)
+    assert "tuple" in err.value.guard
 
 
 def _circuit_state(length):
@@ -235,6 +254,15 @@ def test_batch_raises_scalar_argument_errors():
     F = InducedMomentFunctional(circ, Region(circ.metric, range(6)))
     for call in (lambda: F.batch([(SZ, SZ)]), lambda: F((SZ, SZ))):
         with pytest.raises(ValueError, match="outside the state's domain"):
+            call()
+
+    class Opaque(GlobalState):
+        site_dim = 2
+        metric = chain_metric(1.0)
+
+    F = InducedMomentFunctional(Opaque(), Region(chain_metric(1.0), range(3)))
+    for call in (lambda: F.batch([(SZ, SZ)]), lambda: F((SZ, SZ))):
+        with pytest.raises(TypeError, match="Opaque"):
             call()
 
 
