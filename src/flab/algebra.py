@@ -200,16 +200,39 @@ def hermitian_basis(dim: int) -> list[SiteOperator]:
     return [SiteOperator(m) for m in _hermitian_basis_mats(dim)]
 
 
+def _hs_duals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugate transposes and squared Hilbert-Schmidt norms of a basis stack."""
+    return np.conj(np.swapaxes(mats, -1, -2)), np.real(np.einsum("kij,kji->k", mats, mats))
+
+
+@lru_cache(maxsize=MAX_LOCAL_DIM)
+def _hermitian_duals(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    return _hs_duals(np.array(_hermitian_basis_mats(dim)))
+
+
+def _hs_coefficient_stack(mats: np.ndarray, duals=None) -> np.ndarray:
+    """Basis coefficients of a (..., d, d) operator stack, shape (..., k).
+
+    ``duals`` is ``_hs_duals`` of a k-element basis; the default is the
+    cached Hermitian basis of dimension d. Every Hermitian basis element
+    has at most one nonzero entry per row, so each diagonal entry of
+    h^dagger a is one exact product; summing the diagonal last and
+    dividing the real and imaginary parts separately reproduces
+    tr(h^dagger a) / tr(h h), computed one operator at a time, bit for bit.
+    """
+    conj_t, norms = _hermitian_duals(mats.shape[-1]) if duals is None else duals
+    t = np.einsum("kij,...ji->...ki", conj_t, mats).sum(axis=-1)
+    out = np.empty(t.shape, dtype=complex)
+    out.real = t.real / norms
+    out.imag = t.imag / norms
+    return out
+
+
 def hs_coefficients(a: SiteOperator, basis: Iterable[SiteOperator] | None = None) -> np.ndarray:
     """Expansion coefficients of ``a`` in the Hermitian basis.
 
     Coefficients are real exactly when ``a`` is Hermitian; complex input
     is allowed and simply yields complex coefficients.
     """
-    if basis is None:
-        basis = hermitian_basis(a.dim)
-    coeffs = []
-    for h in basis:
-        hn = float(np.real(np.trace(h.mat @ h.mat)))
-        coeffs.append(complex(np.trace(h.mat.conj().T @ a.mat)) / hn)
-    return np.array(coeffs)
+    duals = None if basis is None else _hs_duals(np.array([h.mat for h in basis]))
+    return _hs_coefficient_stack(a.mat, duals)

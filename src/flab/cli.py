@@ -1,9 +1,9 @@
 """Experiment driver: config parsing, experiment loops, CSV/JSON output.
 
 Every experiment reads one JSON config, computes rows through the
-library, and writes CSV (tables) or JSON (bound reports). Rows are
-computed as independent tasks mapped over a thread pool and assembled
-in submission order, so output bytes do not depend on the thread count.
+library in order, and writes CSV (tables) or JSON (bound reports). The
+``threads`` setting is still read and validated, but rows run one after
+another, so output bytes do not depend on it.
 Failures print a single line "ERR <code>: message" to stderr and exit
 nonzero: 2 for configuration problems, 3 for tripped cost guards, 1 for
 checks that ran and failed.
@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -68,12 +67,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _map_rows(fn, items, threads: int) -> list:
-    """``fn`` over ``items`` on a thread pool, results in item order."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _checked_int(key: str, value, minimum: int) -> int:
@@ -157,7 +150,7 @@ def _homogeneous_restriction(state: GlobalState):
         raise ConfigError(f"experiment needs a homogeneous state: {exc}") from exc
 
 
-def run_moments(cfg: dict, state: GlobalState, threads: int) -> str:
+def run_moments(cfg: dict, state: GlobalState) -> str:
     word = _parse_word(cfg, "word", state.site_dim)
     if not word:
         raise ConfigError("word must have at least one factor")
@@ -167,11 +160,11 @@ def run_moments(cfg: dict, state: GlobalState, threads: int) -> str:
         val = induced_moment(state, _segment(state, size), word)
         return [size, len(word), val.real, val.imag]
 
-    rows = _map_rows(row, sizes, threads)
+    rows = list(map(row, sizes))
     return _format_csv(["region_size", "degree", "moment_re", "moment_im"], rows)
 
 
-def run_converge(cfg: dict, state: GlobalState, threads: int) -> str:
+def run_converge(cfg: dict, state: GlobalState) -> str:
     word = _parse_word(cfg, "word", state.site_dim)
     if not word:
         raise ConfigError("word must have at least one factor")
@@ -191,7 +184,7 @@ def run_converge(cfg: dict, state: GlobalState, threads: int) -> str:
             abs(val - wick),
         ]
 
-    rows = _map_rows(row, sizes, threads)
+    rows = list(map(row, sizes))
     return _format_csv(
         [
             "region_size",
@@ -206,7 +199,7 @@ def run_converge(cfg: dict, state: GlobalState, threads: int) -> str:
     )
 
 
-def run_ccr_decay(cfg: dict, state: GlobalState, threads: int, seed: int) -> str:
+def run_ccr_decay(cfg: dict, state: GlobalState, seed: int) -> str:
     pair = _parse_word(cfg, "pair", state.site_dim)
     if len(pair) != 2:
         raise ConfigError("ccr-decay needs a 'pair' word of exactly two operators")
@@ -230,7 +223,7 @@ def run_ccr_decay(cfg: dict, state: GlobalState, threads: int, seed: int) -> str
         )
         return est.value
 
-    c_values = _map_rows(constant, sizes, threads)
+    c_values = list(map(constant, sizes))
     c_const = max(c_values) if c_values else 0.0
 
     norms = 1.0
@@ -258,13 +251,13 @@ def run_ccr_decay(cfg: dict, state: GlobalState, threads: int, seed: int) -> str
         flag = value_abs <= check.bound + 1e-12 and ratio <= cap + 1e-12
         return [size, value_abs, check.bound, ratio, flag]
 
-    rows = _map_rows(row, sizes, threads)
+    rows = list(map(row, sizes))
     return _format_csv(
         ["region_size", "value_abs", "bound", "ratio", "flag"], rows
     )
 
 
-def run_cluster_verify(cfg: dict, state: GlobalState, threads: int) -> tuple[str, bool]:
+def run_cluster_verify(cfg: dict, state: GlobalState) -> tuple[str, bool]:
     sizes = _parse_sizes(cfg, state)
     degrees = _config_ints(cfg, "degrees", [2, 3, 4], 1)
     op_spec = cfg.get("op", "Z")
@@ -278,7 +271,7 @@ def run_cluster_verify(cfg: dict, state: GlobalState, threads: int) -> tuple[str
         check = decomposition_check(state, _segment(state, size), (op,) * n)
         return [size, n, check.residual]
 
-    rows = _map_rows(row, tasks, threads)
+    rows = list(map(row, tasks))
     ok = all(r[2] <= 1e-9 for r in rows)
     return _format_csv(["region_size", "n", "residual"], rows), ok
 
@@ -447,7 +440,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        threads = _checked_int(
+        # rows run in order; the thread count is validated but not used
+        _checked_int(
             "threads", cfg.get("threads", 1) if args.threads is None else args.threads, 1
         )
         seed = _config_int(cfg, "seed", 0, 0)
@@ -463,16 +457,16 @@ def main(argv=None) -> int:
 
         state = _load_state(cfg)
         if args.experiment == "moments":
-            _emit(run_moments(cfg, state, threads), out_path)
+            _emit(run_moments(cfg, state), out_path)
             return 0
         if args.experiment == "converge":
-            _emit(run_converge(cfg, state, threads), out_path)
+            _emit(run_converge(cfg, state), out_path)
             return 0
         if args.experiment == "ccr-decay":
-            _emit(run_ccr_decay(cfg, state, threads, seed), out_path)
+            _emit(run_ccr_decay(cfg, state, seed), out_path)
             return 0
         if args.experiment == "cluster-verify":
-            text, ok = run_cluster_verify(cfg, state, threads)
+            text, ok = run_cluster_verify(cfg, state)
             _emit(text, out_path)
             if not ok:
                 _err(1, "decomposition residual above 1e-9")

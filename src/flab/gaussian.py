@@ -19,10 +19,11 @@ import numpy as np
 from .algebra import (
     SiteOperator,
     SiteState,
+    _hs_coefficient_stack,
     commutator,
     expect as site_expect,
     hermitian_basis,
-    hs_coefficients,
+    hs_coefficients,  # no caller here; bench/tracing.py wraps this name
     op_norm,
 )
 from .combinatorics import pair_partitions
@@ -53,8 +54,7 @@ class Covariance:
         self.matrix = m
 
     def value(self, a: SiteOperator, b: SiteOperator) -> complex:
-        ca = hs_coefficients(a)
-        cb = hs_coefficients(b)
+        ca, cb = _hs_coefficient_stack(np.array([a.mat, b.mat]))
         return complex(ca @ self.matrix @ cb)
 
 
@@ -81,13 +81,11 @@ class _CovariancePairFunctional:
         self.dim = cov.dim
 
     def __call__(self, word) -> complex:
-        a, b = word
-        return self.cov.value(a, b)
+        return complex(self.batch([word])[0])
 
     def batch(self, words) -> np.ndarray:
-        ca = np.array([hs_coefficients(w[0]) for w in words])
-        cb = np.array([hs_coefficients(w[1]) for w in words])
-        return np.einsum("wi,ij,wj->w", ca, self.cov.matrix, cb)
+        coeffs = _hs_coefficient_stack(np.array([[a.mat for a in w] for w in words]))
+        return np.einsum("wi,ij,wj->w", coeffs[:, 0], self.cov.matrix, coeffs[:, 1])
 
 
 def covariance_norm_estimate(
@@ -100,7 +98,7 @@ def covariance_norm_estimate(
 
 
 def _pair_matrix(cov: Covariance, word: Sequence[SiteOperator]) -> np.ndarray:
-    coeffs = np.array([hs_coefficients(a) for a in word])
+    coeffs = _hs_coefficient_stack(np.array([a.mat for a in word]))
     return coeffs @ cov.matrix @ coeffs.T
 
 

@@ -126,6 +126,35 @@ def test_hs_coefficients_roundtrip():
         assert np.max(np.abs(rebuilt - a.mat)) < 1e-12
 
 
+def _hs_coefficients_loop(a, basis):
+    """Reference: two traces per basis element, one operator at a time."""
+    coeffs = []
+    for h in basis:
+        hn = float(np.real(np.trace(h.mat @ h.mat)))
+        coeffs.append(complex(np.trace(h.mat.conj().T @ a.mat)) / hn)
+    return np.array(coeffs)
+
+
+def test_hs_coefficients_bit_identical_to_loop():
+    """The stacked contraction reproduces the per-element loop bit for bit."""
+    from flab.algebra import _hs_coefficient_stack
+
+    rng = np.random.default_rng(5000)
+    count = 0
+    for d in (1, 2, 3, 4):
+        basis = hermitian_basis(d)
+        mats = rng.normal(size=(1260, d, d)) + 1j * rng.normal(size=(1260, d, d))
+        mats[:420] += np.conj(np.swapaxes(mats[:420], -1, -2))
+        mats[840:] *= 10.0 ** rng.integers(-8, 9, size=(420, 1, 1))
+        stacked = _hs_coefficient_stack(mats)
+        for m, row in zip(mats, stacked):
+            want = _hs_coefficients_loop(SiteOperator(m), basis).tobytes()
+            assert hs_coefficients(SiteOperator(m)).tobytes() == want
+            assert row.tobytes() == want
+            count += 1
+    assert count >= 5000
+
+
 def test_kahan_sum_matches_fsum():
     import math
 

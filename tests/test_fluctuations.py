@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     brute_induced_moment,
     circuit_dense_density,
@@ -43,6 +45,9 @@ from flab import (
     seminorm_nu_estimate,
     seminorm_nu_omega_estimate,
 )
+from flab import fluctuations
+from flab.fluctuations import TUPLE_SUM_GUARD, _Candidates, _search, _search_words
+from flab.gaussian import _CovariancePairFunctional, covariance_from_state
 
 RNG = np.random.default_rng(271828)
 
@@ -435,19 +440,23 @@ def test_seminorm_markov_degree_two_closed_form():
 
 
 def test_seminorm_witness_is_certifying():
-    """The reported witness re-evaluates to the reported value."""
+    """The reported value is an evaluation of the reported witness."""
+    from flab import op_norm
+
     mk = MarkovState(T_STD, alpha=0.4)
     region = Region(mk.metric, range(6))
     F = InducedMomentFunctional(mk, region)
     est = seminorm_nu_omega_estimate(
         F, 3, mk.single_site_restriction(), search_budget=8, seed=9
     )
-    assert est.witness is not None
-    assert abs(F(est.witness)) == pytest.approx(est.value, abs=1e-12)
-    from flab import op_norm
-
-    for a in est.witness:
-        assert op_norm(a) <= 1.0 + 1e-9
+    cov = covariance_from_state(SiteState(np.diag([0.75, 0.25])))
+    W = _CovariancePairFunctional(cov)
+    pair = seminorm_nu_estimate(W, 2, search_budget=8, seed=9)
+    for functional, e in ((F, est), (W, pair)):
+        assert len(e.witness) == (3 if functional is F else 2)
+        assert e.value == abs(functional(e.witness))
+        for a in e.witness:
+            assert op_norm(a) <= 1.0 + 1e-9
 
 
 def test_seminorm_comparison_chain():
@@ -460,3 +469,125 @@ def test_seminorm_comparison_chain():
         assert chk.passed
         assert chk.nu_omega <= chk.nu + 1e-9
         assert chk.nu <= chk.rhs + 1e-6
+
+
+# =============================================================================
+# Basis-tensor search against direct evaluation
+# =============================================================================
+
+def _random_gapped_chain(rng, d):
+    """Non-symmetric column-stochastic T = s R + (1 - s) v 1^T with s <= 0.6.
+
+    On the vectors with zero sum T acts as s R, so |lambda_2| <= 0.6 <
+    e^{-0.4}, the mixing condition at alpha = 0.4.
+    """
+    r = rng.random((d, d)) + 0.05
+    r /= r.sum(axis=0)
+    v = rng.random(d) + 0.05
+    v /= v.sum()
+    s = rng.uniform(0.1, 0.6)
+    return MarkovState(s * r + (1.0 - s) * np.outer(v, np.ones(d)), alpha=0.4)
+
+
+def _search_case(kind, d, rng):
+    """A functional of the given kind and a local state to center against."""
+    if kind == "covariance":
+        cov = covariance_from_state(random_density(rng, d))
+        return _CovariancePairFunctional(cov), random_density(rng, d)
+    state = ProductState(random_density(rng, d)) if kind == "product" else _random_gapped_chain(rng, d)
+    count = int(rng.integers(1, 5))
+    sites = sorted(int(x) for x in rng.choice(9, size=count, replace=False))
+    region = Region(state.metric, sites)
+    return InducedMomentFunctional(state, region), state.averaged_restriction(region)
+
+
+class _ScalarOnly:
+    """The same functional without ``batch``: one call per word."""
+
+    def __init__(self, functional):
+        self.functional = functional
+        self.dim = functional.dim
+
+    def __call__(self, word):
+        return self.functional(word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["product", "markov", "covariance"]),
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=4),
+    centered=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_basis_tensor_contractions_match_batch(kind, d, n, centered, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "covariance":
+        n = 2
+    F, omega = _search_case(kind, d, rng)
+    omega = omega if centered else None
+    probe, head, rand_words = _search_words(n, d, 6, omega, seed)
+    words = head[:: max(1, len(head) // 400)] + rand_words
+    got = _Candidates(F, n, probe, centered=centered).values(words)
+    want = F.batch(words)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    est = _search(F, n, d, 6, omega, seed)
+    scalar = _search(_ScalarOnly(F), n, d, 6, omega, seed)
+    assert abs(scalar.value - est.value) <= 1e-12 * max(1.0, est.value)
+
+
+class _CountingFunctional(InducedMomentFunctional):
+    """Records the size of every batch and the number of single-word calls."""
+
+    def __init__(self, state, region):
+        super().__init__(state, region)
+        self.batch_sizes = []
+        self.calls = 0
+
+    def __call__(self, word):
+        self.calls += 1
+        return super().__call__(word)
+
+    def batch(self, words):
+        self.batch_sizes.append(len(words))
+        return super().batch(words)
+
+
+def test_search_guard_fires_before_engine_work(monkeypatch):
+    """|X|^n = 200^4 > TUPLE_SUM_GUARD: refused before any Markov sweep."""
+    sweeps = []
+    monkeypatch.setattr(fluctuations, "markov_moment_batch", lambda *args: sweeps.append(args))
+    mk = MarkovState(T_STD, alpha=0.4)
+    assert 200.0**4 > TUPLE_SUM_GUARD
+    F = InducedMomentFunctional(mk, Region(mk.metric, range(200)))
+    with pytest.raises(CostGuardError) as err:
+        seminorm_nu_omega_estimate(F, 4, mk.single_site_restriction(), search_budget=6)
+    assert "tuple" in err.value.guard
+    assert sweeps == []
+
+
+def test_centered_degree_four_search_counts_tensor_words():
+    """d=2, centered, n=4: 3^4 basis words, the start word, then the trials.
+
+    The start word is the one direction word whose contraction is within
+    TIE_TOL of the top here, so the tie-break evaluates one word.
+    """
+    mk = MarkovState(T_STD, alpha=0.4)
+    F = _CountingFunctional(mk, Region(mk.metric, range(8)))
+    est = seminorm_nu_omega_estimate(
+        F, 4, mk.single_site_restriction(), search_budget=6, seed=2
+    )
+    trials = 2 * 4
+    assert F.batch_sizes == [81, 1]
+    assert F.calls == trials
+    assert est.evaluations == 81 + trials + 1
+
+
+def test_plain_degree_six_search_sends_words_directly():
+    """d=2, plain, n=6: 4^6 = 4096 basis words exceed the direct search."""
+    ps = ProductState(SiteState(np.diag([0.75, 0.25])))
+    F = _CountingFunctional(ps, Region(ps.metric, range(4)))
+    est = seminorm_nu_estimate(F, 6, search_budget=8, seed=0)
+    assert 4096 not in F.batch_sizes
+    assert est.evaluations == sum(F.batch_sizes) + F.calls
+    assert est.evaluations <= 1000
