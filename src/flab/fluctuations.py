@@ -63,35 +63,56 @@ def check_tuple_sum(size: int, n: int) -> None:
 
 
 def _moments_of(
-    state: GlobalState, region: Region, words: Sequence[Sequence[SiteOperator]]
+    state: GlobalState,
+    region: Region,
+    words: Sequence[Sequence[SiteOperator]],
+    prefixes: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Induced moments of equal-degree words, checked, by the state's engine."""
-    if not words:
-        return np.zeros(0, dtype=complex)
-    n = len(words[0])
+    """Induced moments of equal-degree words, checked, by the state's engine.
+
+    With ``prefixes``, strictly ascending lengths k of the region's sorted
+    sites, the result has one row per k: the moments on the first k
+    sites. Every k passes the |X|^n guard, in ascending order, before any
+    engine work.
+    """
+    sizes = [len(region)] if prefixes is None else list(prefixes)
+    if not (
+        sizes
+        and 1 <= sizes[0]
+        and sizes[-1] <= len(region)
+        and all(a < b for a, b in zip(sizes, sizes[1:]))
+    ):
+        raise ValueError(f"prefix lengths must ascend strictly within 1..{len(region)}")
+    n = len(words[0]) if words else 0
     if any(len(w) != n for w in words):
         raise ValueError("batch evaluation needs words of equal degree")
     if n == 0:
-        return np.ones(len(words), dtype=complex)
-    for w in words:
-        for a in w:
-            if a.dim != state.site_dim:
-                raise ValueError(
-                    f"word operator dimension {a.dim} does not match site dimension"
-                )
-    for x in region.sites:
-        if not state.contains_site(x):
-            raise ValueError(f"region site {x!r} outside the state's domain")
-    size = len(region)
-    check_tuple_sum(size, n)
-    stack = np.array([[a.mat for a in w] for w in words])
-    if isinstance(state, ProductState):
-        return product_moment_batch(state.site.rho, size, stack)
-    if isinstance(state, MarkovState):
-        return markov_moment_batch(state, region.sites, stack)
-    if isinstance(state, CircuitState):
-        return classified_moment(state, region.sites, stack)
-    raise TypeError(f"no moment engine for state family {type(state).__name__}")
+        out = np.ones((len(sizes), len(words)), dtype=complex)
+    else:
+        for w in words:
+            for a in w:
+                if a.dim != state.site_dim:
+                    raise ValueError(
+                        f"word operator dimension {a.dim} does not match site dimension"
+                    )
+        for x in region.sites:
+            if not state.contains_site(x):
+                raise ValueError(f"region site {x!r} outside the state's domain")
+        for size in sizes:
+            check_tuple_sum(size, n)
+        # a whole region keeps its own site order; prefixes take sorted sites
+        sites = region.sites if prefixes is None else region.sorted_sites()[: sizes[-1]]
+        stack = np.array([[a.mat for a in w] for w in words])
+        # one Markov sweep serves every size; the other engines run per size
+        if isinstance(state, ProductState):
+            out = np.array([product_moment_batch(state.site.rho, k, stack) for k in sizes])
+        elif isinstance(state, MarkovState):
+            out = markov_moment_batch(state, sites, stack, sizes)
+        elif isinstance(state, CircuitState):
+            out = np.array([classified_moment(state, sites[:k], stack) for k in sizes])
+        else:
+            raise TypeError(f"no moment engine for state family {type(state).__name__}")
+    return out if prefixes is not None else out[0]
 
 
 def induced_moment(state: GlobalState, region: Region, word: Sequence[SiteOperator]) -> complex:
@@ -104,6 +125,21 @@ def induced_moment(state: GlobalState, region: Region, word: Sequence[SiteOperat
     if not word:
         raise ValueError("induced_moment needs a word of degree >= 1")
     return complex(_moments_of(state, region, [word])[0])
+
+
+def induced_moment_table(
+    state: GlobalState, region: Region, word: Sequence[SiteOperator], sizes: Sequence[int]
+) -> list[complex]:
+    """``induced_moment`` of one word on the first k sorted sites of region, per k.
+
+    ``sizes`` ascend strictly; each value equals the ``induced_moment``
+    call on those k sites bit for bit, and a Markov state computes the
+    whole table in one sweep.
+    """
+    word = tuple(word)
+    if not word:
+        raise ValueError("induced_moment needs a word of degree >= 1")
+    return [complex(row[0]) for row in _moments_of(state, region, [word], sizes)]
 
 
 class TensorPolynomial:
@@ -420,7 +456,9 @@ def _search_words(
 
     rng = np.random.default_rng(seed)
     rand_words = []
-    for _ in range(search_budget):
+    # an empty centered probe means d = 1: every operator centers to 0,
+    # so no centered word exists and redrawing would never end
+    for _ in range(search_budget if probe else 0):
         w = []
         for _slot in range(n):
             cand = random_hermitian_unit(rng, dim)

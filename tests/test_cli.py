@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 
 import pytest
 
@@ -328,6 +329,52 @@ def test_ccr_decay_guard_before_search(tmp_path, capsys, monkeypatch):
     code, _, err = run(["ccr-decay", "--config", cfg], capsys)
     assert code == 3
     assert err.startswith("ERR 3: cost guard '")
+
+
+def test_moments_table_guard_before_engine_work(tmp_path, capsys, monkeypatch):
+    """A table whose last size trips the guard stops before any Markov sweep."""
+    sweeps = []
+    monkeypatch.setattr(
+        "flab.fluctuations.markov_moment_batch", lambda *args: sweeps.append(args)
+    )
+    cfg = write_config(
+        tmp_path, {"state": MARKOV_STD, "word": ["Z"] * 4, "sizes": [2, 4, 101]}
+    )
+    code, out, err = run(["moments", "--config", cfg], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "ERR 3: cost guard 'induced-moment tuple sum': "
+        "|X|^n = 101^4 exceeds 100000000\n"
+    )
+    assert sweeps == []
+
+
+def test_ccr_decay_dimension_one_returns(tmp_path, capsys):
+    """d = 1 has no centered operator; the search must not redraw forever."""
+
+    def stuck(signum, frame):
+        pytest.fail("ccr-decay at d = 1 did not return within 30 s")
+
+    cfg = write_config(
+        tmp_path,
+        {
+            "state": {"kind": "product", "rho": [[1.0]]},
+            "pair": ["I", "I"],
+            "prefix": ["I"],
+            "sizes": [2],
+            "search_budget": 1,
+        },
+    )
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(30)
+    try:
+        code, out, _ = run(["ccr-decay", "--config", cfg], capsys)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert out.splitlines() == ["region_size,value_abs,bound,ratio,flag", "2,0,0,0,1"]
 
 
 def test_threads_must_be_positive(tmp_path, capsys):

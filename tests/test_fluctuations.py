@@ -45,8 +45,16 @@ from flab import (
     seminorm_nu_estimate,
     seminorm_nu_omega_estimate,
 )
-from flab import fluctuations
-from flab.fluctuations import TUPLE_SUM_GUARD, _Candidates, _search, _search_words
+from flab import _moments, fluctuations
+from flab._moments import _placements
+from flab.fluctuations import (
+    TUPLE_SUM_GUARD,
+    _Candidates,
+    _moments_of,
+    _search,
+    _search_words,
+    induced_moment_table,
+)
 from flab.gaussian import _CovariancePairFunctional, covariance_from_state
 
 RNG = np.random.default_rng(271828)
@@ -71,10 +79,12 @@ def brute_for_product(rho_mat, size, word):
     )
 
 
-def brute_for_markov(mk, size, word):
-    span = list(range(size))
+def brute_for_markov(mk, sites, word):
+    """Tuple sum over the sites; the chain is enumerated on their whole span."""
+    sites = sorted(sites)
+    span = list(range(sites[0], sites[-1] + 1))
     return brute_induced_moment(
-        span,
+        sites,
         [a.mat for a in word],
         markov_config_expect(mk.transition, mk.pi, span),
         markov_site_mean(mk.pi),
@@ -123,7 +133,7 @@ def test_markov_engine_matches_brute_force():
         region = Region(mk.metric, range(size))
         for word in [(SZ, SZ), (SZ, SZ, SZ), (SZ, SX, SZ), (SZ,) * 4]:
             got = induced_moment(mk, region, word)
-            want = brute_for_markov(mk, size, word)
+            want = brute_for_markov(mk, range(size), word)
             assert abs(got - want) < 1e-11, (size, word)
 
 
@@ -591,3 +601,128 @@ def test_plain_degree_six_search_sends_words_directly():
     assert 4096 not in F.batch_sizes
     assert est.evaluations == sum(F.batch_sizes) + F.calls
     assert est.evaluations <= 1000
+
+
+# =============================================================================
+# Markov engine: differential oracles, prefix readouts, placement table
+# =============================================================================
+
+def _random_word(rng, d, n):
+    """n complex Gaussian operators: non-Hermitian in every slot."""
+    return tuple(
+        SiteOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) for _ in range(n)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_markov_engine_matches_brute_force_random(d, n, seed):
+    """Random non-symmetric gapped chains on gapped regions, in any site order."""
+    rng = np.random.default_rng(seed)
+    mk = _random_gapped_chain(rng, d)
+    count = int(rng.integers(1, 5 if n <= 3 else 4))
+    gaps = rng.integers(1, 4 if d == 2 else 3, size=count - 1)
+    if count > 1 and gaps.max() == 1:
+        gaps[rng.integers(count - 1)] = 2
+    sites = [int(x) for x in int(rng.integers(0, 3)) + np.concatenate([[0], np.cumsum(gaps)])]
+    region = Region(mk.metric, rng.permutation(sites).tolist())
+    word = _random_word(rng, d, n)
+    got = induced_moment(mk, region, word)
+    want = brute_for_markov(mk, sites, word)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (sites, n)
+
+
+@pytest.mark.parametrize("n, sites", [(8, [0, 2, 3]), (10, [0, 2]), (12, [1, 4])])
+def test_markov_high_degree_matches_brute_force(n, sites):
+    """High degrees on small gapped regions: every slot subset gets placed."""
+    rng = np.random.default_rng(n)
+    mk = _random_gapped_chain(rng, 2)
+    word = _random_word(rng, 2, n)
+    got = induced_moment(mk, Region(mk.metric, sites), word)
+    want = brute_for_markov(mk, sites, word)
+    assert abs(want) > 1e-3
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def _prefix_case(kind, rng):
+    if kind == "product":
+        return ProductState(random_density(rng, 2))
+    if kind == "markov":
+        return _random_gapped_chain(rng, 2)
+    layers = [(k % 2, random_two_site_unitary(rng)) for k in range(2)]
+    return CircuitState(random_density(rng, 2), 8, layers)
+
+
+@pytest.mark.parametrize("kind", ["product", "markov", "circuit"])
+def test_prefix_readouts_equal_per_size_calls(kind):
+    """Each row of a size table is the per-size call, bit for bit."""
+    rng = np.random.default_rng(len(kind))
+    state = _prefix_case(kind, rng)
+    region = Region(state.metric, [5, 0, 2, 7, 3, 4])
+    ordered = sorted(region.sites)
+    sizes = [1, 2, 4, 6]
+    words = [_random_word(rng, 2, 3) for _ in range(3)]
+    rows = _moments_of(state, region, words, sizes)
+    assert rows.shape == (len(sizes), len(words))
+    for size, row in zip(sizes, rows):
+        prefix = Region(state.metric, ordered[:size])
+        assert row.tobytes() == _moments_of(state, prefix, words).tobytes()
+    table = induced_moment_table(state, region, words[0], sizes)
+    for size, val in zip(sizes, table):
+        assert val == induced_moment(state, Region(state.metric, ordered[:size]), words[0])
+
+
+def test_prefix_lengths_checked():
+    mk = MarkovState(T_STD, alpha=0.4)
+    region = Region(mk.metric, range(4))
+    for bad in ([], [0, 2], [2, 2], [3, 1], [2, 5]):
+        with pytest.raises(ValueError):
+            _moments_of(mk, region, [(SZ, SZ)], bad)
+
+
+def test_prefix_guard_runs_before_engine_work(monkeypatch):
+    """The first size over TUPLE_SUM_GUARD raises before the Markov sweep."""
+    sweeps = []
+    monkeypatch.setattr(fluctuations, "markov_moment_batch", lambda *args: sweeps.append(args))
+    mk = MarkovState(T_STD, alpha=0.4)
+    with pytest.raises(CostGuardError, match="101\\^4"):
+        _moments_of(mk, Region(mk.metric, range(120)), [(SZ,) * 4], [2, 101, 120])
+    assert sweeps == []
+
+
+def test_placement_table_matches_comprehension():
+    """The cached table is the old per-call comprehension, order included."""
+    for n in range(1, 9):
+        nsub = 1 << n
+        table = _placements(n)
+        assert [k for k, _, _ in table] == list(range(1, nsub))
+        for k_mask, src, tgt in table:
+            want = np.array([s for s in range(nsub) if s & k_mask == 0], dtype=np.intp)
+            assert np.array_equal(src, want)
+            assert np.array_equal(tgt, want | k_mask)
+
+
+def test_placement_table_past_cache_degree_is_not_kept():
+    """Degree 13 builds its 3^13-entry table for the call and drops it."""
+    assert _moments.PLACEMENT_CACHE_DEGREE == 12
+    rng = np.random.default_rng(13)
+    mk = _random_gapped_chain(rng, 2)
+    word = _random_word(rng, 2, 13)
+    before = _placements.cache_info()
+    got = induced_moment(mk, Region(mk.metric, [3]), word)
+    after = _placements.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+    want = brute_for_markov(mk, [3], word)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_centered_search_at_dimension_one_returns():
+    """Every d = 1 operator centers to 0: no words, value 0, empty witness."""
+    ps = ProductState(SiteState(np.array([[1.0]])))
+    F = InducedMomentFunctional(ps, Region(ps.metric, range(2)))
+    est = seminorm_nu_omega_estimate(F, 2, ps.single_site_restriction(), search_budget=4)
+    assert (est.value, est.witness, est.evaluations) == (0.0, (), 0)
