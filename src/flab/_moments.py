@@ -10,11 +10,11 @@ operators F(a) = |X|^{-1/2} sum_x (a_x - omega_x(a)):
 * a subset-lattice transfer recursion for Markov states: sites are
   processed left to right, the DP state tracks which word slots have
   been placed plus the chain-state vector, so the full |X|^n tuple sum
-  collapses to 3^n transitions per site. The table of those transitions
-  depends on n alone and is built once per degree (cached up to degree
-  12); one sweep reads the
-  moment out after every requested prefix of the sorted sites, so a
-  whole size table costs one sweep over its largest region
+  collapses to one transfer and one slot-by-slot placement per site
+  (n 2^(n-1) d x d updates per word, on 2^n d^2 entries that
+  fluctuations.MARKOV_DP_GUARD bounds). One sweep reads the moment out
+  after every requested prefix of the sorted sites, so a whole size
+  table costs one sweep over its largest region
 * the direct product for circuit states: the n fluctuation operators
   are applied right to left to the cached statevector or density
   tensor, n |X| single-site contractions per word
@@ -31,7 +31,6 @@ three engines are the dense and brute-force helpers of the test suite.
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -96,38 +95,6 @@ def product_moment(rho: np.ndarray, size: int, word_mats: Sequence[np.ndarray]) 
 # ---------------------------------------------------------------------------
 
 
-PLACEMENT_CACHE_DEGREE = 12
-
-
-@functools.lru_cache(maxsize=None)
-def _placements(n: int) -> tuple:
-    """(K, S, S | K) for every nonempty slot subset K of a degree-n word.
-
-    S lists the slot subsets disjoint from K in ascending order: the DP
-    entries K may be placed onto at one site. They are the submasks of
-    the complement of K, and doubling the list by each free bit from the
-    lowest keeps it sorted, so the table (3^n entries) costs O(3^n)
-    instead of a 2^n scan per K. It depends on n alone and is cached per
-    degree up to PLACEMENT_CACHE_DEGREE, in int32 to halve its memory
-    (4.2 MB at n = 12, about 6 MB for every cached degree together).
-    Keeping only the last degree rebuilt the small tables whenever a
-    ccr-decay run alternated degrees, and that churn raised peak memory
-    more than the tables kept here. A larger table (3^n grows past 40 MB
-    by n = 15) is built for its call through ``_placements.__wrapped__``
-    and dropped with it.
-    """
-    full = (1 << n) - 1
-    table = []
-    for k_mask in range(1, full + 1):
-        src = [0]
-        for bit in (1 << b for b in range(n)):
-            if not bit & k_mask:
-                src += [s | bit for s in src]
-        src = np.array(src, dtype=np.int32)
-        table.append((k_mask, src, src | k_mask))
-    return tuple(table)
-
-
 def markov_moment_batch(
     state: MarkovState,
     positions: Sequence[int],
@@ -139,10 +106,18 @@ def markov_moment_batch(
     Reorganizes the tuple sum as a left-to-right sweep over the region's
     sites. The DP vector is indexed by (word-slot subset, chain state);
     moving to the next site applies the cached transition power for the
-    gap, and at each site every disjoint slot subset K may be placed,
-    contributing the diagonal of the ascending-order product of the
-    centered operators in K. Operators on different sites commute, so
+    gap. At each site a subset K of the slots not yet placed may be
+    placed, contributing the diagonal of the ascending-order product of
+    the centered operators in K. Operators on different sites commute, so
     ascending order inside a site is the only ordering that matters.
+
+    The placement is built one slot at a time: every DP entry S becomes
+    the diagonal matrix diag(v[S]), and for k = 0..n-1 each matrix whose
+    subset lacks slot k, right-multiplied by c_k, is added into the
+    entry with slot k set. After slot n-1 the entry T holds the sum over
+    K in T of diag(v[T - K]) times the ascending product over K, whose
+    diagonal is the new DP vector: n 2^(n-1) d x d updates per word and
+    site, with no table and no subtraction.
 
     ``sizes`` are ascending lengths k of the sorted positions; the result
     has one row per k, shape (len(sizes), nwords): the moments on the
@@ -152,35 +127,27 @@ def markov_moment_batch(
     """
     nwords, n, d, _ = words.shape
     positions = sorted(int(p) for p in positions)
-    rho = np.diag(state.pi)
-    c = center_against(rho, words)
-
-    nsub = 1 << n
-    full = nsub - 1
-    prods = np.empty((nwords, nsub, d, d), dtype=complex)
-    prods[:, 0] = np.eye(d)
-    for k_mask in range(1, nsub):
-        low = (k_mask & -k_mask).bit_length() - 1
-        prods[:, k_mask] = c[:, low] @ prods[:, k_mask & (k_mask - 1)]
-    diags = np.einsum("wkii->wki", prods)
-    if n <= PLACEMENT_CACHE_DEGREE:
-        placements = _placements(n)
-    else:
-        placements = _placements.__wrapped__(n)
+    c = center_against(np.diag(state.pi), words)
+    full = (1 << n) - 1
+    eye = np.eye(d)
 
     readouts = set(sizes)
     rows = []
-    v = np.zeros((nwords, nsub, d), dtype=complex)
+    v = np.zeros((nwords, full + 1, d), dtype=complex)
     v[:, 0, :] = state.pi
     prev = None
     for size, x in enumerate(positions, 1):
         if prev is not None:
-            m = state.transition_power(x - prev)
-            v = v @ m.T
-        new = v.copy()
-        for k_mask, src, tgt in placements:
-            new[:, tgt, :] += v[:, src, :] * diags[:, k_mask, None, :]
-        v = new
+            v = v @ state.transition_power(x - prev).T
+        w = v[..., None] * eye
+        for k in range(n):
+            # axis 2 is bit k of the slot subset
+            view = w.reshape(nwords, 1 << (n - k - 1), 2, 1 << k, d, d)
+            lo, hi = view[:, :, 0], view[:, :, 1]
+            ck = c[:, k, None, None]
+            for l in range(d):
+                hi += lo[..., l, None] * ck[..., l, None, :]
+        v = np.einsum("wsii->wsi", w)
         prev = x
         if size in readouts:
             rows.append(v[:, full, :].sum(axis=1) * float(size) ** (-n / 2.0))

@@ -433,7 +433,12 @@ def main(argv=None) -> int:
             "threads", cfg.get("threads", 1) if args.threads is None else args.threads, 1
         )
         seed = _config_int(cfg, "seed", 0, 0)
-        out_path = args.out if args.out is not None else cfg.get("out")
+        out_path = args.out
+        if out_path is None and "out" in cfg:
+            out_path = cfg["out"]
+            # open() would take an int as a file descriptor
+            if not isinstance(out_path, str) or not out_path:
+                raise ConfigError(f"'out' must be a nonempty path string, got {out_path!r}")
 
         if args.experiment == "bounds":
             text, ok = run_bounds(cfg, seed)

@@ -50,6 +50,7 @@ from .lattice import Region
 from .states import CircuitState, GlobalState, MarkovState, ProductState, random_hermitian_unit
 
 TUPLE_SUM_GUARD = 10**8
+MARKOV_DP_GUARD = 2**20
 TRANSPORT_TOL = 1e-10
 
 
@@ -100,6 +101,13 @@ def _moments_of(
                 raise ValueError(f"region site {x!r} outside the state's domain")
         for size in sizes:
             check_tuple_sum(size, n)
+        # the Markov sweep keeps a d x d matrix per slot subset and word
+        d = state.site_dim
+        if isinstance(state, MarkovState) and (1 << n) * d * d > MARKOV_DP_GUARD:
+            raise CostGuardError(
+                "Markov subset DP",
+                f"2^n d^2 = 2^{n} * {d}^2 exceeds {MARKOV_DP_GUARD}",
+            )
         # a whole region keeps its own site order; prefixes take sorted sites
         sites = region.sites if prefixes is None else region.sorted_sites()[: sizes[-1]]
         stack = np.array([[a.mat for a in w] for w in words])

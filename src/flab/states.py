@@ -195,9 +195,8 @@ class MarkovState(GlobalState):
     def transition_power(self, g: int) -> np.ndarray:
         """T^g, stepped up as T @ T^(k-1) from the largest cached power.
 
-        The cache holds the powers below POWER_CACHE_SIZE and always the
-        contiguous run 0..k, so concurrent callers only write equal
-        values; a larger gap is stepped from the top of the cache.
+        The cache holds the contiguous run of powers 0..k below
+        POWER_CACHE_SIZE; a larger gap is stepped from the top of the cache.
         """
         if g < 0:
             raise ValueError("gap must be nonnegative")

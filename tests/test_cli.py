@@ -350,6 +350,22 @@ def test_moments_table_guard_before_engine_work(tmp_path, capsys, monkeypatch):
     assert sweeps == []
 
 
+def test_moments_markov_dp_guard(tmp_path, capsys, monkeypatch):
+    """Degree 19 on the two-state chain needs 2^19 * 4 DP entries a word: ERR 3."""
+    sweeps = []
+    monkeypatch.setattr(
+        "flab.fluctuations.markov_moment_batch", lambda *args: sweeps.append(args)
+    )
+    cfg = write_config(tmp_path, {"state": MARKOV_STD, "word": ["Z"] * 19, "sizes": [2]})
+    code, out, err = run(["moments", "--config", cfg], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "ERR 3: cost guard 'Markov subset DP': 2^n d^2 = 2^19 * 2^2 exceeds 1048576\n"
+    )
+    assert sweeps == []
+
+
 def test_ccr_decay_dimension_one_returns(tmp_path, capsys):
     """d = 1 has no centered operator; the search must not redraw forever."""
 
@@ -386,6 +402,18 @@ def test_threads_must_be_positive(tmp_path, capsys):
         code, _, err = run(["converge", "--config", cfg], capsys)
         assert code == 2
         assert err.startswith("ERR 2:")
+
+
+def test_out_key_must_be_a_path(tmp_path, capsys):
+    """A non-string out would reach open() as a file descriptor or a TypeError."""
+    for bad in ([str(tmp_path / "a.csv")], 7, True, ""):
+        cfg = write_config(
+            tmp_path, {"state": PRODUCT_GROUND, "word": ["X", "X"], "sizes": [2], "out": bad}
+        )
+        code, out, err = run(["converge", "--config", cfg], capsys)
+        assert code == 2, bad
+        assert out == "", bad
+        assert err.startswith("ERR 2: 'out' must be"), bad
 
 
 def test_config_integers_rejected(tmp_path, capsys):

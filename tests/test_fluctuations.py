@@ -46,7 +46,6 @@ from flab import (
     seminorm_nu_omega_estimate,
 )
 from flab import _moments, fluctuations
-from flab._moments import _placements
 from flab.fluctuations import (
     TUPLE_SUM_GUARD,
     _Candidates,
@@ -166,6 +165,66 @@ def test_circuit_engine_matches_brute_force(base_kind, d, depth, region_kind):
         assert abs(got - want) < 1e-10, len(word)
 
 
+def _sparse_sites(rng, length):
+    """2..length-1 sites of range(length) with a gap between them, shuffled."""
+    while True:
+        count = int(rng.integers(2, length))
+        sites = sorted(rng.choice(length, size=count, replace=False).tolist())
+        if sites[-1] - sites[0] >= count:
+            return rng.permutation(sites).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_product_engine_matches_brute_force_random(d, n, seed):
+    """Random product states on gapped regions in shuffled order, non-Hermitian words."""
+    rng = np.random.default_rng(seed)
+    L = 5 if d == 2 else 4
+    rho = random_density(rng, d)
+    ps = ProductState(rho)
+    sites = _sparse_sites(rng, L)
+    word = _random_word(rng, d, n)
+    full = product_density(rho.rho, L)
+    got = induced_moment(ps, Region(ps.metric, sites), word)
+    want = brute_induced_moment(
+        sites, [a.mat for a in word], dense_expect(full, L, d), dense_site_mean(full, L, d)
+    )
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (sites, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    depth=st.integers(min_value=1, max_value=2),
+    mixed=st.booleans(),
+    n=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_circuit_engine_matches_brute_force_random(d, depth, mixed, n, seed):
+    """Random depth 1-2 circuits, pure or mixed base, on gapped shuffled regions."""
+    rng = np.random.default_rng(seed)
+    L = 5 if d == 2 else 4
+    if mixed:
+        base = random_density(rng, d)
+    else:
+        base = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d))
+    offset = int(rng.integers(2))
+    layers = [((offset + k) % 2, random_two_site_unitary(rng, d)) for k in range(depth)]
+    circ = CircuitState(base, L, layers)
+    sites = _sparse_sites(rng, L)
+    word = _random_word(rng, d, n)
+    full = circuit_dense_density(base.rho, L, layers)
+    got = induced_moment(circ, Region(circ.metric, sites), word)
+    want = brute_induced_moment(
+        sites, [a.mat for a in word], dense_expect(full, L, d), dense_site_mean(full, L, d)
+    )
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (sites, n, layers[0][0])
+
+
 def test_kurtosis_law_small_sizes():
     ps = ProductState(pure_state([1.0, 0.0]))
     for size in (2, 5, 10):
@@ -254,6 +313,34 @@ def test_functional_batch_matches_scalar_calls(family):
     for w, v in zip(words, batch):
         assert abs(v - F(w)) < 1e-12
         assert abs(v - induced_moment(state, region, w)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["product", "markov", "circuit"]),
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_scalar_calls_match_batch_random(family, d, n, seed):
+    """A batch of random non-Hermitian words equals one scalar call per word."""
+    rng = np.random.default_rng(seed)
+    if family == "product":
+        state, L = ProductState(random_density(rng, d)), 8
+    elif family == "markov":
+        state, L = _random_gapped_chain(rng, d), 8
+    else:
+        L = 5 if d == 2 else 4
+        state = CircuitState(random_density(rng, d), L, [(0, random_two_site_unitary(rng, d))])
+    region = Region(state.metric, _sparse_sites(rng, L))
+    F = InducedMomentFunctional(state, region)
+    words = [_random_word(rng, d, n) for _ in range(int(rng.integers(1, 6)))]
+    batch = F.batch(words)
+    assert batch.shape == (len(words),)
+    for w, v in zip(words, batch):
+        want = induced_moment(state, region, w)
+        assert F(w) == want
+        assert abs(v - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_batch_raises_scalar_argument_errors():
@@ -604,7 +691,7 @@ def test_plain_degree_six_search_sends_words_directly():
 
 
 # =============================================================================
-# Markov engine: differential oracles, prefix readouts, placement table
+# Markov engine: differential oracles, prefix readouts, DP guard
 # =============================================================================
 
 def _random_word(rng, d, n):
@@ -694,28 +781,35 @@ def test_prefix_guard_runs_before_engine_work(monkeypatch):
     assert sweeps == []
 
 
-def test_placement_table_matches_comprehension():
-    """The cached table is the old per-call comprehension, order included."""
-    for n in range(1, 9):
-        nsub = 1 << n
-        table = _placements(n)
-        assert [k for k, _, _ in table] == list(range(1, nsub))
-        for k_mask, src, tgt in table:
-            want = np.array([s for s in range(nsub) if s & k_mask == 0], dtype=np.intp)
-            assert np.array_equal(src, want)
-            assert np.array_equal(tgt, want | k_mask)
+def test_markov_dp_guard_runs_before_engine_work(monkeypatch):
+    """2^n d^2 over MARKOV_DP_GUARD raises before the sweep; the limit is allowed."""
+    sweeps = []
+
+    def sweep(state, positions, words, sizes):
+        sweeps.append(len(words[0]))
+        return np.zeros((len(sizes), len(words)), dtype=complex)
+
+    monkeypatch.setattr(fluctuations, "markov_moment_batch", sweep)
+    mk = MarkovState(T_STD, alpha=0.4)
+    region = Region(mk.metric, range(2))
+    _moments_of(mk, region, [(SZ,) * 18], [2])
+    with pytest.raises(CostGuardError, match="2\\^19 \\* 2\\^2") as info:
+        _moments_of(mk, region, [(SZ,) * 19], [2])
+    assert info.value.guard == "Markov subset DP"
+    mk3 = _random_gapped_chain(np.random.default_rng(3), 3)
+    word = (SiteOperator(np.eye(3)),)
+    _moments_of(mk3, Region(mk3.metric, [0]), [word * 16])
+    with pytest.raises(CostGuardError, match="2\\^17 \\* 3\\^2"):
+        _moments_of(mk3, Region(mk3.metric, [0]), [word * 17])
+    assert sweeps == [18, 16]
 
 
-def test_placement_table_past_cache_degree_is_not_kept():
-    """Degree 13 builds its 3^13-entry table for the call and drops it."""
-    assert _moments.PLACEMENT_CACHE_DEGREE == 12
+def test_markov_degree_thirteen_matches_brute_force():
+    """Degree 13 on one site: all 2^13 slot subsets are placed at once."""
     rng = np.random.default_rng(13)
     mk = _random_gapped_chain(rng, 2)
     word = _random_word(rng, 2, 13)
-    before = _placements.cache_info()
     got = induced_moment(mk, Region(mk.metric, [3]), word)
-    after = _placements.cache_info()
-    assert (after.currsize, after.misses) == (before.currsize, before.misses)
     want = brute_for_markov(mk, [3], word)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
