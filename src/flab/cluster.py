@@ -143,22 +143,25 @@ def f_correction_moment(
     sites = region.sorted_sites()
     acc = KahanSum()
     for m in range(2, min(n, size) + 1):
-        parts = ordered_partitions(m, n)
+        # the block operators and their singles depend on the partition only
+        ops = [
+            [ordered_product([word[i - 1] for i in block]) for block in part]
+            for part in ordered_partitions(m, n)
+        ]
+        singles = [[site_expect(omega, op) for op in row] for row in ops]
+        stack = np.array([[op.mat for op in row] for row in ops])
         for sub in itertools.combinations(sites, m):
             enum = spread_optimal_enumeration(Region(metric, sub))
-            for part in parts:
-                ops = [
-                    ordered_product([word[i - 1] for i in block]) for block in part
-                ]
-                singles = [site_expect(omega, op) for op in ops]
-                tails: list[complex] = [complex(1.0)] * (m + 2)
-                for k in range(m, 0, -1):
-                    asg = {enum[l - 1]: ops[l - 1] for l in range(k, m + 1)}
-                    tails[k] = state.expect(asg)
+            # tails[k - 1][p]: the tail from position k on, for every partition p
+            tails = [
+                state.expect_batch(enum[k - 1 :], stack[:, k - 1 :]).tolist()
+                for k in range(1, m + 1)
+            ]
+            for p, single in enumerate(singles):
                 prefix = complex(1.0)
                 for k in range(1, m):
-                    acc.add(prefix * (tails[k] - singles[k - 1] * tails[k + 1]))
-                    prefix *= singles[k - 1]
+                    acc.add(prefix * (tails[k - 1][p] - single[k - 1] * tails[k][p]))
+                    prefix *= single[k - 1]
     return acc.value * float(size) ** (-n / 2.0)
 
 

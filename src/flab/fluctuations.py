@@ -47,7 +47,7 @@ from ._moments import (
 )
 from .errors import CostGuardError
 from .lattice import Region
-from .states import CircuitState, GlobalState, MarkovState, ProductState, random_hermitian_unit
+from .states import CircuitState, GlobalState, MarkovState, ProductState, random_hermitian_units
 
 TUPLE_SUM_GUARD = 10**8
 MARKOV_DP_GUARD = 2**20
@@ -462,22 +462,34 @@ def _search_words(
     else:
         head = []
 
-    rng = np.random.default_rng(seed)
-    rand_words = []
     # an empty centered probe means d = 1: every operator centers to 0,
     # so no centered word exists and redrawing would never end
-    for _ in range(search_budget if probe else 0):
+    budget = search_budget if probe else 0
+    draws = _unit_draws(np.random.default_rng(seed), dim, budget * n)
+    rand_words = []
+    for _ in range(budget):
         w = []
         for _slot in range(n):
-            cand = random_hermitian_unit(rng, dim)
+            cand = SiteOperator(next(draws))
             if omega is not None:
                 cu = _centered_unit(cand, omega)
                 while cu is None:
-                    cu = _centered_unit(random_hermitian_unit(rng, dim), omega)
+                    cu = _centered_unit(SiteOperator(next(draws)), omega)
                 cand = cu
             w.append(cand)
         rand_words.append(tuple(w))
     return probe, head, rand_words
+
+
+def _unit_draws(rng: np.random.Generator, dim: int, count: int):
+    """Random Hermitian units: ``count`` in one batch, then one at a time.
+
+    A refused centered draw takes the next one; since the batch is drawn
+    in stream order, the words equal those of one draw per operator.
+    """
+    yield from random_hermitian_units(rng, dim, count)
+    while True:
+        yield random_hermitian_units(rng, dim, 1)[0]
 
 
 def _search(

@@ -61,16 +61,10 @@ class Covariance:
 def covariance_from_state(omega: SiteState) -> Covariance:
     """Truncated pair form W(a, b) = omega(ab) - omega(a) omega(b)."""
     basis = hermitian_basis(omega.dim)
-    nb = len(basis)
-    m = np.empty((nb, nb), dtype=complex)
-    singles = [site_expect(omega, h) for h in basis]
-    for i in range(nb):
-        for j in range(nb):
-            m[i, j] = (
-                complex(np.trace(omega.rho @ basis[i].mat @ basis[j].mat))
-                - singles[i] * singles[j]
-            )
-    return Covariance(omega.dim, m)
+    mats = np.array([h.mat for h in basis])
+    singles = np.array([site_expect(omega, h) for h in basis])
+    joint = np.trace(omega.rho @ mats[:, None] @ mats[None, :], axis1=-2, axis2=-1)
+    return Covariance(omega.dim, joint - np.outer(singles, singles))
 
 
 class _CovariancePairFunctional:

@@ -10,10 +10,11 @@ Three state families, sharing one query interface:
   operators act through their diagonals in the chain basis.
 
 An expectation query takes a map from sites to single-site operators and
-returns the expectation of the corresponding tensor product. Truncated
-pair correlations are exposed through ``correlator`` with the distance
-reweighting e^{+d} applied, and ``estimate_G0`` reports a certified
-lower bound on the decay constant sup over separated pairs.
+returns the expectation of the corresponding tensor product;
+``expect_batch`` answers N such queries over the same sites at once.
+Truncated pair correlations are exposed through ``correlator`` with the
+distance reweighting e^{+d} applied, and ``estimate_G0`` reports a
+certified lower bound on the decay constant sup over separated pairs.
 """
 
 from __future__ import annotations
@@ -85,6 +86,19 @@ class GlobalState:
     def expect(self, ops: Dict) -> complex:
         raise NotImplementedError
 
+    def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
+        """Expectations of N tensor products over the same sites.
+
+        ``mats`` has shape (N, len(sites), d, d); row i assigns
+        mats[i, j] to sites[j]. The default asks ``expect`` once per row,
+        with the sites in the given order.
+        """
+        mats = self._check_batch(sites, mats)
+        return np.array(
+            [self.expect({x: SiteOperator(a) for x, a in zip(sites, row)}) for row in mats],
+            dtype=complex,
+        )
+
     def site_restriction(self, x) -> SiteState:
         raise NotImplementedError
 
@@ -102,16 +116,32 @@ class GlobalState:
         mats = [self.site_restriction(x).rho for x in region.sites]
         return SiteState(sum(mats) / len(mats))
 
-    def _check_ops(self, ops: Dict) -> None:
-        if not ops:
+    def _check_query(self, sites, dims) -> None:
+        if not sites:
             raise ValueError("expectation query needs at least one site")
-        for x, op in ops.items():
+        for x, dim in zip(sites, dims):
             if not self.contains_site(x):
                 raise ValueError(f"site {x!r} outside the state's domain")
-            if op.dim != self.site_dim:
+            if dim != self.site_dim:
                 raise ValueError(
-                    f"operator dimension {op.dim} does not match site dimension {self.site_dim}"
+                    f"operator dimension {dim} does not match site dimension {self.site_dim}"
                 )
+
+    def _check_ops(self, ops: Dict) -> None:
+        self._check_query(list(ops), [op.dim for op in ops.values()])
+
+    def _check_batch(self, sites: Sequence, mats) -> np.ndarray:
+        mats = np.asarray(mats, dtype=complex)
+        if sites and (
+            mats.ndim != 4 or mats.shape[1] != len(sites) or mats.shape[2] != mats.shape[3]
+        ):
+            raise ValueError(
+                f"operator stack of shape {mats.shape} does not fit {len(sites)} sites"
+            )
+        self._check_query(sites, [mats.shape[-1] for _ in sites])
+        if len(set(sites)) != len(sites):
+            raise ValueError("expectation sites must be distinct")
+        return mats
 
 
 class ProductState(GlobalState):
@@ -210,15 +240,23 @@ class MarkovState(GlobalState):
 
     def expect(self, ops: Dict) -> complex:
         self._check_ops(ops)
-        sites = sorted(ops.keys())
-        v = self.pi.astype(complex)
+        return complex(self.expect_batch(list(ops), [[op.mat for op in ops.values()]])[0])
+
+    def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
+        """One transfer sweep over the sorted sites for all N rows at once.
+
+        Each row's vector steps as (T^g @ v[..., None])[..., 0], which is
+        bit-identical to the one-vector T^g @ v; T^g @ V.T is not.
+        """
+        mats = self._check_batch(sites, mats)
+        v = np.broadcast_to(self.pi.astype(complex), (len(mats), self.site_dim))
         prev = None
-        for x in sites:
+        for j in sorted(range(len(sites)), key=lambda j: sites[j]):
             if prev is not None:
-                v = self.transition_power(x - prev) @ v
-            v = np.diagonal(ops[x].mat) * v
-            prev = x
-        return complex(v.sum())
+                v = (self.transition_power(sites[j] - prev) @ v[..., None])[..., 0]
+            v = np.diagonal(mats[:, j], axis1=-2, axis2=-1) * v
+            prev = sites[j]
+        return v.sum(axis=1)
 
     def site_restriction(self, x) -> SiteState:
         self.metric.check_site(x)
@@ -458,14 +496,26 @@ def estimate_G0(
     return G0Estimate(value=best, samples=count)
 
 
+def random_hermitian_units(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` random Hermitian matrices of unit operator norm, shape (count, d, d).
+
+    One normal draw of shape (count, 2, d, d) holds the real and the
+    imaginary part of each raw matrix in turn, so the stream and the
+    matrices equal ``count`` draws of one; a zero matrix becomes I.
+    """
+    raw = rng.normal(size=(count, 2, dim, dim))
+    raw = raw[:, 0] + 1j * raw[:, 1]
+    h = 0.5 * (raw + np.conj(np.swapaxes(raw, -1, -2)))
+    nrm = np.linalg.norm(h, 2, axis=(-2, -1))
+    zero = nrm == 0.0
+    out = h / np.where(zero, 1.0, nrm)[:, None, None]
+    out[zero] = np.eye(dim)
+    return out
+
+
 def random_hermitian_unit(rng: np.random.Generator, dim: int) -> SiteOperator:
     """Random Hermitian operator with unit operator norm."""
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = 0.5 * (raw + raw.conj().T)
-    nrm = float(np.linalg.norm(h, 2))
-    if nrm == 0.0:
-        return SiteOperator(np.eye(dim))
-    return SiteOperator(h / nrm)
+    return SiteOperator(random_hermitian_units(rng, dim, 1)[0])
 
 
 def random_density(rng: np.random.Generator, dim: int) -> SiteState:

@@ -6,9 +6,16 @@ library engines are checked against genuinely independent arithmetic.
 """
 
 import itertools
+import os
 from functools import reduce
 
 import numpy as np
+from hypothesis import settings
+
+# CI sets HYPOTHESIS_PROFILE=ci so every run draws the same examples;
+# local runs keep hypothesis' default random search.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # One line per acceptance criterion, filled by tests/test_acceptance.py and
 # echoed after the run summary so the lines survive output capture.
@@ -103,6 +110,20 @@ def markov_config_expect(T, pi, span):
         return total
 
     return expectation
+
+
+def random_gapped_transition(rng, d):
+    """Non-symmetric column-stochastic T = s R + (1 - s) v 1^T with s <= 0.6.
+
+    On the vectors with zero sum T acts as s R, so |lambda_2| <= 0.6 <
+    e^{-0.4}, the mixing condition at alpha = 0.4.
+    """
+    r = rng.random((d, d)) + 0.05
+    r /= r.sum(axis=0)
+    v = rng.random(d) + 0.05
+    v /= v.sum()
+    s = rng.uniform(0.1, 0.6)
+    return s * r + (1.0 - s) * np.outer(v, np.ones(d))
 
 
 def markov_site_mean(pi):

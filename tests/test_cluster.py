@@ -5,11 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_gapped_transition
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flab import (
     Assignment,
+    CircuitState,
     CorrectionFunctional,
     CostGuardError,
+    KahanSum,
     MarkovState,
     ProductPartFunctional,
     ProductState,
@@ -26,9 +31,12 @@ from flab import (
     cluster_expansion_check,
     covariance_from_state,
     decomposition_check,
+    expect,
     f_correction_moment,
     induced_moment,
     n_hat_series,
+    ordered_partitions,
+    ordered_product,
     product_part_moment,
     pure_state,
     random_density,
@@ -295,3 +303,82 @@ def test_product_part_functional_batch():
     vals = F.batch(words)
     for w, v in zip(words, vals):
         assert abs(v - product_part_moment(rho, 8, w)) < 1e-12
+
+
+# =============================================================================
+# The batched correction against the subset -> partition -> tail loop
+# =============================================================================
+
+def _f_correction_loop(state, region, word):
+    """Reference for f_correction_moment: one expect call per tail."""
+    omega = state.single_site_restriction()
+    n, size = len(word), len(region)
+    acc = KahanSum()
+    for m in range(2, min(n, size) + 1):
+        parts = ordered_partitions(m, n)
+        for sub in itertools.combinations(region.sorted_sites(), m):
+            enum = spread_optimal_enumeration(Region(region.metric, sub))
+            for part in parts:
+                ops = [ordered_product([word[i - 1] for i in block]) for block in part]
+                singles = [expect(omega, op) for op in ops]
+                tails = [complex(1.0)] * (m + 2)
+                for k in range(m, 0, -1):
+                    tails[k] = state.expect({enum[l - 1]: ops[l - 1] for l in range(k, m + 1)})
+                prefix = complex(1.0)
+                for k in range(1, m):
+                    acc.add(prefix * (tails[k] - singles[k - 1] * tails[k + 1]))
+                    prefix *= singles[k - 1]
+    return acc.value * float(size) ** (-n / 2.0)
+
+
+def _swap_symmetric_gate(rng, d):
+    """exp(iH) with H commuting with the swap: both legs get one restriction."""
+    h = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    h = h + h.conj().T
+    swap = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+    h = h + swap @ h @ swap
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def _correction_case(family, d, rng):
+    """A homogeneous state and a gapped (Markov) or plain site set, shuffled."""
+    if family == "markov":
+        state = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
+        gaps = rng.integers(1, 4, size=int(rng.integers(0, 6)))
+        sites = np.concatenate([[0], np.cumsum(gaps)]) + int(rng.integers(0, 3))
+    elif family == "product":
+        state = ProductState(random_density(rng, d))
+        sites = rng.choice(9, size=int(rng.integers(1, 7)), replace=False)
+    else:
+        length = 6 if d == 2 else 4
+        if family == "circuit-pure":
+            base = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d))
+        else:
+            base = random_density(rng, d)
+        # one brick layer from offset 0 on an even segment touches every site once
+        state = CircuitState(base, length, [(0, _swap_symmetric_gate(rng, d))])
+        sites = rng.choice(length, size=int(rng.integers(1, length + 1)), replace=False)
+    region = Region(state.metric, rng.permutation([int(x) for x in sites]).tolist())
+    return state, region
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["markov", "product", "circuit-pure", "circuit-mixed"]),
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_correction_matches_tail_loop_bit_for_bit(family, d, n, seed):
+    """Markov takes the one-sweep expect_batch, product and circuit the default."""
+    rng = np.random.default_rng(seed)
+    state, region = _correction_case(family, d, rng)
+    omega = state.single_site_restriction()
+    word = tuple(
+        center(SiteOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))), omega)
+        for _ in range(n)
+    )
+    got = f_correction_moment(state, region, word)
+    want = _f_correction_loop(state, region, word)
+    assert got == want, (family, region.sites, n)

@@ -14,6 +14,7 @@ from conftest import (
     markov_config_expect,
     markov_site_mean,
     product_density,
+    random_gapped_transition,
 )
 
 from flab import (
@@ -328,7 +329,7 @@ def test_scalar_calls_match_batch_random(family, d, n, seed):
     if family == "product":
         state, L = ProductState(random_density(rng, d)), 8
     elif family == "markov":
-        state, L = _random_gapped_chain(rng, d), 8
+        state, L = MarkovState(random_gapped_transition(rng, d), alpha=0.4), 8
     else:
         L = 5 if d == 2 else 4
         state = CircuitState(random_density(rng, d), L, [(0, random_two_site_unitary(rng, d))])
@@ -572,26 +573,15 @@ def test_seminorm_comparison_chain():
 # Basis-tensor search against direct evaluation
 # =============================================================================
 
-def _random_gapped_chain(rng, d):
-    """Non-symmetric column-stochastic T = s R + (1 - s) v 1^T with s <= 0.6.
-
-    On the vectors with zero sum T acts as s R, so |lambda_2| <= 0.6 <
-    e^{-0.4}, the mixing condition at alpha = 0.4.
-    """
-    r = rng.random((d, d)) + 0.05
-    r /= r.sum(axis=0)
-    v = rng.random(d) + 0.05
-    v /= v.sum()
-    s = rng.uniform(0.1, 0.6)
-    return MarkovState(s * r + (1.0 - s) * np.outer(v, np.ones(d)), alpha=0.4)
-
-
 def _search_case(kind, d, rng):
     """A functional of the given kind and a local state to center against."""
     if kind == "covariance":
         cov = covariance_from_state(random_density(rng, d))
         return _CovariancePairFunctional(cov), random_density(rng, d)
-    state = ProductState(random_density(rng, d)) if kind == "product" else _random_gapped_chain(rng, d)
+    if kind == "product":
+        state = ProductState(random_density(rng, d))
+    else:
+        state = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
     count = int(rng.integers(1, 5))
     sites = sorted(int(x) for x in rng.choice(9, size=count, replace=False))
     region = Region(state.metric, sites)
@@ -710,7 +700,7 @@ def _random_word(rng, d, n):
 def test_markov_engine_matches_brute_force_random(d, n, seed):
     """Random non-symmetric gapped chains on gapped regions, in any site order."""
     rng = np.random.default_rng(seed)
-    mk = _random_gapped_chain(rng, d)
+    mk = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
     count = int(rng.integers(1, 5 if n <= 3 else 4))
     gaps = rng.integers(1, 4 if d == 2 else 3, size=count - 1)
     if count > 1 and gaps.max() == 1:
@@ -727,7 +717,7 @@ def test_markov_engine_matches_brute_force_random(d, n, seed):
 def test_markov_high_degree_matches_brute_force(n, sites):
     """High degrees on small gapped regions: every slot subset gets placed."""
     rng = np.random.default_rng(n)
-    mk = _random_gapped_chain(rng, 2)
+    mk = MarkovState(random_gapped_transition(rng, 2), alpha=0.4)
     word = _random_word(rng, 2, n)
     got = induced_moment(mk, Region(mk.metric, sites), word)
     want = brute_for_markov(mk, sites, word)
@@ -739,7 +729,7 @@ def _prefix_case(kind, rng):
     if kind == "product":
         return ProductState(random_density(rng, 2))
     if kind == "markov":
-        return _random_gapped_chain(rng, 2)
+        return MarkovState(random_gapped_transition(rng, 2), alpha=0.4)
     layers = [(k % 2, random_two_site_unitary(rng)) for k in range(2)]
     return CircuitState(random_density(rng, 2), 8, layers)
 
@@ -796,7 +786,7 @@ def test_markov_dp_guard_runs_before_engine_work(monkeypatch):
     with pytest.raises(CostGuardError, match="2\\^19 \\* 2\\^2") as info:
         _moments_of(mk, region, [(SZ,) * 19], [2])
     assert info.value.guard == "Markov subset DP"
-    mk3 = _random_gapped_chain(np.random.default_rng(3), 3)
+    mk3 = MarkovState(random_gapped_transition(np.random.default_rng(3), 3), alpha=0.4)
     word = (SiteOperator(np.eye(3)),)
     _moments_of(mk3, Region(mk3.metric, [0]), [word * 16])
     with pytest.raises(CostGuardError, match="2\\^17 \\* 3\\^2"):
@@ -807,7 +797,7 @@ def test_markov_dp_guard_runs_before_engine_work(monkeypatch):
 def test_markov_degree_thirteen_matches_brute_force():
     """Degree 13 on one site: all 2^13 slot subsets are placed at once."""
     rng = np.random.default_rng(13)
-    mk = _random_gapped_chain(rng, 2)
+    mk = MarkovState(random_gapped_transition(rng, 2), alpha=0.4)
     word = _random_word(rng, 2, 13)
     got = induced_moment(mk, Region(mk.metric, [3]), word)
     want = brute_for_markov(mk, [3], word)
@@ -820,3 +810,76 @@ def test_centered_search_at_dimension_one_returns():
     F = InducedMomentFunctional(ps, Region(ps.metric, range(2)))
     est = seminorm_nu_omega_estimate(F, 2, ps.single_site_restriction(), search_budget=4)
     assert (est.value, est.witness, est.evaluations) == (0.0, (), 0)
+
+
+# =============================================================================
+# Batched random search draws against one draw per operator
+# =============================================================================
+
+def _one_unit(rng, dim):
+    """One Hermitian unit per call: the per-draw reference."""
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = 0.5 * (raw + raw.conj().T)
+    return SiteOperator(h / float(np.linalg.norm(h, 2)))
+
+
+def _sequential_words(n, dim, budget, omega, seed):
+    rng = np.random.default_rng(seed)
+    words = []
+    for _ in range(budget):
+        w = []
+        for _slot in range(n):
+            cand = _one_unit(rng, dim)
+            if omega is not None:
+                cu = fluctuations._centered_unit(cand, omega)
+                while cu is None:
+                    cu = fluctuations._centered_unit(_one_unit(rng, dim), omega)
+                cand = cu
+            w.append(cand)
+        words.append(tuple(w))
+    return words
+
+
+def _same_words(got, want):
+    return len(got) == len(want) and all(
+        len(g) == len(w) and all(a.mat.tobytes() == b.mat.tobytes() for a, b in zip(g, w))
+        for g, w in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("centered", [False, True])
+def test_search_draws_match_sequential_draws(d, centered):
+    rng = np.random.default_rng(d)
+    for seed in range(3):
+        omega = random_density(rng, d) if centered else None
+        n = int(rng.integers(1, 4))
+        _, _, words = _search_words(n, d, 12, omega, seed)
+        assert _same_words(words, _sequential_words(n, d, 12, omega, seed))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_refused_centered_draws_take_the_next_draw(monkeypatch, d):
+    """Refusing about half the draws runs the batch out: later draws are fresh."""
+    refused = []
+    centered_unit = fluctuations._centered_unit
+
+    def refuse_some(a, omega):
+        if a.mat[0, 0].real > 0.0:
+            refused.append(a)
+            return None
+        return centered_unit(a, omega)
+
+    monkeypatch.setattr(fluctuations, "_centered_unit", refuse_some)
+    omega = random_density(np.random.default_rng(d), d)
+    _search_words(3, d, 0, omega, 5)  # the direction set only
+    direction_refusals = len(refused)
+    refused.clear()
+    _, _, words = _search_words(3, d, 10, omega, 5)
+    # each refused draw needs one draw past the batch of 10 * 3
+    draw_refusals = len(refused) - direction_refusals
+    assert draw_refusals > 0
+    refused.clear()
+    want = _sequential_words(3, d, 10, omega, 5)
+    assert len(refused) == draw_refusals
+    assert _same_words(words, want)

@@ -19,6 +19,7 @@ from flab import (
     covariance_from_state,
     covariance_norm_estimate,
     double_factorial,
+    expect,
     gamma_consistency_check,
     gamma_form,
     hermitian_basis,
@@ -49,6 +50,26 @@ def test_covariance_values_ground_state():
     assert cov.value(SZ, SZ) == pytest.approx(0.0, abs=1e-13)
     assert cov.value(SX, SY) == pytest.approx(1j, abs=1e-13)
     assert cov.value(SY, SX) == pytest.approx(-1j, abs=1e-13)
+
+
+def _covariance_loop(omega):
+    """Reference for covariance_from_state: one trace per basis pair."""
+    basis = hermitian_basis(omega.dim)
+    singles = [expect(omega, h) for h in basis]
+    m = np.empty((len(basis), len(basis)), dtype=complex)
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            m[i, j] = complex(np.trace(omega.rho @ a.mat @ b.mat)) - singles[i] * singles[j]
+    return m
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_covariance_matrix_bit_identical_to_loop(d):
+    rng = np.random.default_rng(d)
+    for k in range(50):
+        ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+        omega = random_density(rng, d) if k % 5 else pure_state(ket)
+        assert covariance_from_state(omega).matrix.tobytes() == _covariance_loop(omega).tobytes()
 
 
 def test_covariance_bilinearity():

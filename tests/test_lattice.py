@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flab import (
+    CostGuardError,
     Region,
     ball_count,
     chain_metric,
@@ -21,6 +22,7 @@ from flab import (
     spread_decomposition_witness,
     spread_optimal_enumeration,
 )
+from flab import lattice
 
 RNG = np.random.default_rng(7)
 
@@ -166,6 +168,44 @@ def test_count_subsets_matches_direct_enumeration():
                 if spread(Region(m, combo)) <= r:
                     direct += 1
             assert count_subsets_with_spread(region, k, r) == direct
+
+
+def _explicit_metric(rng, count):
+    pts = rng.random((count, 2)) * 4.0
+    table = [[float(np.abs(p - q).sum()) if i != j else 0.0 for j, q in enumerate(pts)]
+             for i, p in enumerate(pts)]
+    return explicit_metric([f"s{i}" for i in range(count)], table), [f"s{i}" for i in range(count)]
+
+
+@pytest.mark.parametrize("kind", ["chain", "grid2d", "explicit"])
+def test_count_subsets_matches_brute_force_at_every_radius(kind):
+    """Every spread value, the points between them, and radii outside the range."""
+    rng = np.random.default_rng(11)
+    if kind == "chain":
+        m, sites = chain_metric(0.7), rng.permutation(12).tolist()
+    elif kind == "grid2d":
+        m, sites = grid2d_metric(1.3), [(x, y) for x in range(3) for y in range(4)]
+    else:
+        m, sites = _explicit_metric(rng, 9)
+    region = Region(m, sites)
+    for k in (2, 3, 4, 5):
+        spreads = [spread(Region(m, sub)) for sub in itertools.combinations(sites, k)]
+        levels = sorted(set(spreads))
+        radii = levels + [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+        for r in radii + [-1.0, 0.0, levels[-1] + 1.0, float("inf"), float("nan")]:
+            assert count_subsets_with_spread(region, k, r) == sum(s <= r for s in spreads)
+
+
+def test_count_subsets_guard_fires_before_enumeration(monkeypatch):
+    """C(60, 5) > 2,000,000: refused before any subset is enumerated."""
+
+    def enumerate_nothing(*args):
+        raise AssertionError("subsets enumerated past the guard")
+
+    monkeypatch.setattr(lattice, "_subset_spreads", enumerate_nothing)
+    monkeypatch.setattr(lattice, "_point_to_rest", enumerate_nothing)
+    with pytest.raises(CostGuardError):
+        count_subsets_with_spread(Region(chain_metric(1.0), range(60)), 5, 3.0)
 
 
 # =============================================================================

@@ -10,7 +10,10 @@ from conftest import (
     dense_site_mean,
     markov_config_expect,
     product_density,
+    random_gapped_transition,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flab import (
     Assignment,
@@ -135,6 +138,72 @@ def test_markov_off_diagonal_observables_decouple():
     assert mk.expect({0: SX, 3: SX}) == pytest.approx(0.0, abs=1e-14)
     assert mk.expect({2: SX}) == pytest.approx(0.0, abs=1e-14)
     assert mk.expect({2: SX, 2 + 0: SX} | {5: SI}) == pytest.approx(0.0, abs=1e-14)
+
+
+def _markov_expect_loop(mk, ops):
+    """Reference sweep: one vector, T^g @ v between the sorted sites."""
+    v = mk.pi.astype(complex)
+    prev = None
+    for x in sorted(ops):
+        if prev is not None:
+            v = mk.transition_power(x - prev) @ v
+        v = np.diagonal(ops[x]) * v
+        prev = x
+    return complex(v.sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    count=st.integers(min_value=1, max_value=5),
+    rows=st.integers(min_value=1, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_markov_expect_batch_matches_rows(d, count, rows, seed):
+    """One transfer sweep per batch equals one per row, bit for bit."""
+    rng = np.random.default_rng(seed)
+    mk = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
+    sites = rng.permutation(rng.choice(7, size=count, replace=False)).tolist()
+    mats = rng.normal(size=(rows, count, d, d)) + 1j * rng.normal(size=(rows, count, d, d))
+    got = mk.expect_batch(sites, mats)
+    oracle = markov_config_expect(mk.transition, mk.pi, list(range(7)))
+    for row, value in zip(mats, got):
+        ops = dict(zip(sites, row))
+        assert value == mk.expect({x: SiteOperator(a) for x, a in ops.items()})
+        assert value == _markov_expect_loop(mk, ops)
+        want = oracle(ops)
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_expect_batch_default_matches_rows():
+    """Product and circuit states ask expect once per row, sites in the given order."""
+    circ = CircuitState(random_density(RNG, 2), 4, [(0, random_two_site_unitary(RNG))])
+    for state in (ProductState(random_density(RNG, 2)), circ):
+        sites = [2, 0, 3]
+        mats = RNG.normal(size=(5, 3, 2, 2)) + 1j * RNG.normal(size=(5, 3, 2, 2))
+        got = state.expect_batch(sites, mats)
+        want = [state.expect({x: SiteOperator(a) for x, a in zip(sites, row)}) for row in mats]
+        assert got.tolist() == want
+        assert state.expect_batch(sites, mats[:0]).shape == (0,)
+
+
+def test_expect_batch_raises_expect_errors():
+    mk = MarkovState(T_STD, alpha=0.4)
+    bad = [
+        ({1.5: SZ}, [1.5], np.array([[SZ.mat]])),  # site outside the chain
+        ({0: SZ, 2: SiteOperator(np.eye(3))}, [0, 2], np.zeros((1, 2, 3, 3))),  # dimension
+        ({}, [], np.zeros((1, 0, 2, 2))),  # no site
+    ]
+    for ops, sites, mats in bad:
+        with pytest.raises(ValueError) as scalar:
+            mk.expect(ops)
+        with pytest.raises(ValueError) as batch:
+            mk.expect_batch(sites, mats)
+        assert str(batch.value) == str(scalar.value)
+    with pytest.raises(ValueError, match="distinct"):
+        mk.expect_batch([0, 0], np.zeros((1, 2, 2, 2)))
+    with pytest.raises(ValueError, match="does not fit"):
+        mk.expect_batch([0, 1], np.zeros((1, 3, 2, 2)))
 
 
 # =============================================================================
