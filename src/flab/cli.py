@@ -1,9 +1,13 @@
 """Experiment driver: config parsing, experiment loops, CSV/JSON output.
 
-Every experiment reads one JSON config, computes rows through the
-library in order, and writes CSV (tables) or JSON (bound reports). The
-``threads`` setting is still read and validated, but rows run one after
-another, so output bytes do not depend on it.
+Every experiment is one runner in ``_EXPERIMENTS``: it reads the JSON
+config (its state included), computes rows through the library in order,
+and returns CSV (tables) or JSON (bound reports) with a failure message
+when a check ran and failed; ``main`` writes the text, then reports the
+failure. Pass/fail verdicts are the library's own. The ``threads``
+setting is still read and validated, but rows run one after another, so
+output bytes do not depend on it. A region of size m is the sites
+0..m-1 of the state's metric.
 Failures print a single line "ERR <code>: message" to stderr and exit
 nonzero: 2 for configuration problems, 3 for tripped cost guards, 1 for
 checks that ran and failed.
@@ -23,6 +27,7 @@ from .cluster import b_hat_bound, b_n_quantity, decomposition_check
 from .combinatorics import q_sequence
 from .errors import ConfigError, CostGuardError
 from .fluctuations import (
+    TRANSPORT_TOL,
     InducedMomentFunctional,
     ccr_decay_check,
     check_tuple_sum,
@@ -38,7 +43,7 @@ from .gaussian import (
     wick_moment,
 )
 from .lattice import Region, ball_count, chain_metric, count_subsets_with_spread
-from .states import CircuitState, GlobalState, random_density, state_from_json
+from .states import CircuitState, GlobalState, parse_matrix, random_density, state_from_json
 
 _NAMED_OPS = {"I": None, "X": SX, "Y": SY, "Z": SZ}
 
@@ -99,8 +104,6 @@ def _parse_operator(spec, dim: int) -> SiteOperator:
             raise ConfigError("named Pauli operators require dimension 2")
         return _NAMED_OPS[name]
     if isinstance(spec, list):
-        from .states import parse_matrix
-
         try:
             return SiteOperator(parse_matrix(spec))
         except (ValueError, TypeError) as exc:
@@ -141,7 +144,12 @@ def _load_state(cfg: dict) -> GlobalState:
 
 
 def _segment(state: GlobalState, size: int) -> Region:
-    return Region(state.metric, range(size))
+    try:
+        return Region(state.metric, range(size))
+    except ValueError as exc:
+        raise ConfigError(
+            f"region size {size} needs the sites 0..{size - 1} of the state's metric: {exc}"
+        ) from exc
 
 
 def _homogeneous_restriction(state: GlobalState):
@@ -151,21 +159,28 @@ def _homogeneous_restriction(state: GlobalState):
         raise ConfigError(f"experiment needs a homogeneous state: {exc}") from exc
 
 
-def run_moments(cfg: dict, state: GlobalState) -> str:
+def _record(name: str, lhs, rhs, ok) -> dict:
+    return {"name": name, "lhs": lhs, "rhs": rhs, "pass": ok}
+
+
+def _state_word_sizes(cfg: dict) -> tuple:
+    """The state, the nonempty 'word' and the region sizes of a moment table."""
+    state = _load_state(cfg)
     word = _parse_word(cfg, "word", state.site_dim)
     if not word:
         raise ConfigError("word must have at least one factor")
-    sizes = _parse_sizes(cfg, state)
+    return state, word, _parse_sizes(cfg, state)
+
+
+def run_moments(cfg: dict, seed: int) -> tuple:
+    state, word, sizes = _state_word_sizes(cfg)
     vals = induced_moment_table(state, _segment(state, sizes[-1]), word, sizes)
     rows = [[size, len(word), val.real, val.imag] for size, val in zip(sizes, vals)]
-    return _format_csv(["region_size", "degree", "moment_re", "moment_im"], rows)
+    return _format_csv(["region_size", "degree", "moment_re", "moment_im"], rows), None
 
 
-def run_converge(cfg: dict, state: GlobalState) -> str:
-    word = _parse_word(cfg, "word", state.site_dim)
-    if not word:
-        raise ConfigError("word must have at least one factor")
-    sizes = _parse_sizes(cfg, state)
+def run_converge(cfg: dict, seed: int) -> tuple:
+    state, word, sizes = _state_word_sizes(cfg)
     omega = _homogeneous_restriction(state)
     wick = wick_moment(covariance_from_state(omega), word)
     vals = induced_moment_table(state, _segment(state, sizes[-1]), word, sizes)
@@ -173,21 +188,12 @@ def run_converge(cfg: dict, state: GlobalState) -> str:
         [size, len(word), val.real, val.imag, wick.real, wick.imag, abs(val - wick)]
         for size, val in zip(sizes, vals)
     ]
-    return _format_csv(
-        [
-            "region_size",
-            "n",
-            "moment_re",
-            "moment_im",
-            "wick_re",
-            "wick_im",
-            "abs_diff",
-        ],
-        rows,
-    )
+    header = ["region_size", "n", "moment_re", "moment_im", "wick_re", "wick_im", "abs_diff"]
+    return _format_csv(header, rows), None
 
 
-def run_ccr_decay(cfg: dict, state: GlobalState, seed: int) -> str:
+def run_ccr_decay(cfg: dict, seed: int) -> tuple:
+    state = _load_state(cfg)
     pair = _parse_word(cfg, "pair", state.site_dim)
     if len(pair) != 2:
         raise ConfigError("ccr-decay needs a 'pair' word of exactly two operators")
@@ -199,27 +205,26 @@ def run_ccr_decay(cfg: dict, state: GlobalState, seed: int) -> str:
     # the defect word is the largest moment; refuse it before any search
     check_tuple_sum(sizes[-1], degree + 1)
 
-    def constant(size: int) -> float:
+    c_values = []
+    for size in sizes:
         region = _segment(state, size)
-        omega_bar = state.averaged_restriction(region)
         est = seminorm_nu_omega_estimate(
             InducedMomentFunctional(state, region),
             degree,
-            omega_bar,
+            state.averaged_restriction(region),
             search_budget=budget,
             seed=seed,
         )
-        return est.value
-
-    c_values = list(map(constant, sizes))
-    c_const = max(c_values) if c_values else 0.0
+        c_values.append(est.value)
+    c_const = max(c_values)
 
     norms = 1.0
     for op in prefix + pair + suffix:
         norms *= op_norm(op)
     cap = 2.0 * c_const * norms
 
-    def row(size: int) -> list:
+    rows = []
+    for size in sizes:
         check = ccr_decay_check(
             state,
             _segment(state, size),
@@ -229,7 +234,8 @@ def run_ccr_decay(cfg: dict, state: GlobalState, seed: int) -> str:
             suffix=suffix,
             c_estimate=c_const,
         )
-        if check.transport_deviation > 1e-10:
+        # a broken identity voids the whole table: raise before any output
+        if check.transport_deviation > TRANSPORT_TOL:
             raise RuntimeError(
                 f"transport identity violated at size {size}: "
                 f"deviation {check.transport_deviation:.3e}"
@@ -237,34 +243,29 @@ def run_ccr_decay(cfg: dict, state: GlobalState, seed: int) -> str:
         value_abs = abs(check.value)
         ratio = value_abs * math.sqrt(size)
         flag = value_abs <= check.bound + 1e-12 and ratio <= cap + 1e-12
-        return [size, value_abs, check.bound, ratio, flag]
-
-    rows = list(map(row, sizes))
-    return _format_csv(
-        ["region_size", "value_abs", "bound", "ratio", "flag"], rows
-    )
+        rows.append([size, value_abs, check.bound, ratio, flag])
+    return _format_csv(["region_size", "value_abs", "bound", "ratio", "flag"], rows), None
 
 
-def run_cluster_verify(cfg: dict, state: GlobalState) -> tuple[str, bool]:
+def run_cluster_verify(cfg: dict, seed: int) -> tuple:
+    state = _load_state(cfg)
     sizes = _parse_sizes(cfg, state)
     degrees = _config_ints(cfg, "degrees", [2, 3, 4], 1)
-    op_spec = cfg.get("op", "Z")
-    op = _parse_operator(op_spec, state.site_dim)
+    op = _parse_operator(cfg.get("op", "Z"), state.site_dim)
     _homogeneous_restriction(state)
 
-    tasks = [(size, n) for size in sizes for n in degrees]
+    rows = []
+    ok = True
+    for size in sizes:
+        for n in degrees:
+            check = decomposition_check(state, _segment(state, size), (op,) * n)
+            rows.append([size, n, check.residual])
+            ok = ok and check.passed
+    text = _format_csv(["region_size", "n", "residual"], rows)
+    return text, None if ok else "decomposition residual above 1e-9"
 
-    def row(task: tuple) -> list:
-        size, n = task
-        check = decomposition_check(state, _segment(state, size), (op,) * n)
-        return [size, n, check.residual]
 
-    rows = list(map(row, tasks))
-    ok = all(r[2] <= 1e-9 for r in rows)
-    return _format_csv(["region_size", "n", "residual"], rows), ok
-
-
-def _counting_checks(cfg: dict) -> list[dict]:
+def _counting_checks(cfg: dict, seed: int) -> list[dict]:
     sizes = _config_ints(cfg, "counting_sizes", [6, 10, 14], 1)
     max_k = _config_int(cfg, "counting_max_k", 4, 2)
     max_r = _config_int(cfg, "counting_max_r", 3, 0)
@@ -280,18 +281,12 @@ def _counting_checks(cfg: dict) -> list[dict]:
                     * float(size) ** (k / 2.0)
                     * float(ball_count(metric, float(r))) ** (k / 2.0)
                 )
-                out.append(
-                    {
-                        "name": f"counting size={size} k={k} r={r}",
-                        "lhs": float(lhs),
-                        "rhs": rhs,
-                        "pass": lhs <= rhs + 1e-9,
-                    }
-                )
+                name = f"counting size={size} k={k} r={r}"
+                out.append(_record(name, float(lhs), rhs, lhs <= rhs + 1e-9))
     return out
 
 
-def _weight_sum_checks(cfg: dict) -> list[dict]:
+def _weight_sum_checks(cfg: dict, seed: int) -> list[dict]:
     sizes = _config_ints(cfg, "weight_sizes", [4, 8], 1)
     degrees = _config_ints(cfg, "weight_degrees", [2, 3], 1)
     metric = chain_metric(1.0)
@@ -301,37 +296,22 @@ def _weight_sum_checks(cfg: dict) -> list[dict]:
         for n in degrees:
             lhs = b_n_quantity(region, n)
             rhs = b_hat_bound(n, metric) * float(size) ** (n / 2.0)
-            out.append(
-                {
-                    "name": f"weight-sum size={size} n={n}",
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "pass": lhs <= rhs + 1e-9,
-                }
-            )
+            out.append(_record(f"weight-sum size={size} n={n}", lhs, rhs, lhs <= rhs + 1e-9))
     return out
 
 
-def _seminorm_checks(cfg: dict, state: GlobalState, seed: int) -> list[dict]:
+def _seminorm_checks(cfg: dict, seed: int) -> list[dict]:
+    state = _load_state(cfg)
     size = _config_int(cfg, "seminorm_size", 6, 1)
     degrees = _config_ints(cfg, "seminorm_degrees", [2, 3], 0)
     budget = _config_int(cfg, "search_budget", 8, 0)
     omega = _homogeneous_restriction(state)
-    region = _segment(state, size)
-    functional = InducedMomentFunctional(state, region)
+    functional = InducedMomentFunctional(state, _segment(state, size))
     out = []
     for n in degrees:
-        check = seminorm_comparison_check(
-            functional, n, omega, search_budget=budget, seed=seed
-        )
-        out.append(
-            {
-                "name": f"seminorm-comparison size={size} n={n}",
-                "lhs": check.nu,
-                "rhs": check.rhs,
-                "pass": check.passed,
-            }
-        )
+        check = seminorm_comparison_check(functional, n, omega, search_budget=budget, seed=seed)
+        name = f"seminorm-comparison size={size} n={n}"
+        out.append(_record(name, check.nu, check.rhs, check.passed))
     return out
 
 
@@ -342,17 +322,8 @@ def _wick_difference_checks(cfg: dict, seed: int) -> list[dict]:
     w1 = Covariance(1, [[1.0]])
     w2 = Covariance(1, [[2.0]])
     for n in (2, 4):
-        check = wick_difference_bound_check(
-            w1, w2, (one,) * n, search_budget=budget, seed=seed
-        )
-        out.append(
-            {
-                "name": f"wick-difference scalar n={n}",
-                "lhs": check.lhs,
-                "rhs": check.rhs,
-                "pass": check.passed,
-            }
-        )
+        check = wick_difference_bound_check(w1, w2, (one,) * n, search_budget=budget, seed=seed)
+        out.append(_record(f"wick-difference scalar n={n}", check.lhs, check.rhs, check.passed))
     rng = np.random.default_rng(seed)
     pairs = _config_int(cfg, "random_pairs", 20, 0)
     word4 = (SX, SY, SZ, SX)
@@ -363,38 +334,47 @@ def _wick_difference_checks(cfg: dict, seed: int) -> list[dict]:
             check = wick_difference_bound_check(
                 ca, cb, word4[:n], search_budget=budget, seed=seed + idx + 1
             )
-            out.append(
-                {
-                    "name": f"wick-difference random pair {idx} n={n}",
-                    "lhs": check.lhs,
-                    "rhs": check.rhs_padded,
-                    "pass": check.passed,
-                }
-            )
+            name = f"wick-difference random pair {idx} n={n}"
+            out.append(_record(name, check.lhs, check.rhs_padded, check.passed))
     return out
 
 
-def run_bounds(cfg: dict, seed: int) -> tuple[str, bool]:
-    known = ["counting", "weight-sum", "seminorm-comparison", "wick-difference"]
+# in report order; each takes (cfg, seed) and returns its records
+_BOUNDS_CHECKS = {
+    "counting": _counting_checks,
+    "weight-sum": _weight_sum_checks,
+    "seminorm-comparison": _seminorm_checks,
+    "wick-difference": _wick_difference_checks,
+}
+
+
+def run_bounds(cfg: dict, seed: int) -> tuple:
+    # a list, so an unhashable entry is an unknown check, not a TypeError
+    known = list(_BOUNDS_CHECKS)
     selected = cfg.get("checks", known)
     if not isinstance(selected, list) or not selected:
         raise ConfigError("checks must be a nonempty list")
     for name in selected:
         if name not in known:
             raise ConfigError(f"unknown bounds check {name!r}")
-    records: list[dict] = []
-    if "counting" in selected:
-        records.extend(_counting_checks(cfg))
-    if "weight-sum" in selected:
-        records.extend(_weight_sum_checks(cfg))
-    if "seminorm-comparison" in selected:
-        state = _load_state(cfg)
-        records.extend(_seminorm_checks(cfg, state, seed))
-    if "wick-difference" in selected:
-        records.extend(_wick_difference_checks(cfg, seed))
+    records = []
+    for name, checks in _BOUNDS_CHECKS.items():
+        if name in selected:
+            records.extend(checks(cfg, seed))
     all_pass = all(r["pass"] for r in records)
     doc = {"experiment": "bounds", "checks": records, "all_pass": all_pass}
-    return json.dumps(doc, indent=2) + "\n", all_pass
+    failure = None if all_pass else "one or more bound checks failed"
+    return json.dumps(doc, indent=2) + "\n", failure
+
+
+# each runner takes (cfg, seed) and returns (output text, failure message or None)
+_EXPERIMENTS = {
+    "moments": run_moments,
+    "converge": run_converge,
+    "ccr-decay": run_ccr_decay,
+    "cluster-verify": run_cluster_verify,
+    "bounds": run_bounds,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -405,7 +385,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flab", description="fluctuation moment laboratory")
     sub = parser.add_subparsers(dest="experiment")
-    for name in ("moments", "converge", "ccr-decay", "cluster-verify", "bounds"):
+    for name in _EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
@@ -440,32 +420,12 @@ def main(argv=None) -> int:
             if not isinstance(out_path, str) or not out_path:
                 raise ConfigError(f"'out' must be a nonempty path string, got {out_path!r}")
 
-        if args.experiment == "bounds":
-            text, ok = run_bounds(cfg, seed)
-            _emit(text, out_path)
-            if not ok:
-                _err(1, "one or more bound checks failed")
-                return 1
-            return 0
-
-        state = _load_state(cfg)
-        if args.experiment == "moments":
-            _emit(run_moments(cfg, state), out_path)
-            return 0
-        if args.experiment == "converge":
-            _emit(run_converge(cfg, state), out_path)
-            return 0
-        if args.experiment == "ccr-decay":
-            _emit(run_ccr_decay(cfg, state, seed), out_path)
-            return 0
-        if args.experiment == "cluster-verify":
-            text, ok = run_cluster_verify(cfg, state)
-            _emit(text, out_path)
-            if not ok:
-                _err(1, "decomposition residual above 1e-9")
-                return 1
-            return 0
-        raise ConfigError(f"unknown experiment {args.experiment!r}")
+        text, failure = _EXPERIMENTS[args.experiment](cfg, seed)
+        _emit(text, out_path)
+        if failure is not None:
+            _err(1, failure)
+            return 1
+        return 0
     except ConfigError as exc:
         _err(2, str(exc))
         return 2

@@ -117,6 +117,8 @@ def explicit_metric(sites: Sequence, distances: Sequence[Sequence[float]]) -> Me
 
 
 def metric_from_json(doc: dict) -> Metric:
+    if not isinstance(doc, dict):
+        raise ValueError(f"metric spec must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "chain":
         return chain_metric(float(doc.get("scale", 1.0)))

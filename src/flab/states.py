@@ -10,8 +10,9 @@ Three state families, sharing one query interface:
   operators act through their diagonals in the chain basis.
 
 An expectation query takes a map from sites to single-site operators and
-returns the expectation of the corresponding tensor product;
-``expect_batch`` answers N such queries over the same sites at once.
+returns the expectation of the corresponding tensor product. Each family
+implements only ``expect_batch``, which answers N such queries over the
+same sites at once; ``expect`` is a batch of one.
 Truncated pair correlations are exposed through ``correlator`` with the
 distance reweighting e^{+d} applied, and ``estimate_G0`` reports a
 certified lower bound on the decay constant sup over separated pairs.
@@ -84,20 +85,17 @@ class GlobalState:
     metric: Metric
 
     def expect(self, ops: Dict) -> complex:
-        raise NotImplementedError
+        """Expectation of one tensor product: a batch of one row."""
+        self._check_query(list(ops), [op.dim for op in ops.values()])
+        return complex(self.expect_batch(list(ops), [[op.mat for op in ops.values()]])[0])
 
     def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
         """Expectations of N tensor products over the same sites.
 
         ``mats`` has shape (N, len(sites), d, d); row i assigns
-        mats[i, j] to sites[j]. The default asks ``expect`` once per row,
-        with the sites in the given order.
+        mats[i, j] to sites[j].
         """
-        mats = self._check_batch(sites, mats)
-        return np.array(
-            [self.expect({x: SiteOperator(a) for x, a in zip(sites, row)}) for row in mats],
-            dtype=complex,
-        )
+        raise NotImplementedError
 
     def site_restriction(self, x) -> SiteState:
         raise NotImplementedError
@@ -127,9 +125,6 @@ class GlobalState:
                     f"operator dimension {dim} does not match site dimension {self.site_dim}"
                 )
 
-    def _check_ops(self, ops: Dict) -> None:
-        self._check_query(list(ops), [op.dim for op in ops.values()])
-
     def _check_batch(self, sites: Sequence, mats) -> np.ndarray:
         mats = np.asarray(mats, dtype=complex)
         if sites and (
@@ -152,12 +147,22 @@ class ProductState(GlobalState):
         self.site_dim = site.dim
         self.metric = metric if metric is not None else chain_metric(1.0)
 
-    def expect(self, ops: Dict) -> complex:
-        self._check_ops(ops)
-        out = complex(1.0, 0.0)
-        for x in sorted(ops.keys(), key=self.metric.site_key):
-            out *= complex(np.trace(self.site.rho @ ops[x].mat))
-        return out
+    def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
+        """Per row, the product of the site traces in metric site order.
+
+        The product is Python complex multiplication, row by row: numpy's
+        vectorized complex multiply can differ from it in the last bit.
+        """
+        mats = self._check_batch(sites, mats)
+        traces = np.trace(self.site.rho @ mats, axis1=-2, axis2=-1).tolist()
+        order = sorted(range(len(sites)), key=lambda j: self.metric.site_key(sites[j]))
+        out = []
+        for row in traces:
+            value = complex(1.0, 0.0)
+            for j in order:
+                value *= row[j]
+            out.append(value)
+        return np.array(out, dtype=complex)
 
     def site_restriction(self, x) -> SiteState:
         self.metric.check_site(x)
@@ -237,10 +242,6 @@ class MarkovState(GlobalState):
             if k < POWER_CACHE_SIZE:
                 self._powers[k] = power
         return power
-
-    def expect(self, ops: Dict) -> complex:
-        self._check_ops(ops)
-        return complex(self.expect_batch(list(ops), [[op.mat for op in ops.values()]])[0])
 
     def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
         """One transfer sweep over the sorted sites for all N rows at once.
@@ -357,12 +358,16 @@ class CircuitState(GlobalState):
         dim_total = self.site_dim**self.length
         return complex(np.trace(phi.reshape(dim_total, dim_total)))
 
-    def expect(self, ops: Dict) -> complex:
-        self._check_ops(ops)
-        phi = self.tensor
-        for x, op in ops.items():
-            phi = _apply_site(phi, op.mat, x)
-        return self.close(phi)
+    def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
+        """Per row, the site operators applied to ``tensor`` in the given order."""
+        mats = self._check_batch(sites, mats)
+        out = []
+        for row in mats:
+            phi = self.tensor
+            for x, a in zip(sites, row):
+                phi = _apply_site(phi, a, x)
+            out.append(self.close(phi))
+        return np.array(out, dtype=complex)
 
     def site_restriction(self, x) -> SiteState:
         if not self.contains_site(x):
@@ -548,6 +553,8 @@ def state_from_json(doc: dict) -> GlobalState:
        "length": 8, "layers": [{"offset": 0, "gate": [[...]]}],
        "scale": 1.0?}
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"state spec must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "product":
         metric = None

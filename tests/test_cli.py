@@ -1,5 +1,6 @@
 """Experiment driver: configs, CSV/JSON output, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import signal
@@ -239,10 +240,11 @@ def test_bounds_report(tmp_path, capsys):
 
 
 def test_bounds_rejects_unknown_check(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"checks": ["counting", "nonsense"]})
-    code, _, err = run(["bounds", "--config", cfg], capsys)
-    assert code == 2
-    assert err.startswith("ERR 2:")
+    for bad in ("nonsense", ["counting"]):
+        cfg = write_config(tmp_path, {"checks": ["counting", bad]})
+        code, _, err = run(["bounds", "--config", cfg], capsys)
+        assert code == 2
+        assert err.startswith("ERR 2: unknown bounds check")
 
 
 # =============================================================================
@@ -297,6 +299,69 @@ def test_unknown_experiment_rejected(capsys):
     code, _, err = run(["meltdown", "--config", "x.json"], capsys)
     assert code == 2
     assert err.startswith("ERR 2:")
+
+
+def test_non_object_state_or_metric_rejected(tmp_path, capsys):
+    """A state or metric spec that is not a JSON object is a config error."""
+    product_on = {"kind": "product", "rho": [[1.0, 0.0], [0.0, 0.0]], "metric": "chain"}
+    for state, shown in (([], "[]"), ("markov", "'markov'"), (product_on, "'chain'")):
+        cfg = write_config(tmp_path, {"state": state, "word": ["X", "X"], "sizes": [2]})
+        code, out, err = run(["moments", "--config", cfg], capsys)
+        assert code == 2, state
+        assert out == ""
+        kind = "metric" if state is product_on else "state"
+        assert err == f"ERR 2: bad state spec: {kind} spec must be an object, got {shown}\n"
+
+
+GRID_STATE = {**PRODUCT_TILTED, "metric": {"kind": "grid2d"}}
+EXPLICIT_STATE = {
+    **PRODUCT_TILTED,
+    "metric": {
+        "kind": "explicit",
+        "sites": [0, 1, 2],
+        "distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "experiment", ["moments", "converge", "ccr-decay", "cluster-verify", "bounds"]
+)
+def test_regions_outside_the_metric_rejected(tmp_path, capsys, experiment):
+    """CLI regions are the sites 0..size-1 of the state's metric."""
+    base = {
+        "word": ["Z", "Z"],
+        "pair": ["X", "Y"],
+        "degrees": [2],
+        "checks": ["seminorm-comparison"],
+        "seminorm_degrees": [2],
+        "search_budget": 1,
+    }
+    cases = [
+        (GRID_STATE, [2], 2, "grid2d metric expects integer pairs, got 0"),
+        (EXPLICIT_STATE, [2, 4], 4, "site 3 not in explicit metric"),
+    ]
+    for state, sizes, size, reason in cases:
+        doc = {**base, "state": state, "sizes": sizes, "seminorm_size": size}
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run([experiment, "--config", cfg], capsys)
+        assert code == 2, (experiment, state)
+        assert out == ""
+        assert err == (
+            f"ERR 2: region size {size} needs the sites 0..{size - 1} "
+            f"of the state's metric: {reason}\n"
+        )
+
+
+def test_explicit_metric_regions_inside_the_metric(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, {"state": EXPLICIT_STATE, "word": ["Z", "Z"], "sizes": [2, 3]}
+    )
+    code, out, err = run(["moments", "--config", cfg], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[0] == "region_size,degree,moment_re,moment_im"
+    assert len(out.splitlines()) == 3
 
 
 def test_cost_guard_exit_three(tmp_path, capsys):
@@ -496,6 +561,70 @@ def test_ccr_decay_bytes_identical_across_threads(tmp_path, capsys):
         assert code == 0
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# =============================================================================
+# Failed checks: ERR 1, with the table or report written as before
+# =============================================================================
+
+def test_cluster_verify_failed_residual_exits_one(tmp_path, capsys, monkeypatch):
+    """A failed decomposition still writes the whole CSV, then exits 1."""
+    from flab.cluster import decomposition_check
+
+    def failing(*args):
+        return dataclasses.replace(decomposition_check(*args), residual=1.0, passed=False)
+
+    monkeypatch.setattr("flab.cli.decomposition_check", failing)
+    out_path = tmp_path / "cv.csv"
+    cfg = write_config(
+        tmp_path, {"state": MARKOV_STD, "sizes": [2, 3], "degrees": [2], "op": "Z"}
+    )
+    code, out, err = run(["cluster-verify", "--config", cfg, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "ERR 1: decomposition residual above 1e-9\n"
+    assert out_path.read_text() == "region_size,n,residual\n2,2,1\n3,2,1\n"
+
+
+def test_bounds_failed_check_exits_one(tmp_path, capsys, monkeypatch):
+    """A failed bound still writes the whole JSON report, then exits 1."""
+    monkeypatch.setattr("flab.cli.b_n_quantity", lambda region, n: 1e300)
+    out_path = tmp_path / "bounds.json"
+    cfg = write_config(
+        tmp_path, {"checks": ["weight-sum"], "weight_sizes": [4], "weight_degrees": [2]}
+    )
+    code, out, err = run(["bounds", "--config", cfg, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "ERR 1: one or more bound checks failed\n"
+    doc = json.loads(out_path.read_text())
+    assert doc["all_pass"] is False
+    assert [(c["name"], c["lhs"], c["pass"]) for c in doc["checks"]] == [
+        ("weight-sum size=4 n=2", 1e300, False)
+    ]
+
+
+def test_ccr_decay_transport_violation_exits_one(tmp_path, capsys, monkeypatch):
+    """A transport violation stops the table: nothing is written, exit 1."""
+    from flab.fluctuations import ccr_decay_check
+
+    def failing(state, region, *args, **kwargs):
+        check = ccr_decay_check(state, region, *args, **kwargs)
+        if len(region) == 9:
+            check = dataclasses.replace(check, transport_deviation=1.0)
+        return check
+
+    monkeypatch.setattr("flab.cli.ccr_decay_check", failing)
+    out_path = tmp_path / "ccr.csv"
+    cfg = write_config(
+        tmp_path,
+        {"state": PRODUCT_TILTED, "pair": ["X", "Y"], "sizes": [4, 9], "search_budget": 1},
+    )
+    code, out, err = run(["ccr-decay", "--config", cfg, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "ERR 1: transport identity violated at size 9: deviation 1.000e+00\n"
+    assert not out_path.exists()
 
 
 def test_console_script_installed():

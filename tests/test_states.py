@@ -37,6 +37,8 @@ from flab import (
     random_hermitian_unit,
     state_from_json,
 )
+from flab.lattice import explicit_metric, grid2d_metric
+from flab.states import _apply_site
 
 RNG = np.random.default_rng(314159)
 
@@ -176,7 +178,7 @@ def test_markov_expect_batch_matches_rows(d, count, rows, seed):
 
 
 def test_expect_batch_default_matches_rows():
-    """Product and circuit states ask expect once per row, sites in the given order."""
+    """Product and circuit batches equal one expect per row."""
     circ = CircuitState(random_density(RNG, 2), 4, [(0, random_two_site_unitary(RNG))])
     for state in (ProductState(random_density(RNG, 2)), circ):
         sites = [2, 0, 3]
@@ -187,6 +189,83 @@ def test_expect_batch_default_matches_rows():
         assert state.expect_batch(sites, mats[:0]).shape == (0,)
 
 
+def _product_expect_loop(ps, ops):
+    """Reference: one trace per site, multiplied in the metric's site order."""
+    out = complex(1.0, 0.0)
+    for x in sorted(ops, key=ps.metric.site_key):
+        out *= complex(np.trace(ps.site.rho @ ops[x].mat))
+    return out
+
+
+def _circuit_expect_loop(circ, ops):
+    """Reference: the site operators applied to the cached tensor in turn."""
+    phi = circ.tensor
+    for x, op in ops.items():
+        phi = _apply_site(phi, op.mat, x)
+    return circ.close(phi)
+
+
+def _shuffled_explicit_metric(rng, count):
+    names = [f"s{i}" for i in rng.permutation(count)]
+    pos = rng.permutation(count)
+    return explicit_metric(names, [[float(abs(i - j)) for j in pos] for i in pos]), names
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["chain", "grid2d", "explicit"]),
+    d=st.sampled_from([2, 3]),
+    count=st.integers(min_value=1, max_value=5),
+    rows=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_product_expect_batch_matches_scalar_loop(kind, d, count, rows, seed):
+    """Every row equals the site_key-ordered scalar product, bit for bit."""
+    rng = np.random.default_rng(seed)
+    if kind == "chain":
+        metric, pool = chain_metric(1.0), list(range(-4, 8))
+    elif kind == "grid2d":
+        metric, pool = grid2d_metric(1.0), [(i, j) for i in range(-1, 3) for j in range(3)]
+    else:
+        metric, pool = _shuffled_explicit_metric(rng, 9)
+    ps = ProductState(random_density(rng, d), metric)
+    sites = [pool[i] for i in rng.permutation(len(pool))[:count]]
+    mats = rng.normal(size=(rows, count, d, d)) + 1j * rng.normal(size=(rows, count, d, d))
+    got = ps.expect_batch(sites, mats)
+    assert got.shape == (rows,)
+    for row, value in zip(mats, got):
+        ops = {x: SiteOperator(a) for x, a in zip(sites, row)}
+        assert value == _product_expect_loop(ps, ops)
+        assert ps.expect(ops) == value
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    pure=st.booleans(),
+    length=st.integers(min_value=1, max_value=5),
+    depth=st.integers(min_value=0, max_value=3),
+    count=st.integers(min_value=1, max_value=5),
+    rows=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_circuit_expect_batch_matches_scalar_loop(pure, length, depth, count, rows, seed):
+    """Every row equals the old scalar circuit query, bit for bit."""
+    rng = np.random.default_rng(seed)
+    base = pure_state([0.6, 0.8j]) if pure else random_density(rng, 2)
+    layers = [(k % 2, random_two_site_unitary(rng)) for k in range(depth)]
+    circ = CircuitState(base, length, layers)
+    sites = rng.permutation(length)[:count].tolist()
+    mats = rng.normal(size=(rows, len(sites), 2, 2)) + 1j * rng.normal(
+        size=(rows, len(sites), 2, 2)
+    )
+    got = circ.expect_batch(sites, mats)
+    assert got.shape == (rows,)
+    for row, value in zip(mats, got):
+        ops = {x: SiteOperator(a) for x, a in zip(sites, row)}
+        assert value == _circuit_expect_loop(circ, ops)
+        assert circ.expect(ops) == value
+
+
 def test_expect_batch_raises_expect_errors():
     mk = MarkovState(T_STD, alpha=0.4)
     bad = [
@@ -194,12 +273,14 @@ def test_expect_batch_raises_expect_errors():
         ({0: SZ, 2: SiteOperator(np.eye(3))}, [0, 2], np.zeros((1, 2, 3, 3))),  # dimension
         ({}, [], np.zeros((1, 0, 2, 2))),  # no site
     ]
-    for ops, sites, mats in bad:
-        with pytest.raises(ValueError) as scalar:
-            mk.expect(ops)
-        with pytest.raises(ValueError) as batch:
-            mk.expect_batch(sites, mats)
-        assert str(batch.value) == str(scalar.value)
+    circ = CircuitState(SiteState(np.diag([0.7, 0.3])), 4, [])
+    for state in (mk, ProductState(SiteState(np.diag([0.7, 0.3]))), circ):
+        for ops, sites, mats in bad:
+            with pytest.raises(ValueError) as scalar:
+                state.expect(ops)
+            with pytest.raises(ValueError) as batch:
+                state.expect_batch(sites, mats)
+            assert str(batch.value) == str(scalar.value)
     with pytest.raises(ValueError, match="distinct"):
         mk.expect_batch([0, 0], np.zeros((1, 2, 2, 2)))
     with pytest.raises(ValueError, match="does not fit"):
