@@ -200,6 +200,12 @@ def hermitian_basis(dim: int) -> list[SiteOperator]:
     return [SiteOperator(m) for m in _hermitian_basis_mats(dim)]
 
 
+@lru_cache(maxsize=MAX_LOCAL_DIM)
+def _unit_basis(dim: int) -> tuple[SiteOperator, ...]:
+    """The Hermitian basis, each element scaled to unit operator norm."""
+    return tuple(SiteOperator(h.mat / op_norm(h)) for h in hermitian_basis(dim))
+
+
 def _hs_duals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conjugate transposes and squared Hilbert-Schmidt norms of a basis stack."""
     return np.conj(np.swapaxes(mats, -1, -2)), np.real(np.einsum("kij,kji->k", mats, mats))

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .algebra import SX, SY, SZ, SiteOperator, identity, op_norm
-from .cluster import b_hat_bound, b_n_quantity, decomposition_check
+from .cluster import DECOMPOSITION_TOL, b_hat_bound, b_n_quantity, decomposition_check
 from .combinatorics import q_sequence
 from .errors import ConfigError, CostGuardError
 from .fluctuations import (
@@ -247,6 +247,12 @@ def run_ccr_decay(cfg: dict, seed: int) -> tuple:
     return _format_csv(["region_size", "value_abs", "bound", "ratio", "flag"], rows), None
 
 
+def _exponent_text(x: float) -> str:
+    """1e-9 as README writes it; Python's own formats print 1e-09."""
+    mantissa, exponent = f"{x:e}".split("e")
+    return f"{float(mantissa):g}e{int(exponent)}"
+
+
 def run_cluster_verify(cfg: dict, seed: int) -> tuple:
     state = _load_state(cfg)
     sizes = _parse_sizes(cfg, state)
@@ -262,7 +268,8 @@ def run_cluster_verify(cfg: dict, seed: int) -> tuple:
             rows.append([size, n, check.residual])
             ok = ok and check.passed
     text = _format_csv(["region_size", "n", "residual"], rows)
-    return text, None if ok else "decomposition residual above 1e-9"
+    failure = f"decomposition residual above {_exponent_text(DECOMPOSITION_TOL)}"
+    return text, None if ok else failure
 
 
 def _counting_checks(cfg: dict, seed: int) -> list[dict]:

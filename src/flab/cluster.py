@@ -51,6 +51,7 @@ from .states import Assignment, GlobalState, correlator
 PRODUCT_PART_MAX_DEGREE = 8
 CORRECTION_TUPLE_GUARD = 10**7
 CENTERED_TOL = 1e-10
+DECOMPOSITION_TOL = 1e-9
 
 
 def _require_centered(omega: SiteState, word: Sequence[SiteOperator]) -> None:
@@ -359,7 +360,7 @@ def decomposition_check(
     The word is centered against the homogeneous single-site restriction
     first (construction fails for states without one), then all three
     quantities are computed independently and the residual compared to
-    1e-9.
+    DECOMPOSITION_TOL.
     """
     omega = state.single_site_restriction()
     eye = np.eye(state.site_dim)
@@ -375,5 +376,5 @@ def decomposition_check(
         product_part=pp,
         correction=fc,
         residual=residual,
-        passed=residual <= 1e-9,
+        passed=residual <= DECOMPOSITION_TOL,
     )

@@ -16,8 +16,11 @@ Seminorm values reported here are certified lower bounds. Candidates
 are unit-operator-norm words, ranked by contractions of one exact basis
 tensor (the functional on the probe-basis words; it is linear in every
 slot), or by direct evaluation when that tensor would be the larger
-job. The reported value is always a direct evaluation of the reported
-witness, and the search only ever takes maxima over candidates.
+job. On the tensor the direction head is n mode products and the
+coordinate ascent steps on contractions; near-ties, the start word and
+the ascent's final word are evaluated directly. The reported value is
+always a direct evaluation of the reported witness, and the search
+only ever takes maxima over candidates.
 """
 
 from __future__ import annotations
@@ -25,14 +28,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import (
+    HERMITIAN_TOL,
+    MAX_LOCAL_DIM,
     SiteOperator,
     SiteState,
     _hs_coefficient_stack,
+    _unit_basis,
     center,
     commutator,
     expect as site_expect,
@@ -313,7 +320,6 @@ def ccr_decay_check(
 
 BASIS_PRODUCT_CAP = 20000
 TIE_TOL = 1e-12
-CONTRACT_CHUNK = 1024
 
 
 @dataclass
@@ -323,10 +329,11 @@ class SeminormEstimate:
     evaluations: int
 
 
-def _combo_directions(dim: int) -> list[SiteOperator]:
-    """Unit-norm Hermitian directions: basis elements and pairwise sums."""
+@lru_cache(maxsize=MAX_LOCAL_DIM)
+def _combo_directions(dim: int) -> tuple[SiteOperator, ...]:
+    """Unit-norm Hermitian directions: basis elements (identity first) and pairwise sums."""
     base = hermitian_basis(dim)[1:]
-    dirs = [SiteOperator(h.mat / op_norm(h)) for h in base]
+    dirs = list(_unit_basis(dim))
     for i in range(len(base)):
         for j in range(i + 1, len(base)):
             for sign in (1.0, -1.0):
@@ -334,15 +341,24 @@ def _combo_directions(dim: int) -> list[SiteOperator]:
                 nrm = float(np.linalg.norm(m, 2))
                 if nrm > 1e-12:
                     dirs.append(SiteOperator(m / nrm))
-    return dirs
+    return tuple(dirs)
 
 
-def _centered_unit(a: SiteOperator, omega: SiteState) -> SiteOperator | None:
-    c = center(a, omega)
-    nrm = op_norm(c)
-    if nrm < 1e-9:
-        return None
-    return SiteOperator(c.mat / nrm)
+def _centered_units(mats: np.ndarray, omega: SiteState) -> tuple[np.ndarray, np.ndarray]:
+    """A (k, d, d) operator stack centered against omega and scaled to unit norm.
+
+    Row by row this is center() over op_norm(), bit for bit, with one
+    batched norm for the whole stack. The second array marks the rows
+    kept: a row whose centered norm is below 1e-9 is refused.
+    """
+    vals = np.trace(omega.rho @ mats, axis1=-2, axis2=-1)
+    # as expect(): a Hermitian operator's value drops its imaginary residue
+    dev = np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))).max(axis=(-2, -1), initial=0.0)
+    vals.imag[(dev <= HERMITIAN_TOL) & (np.abs(vals.imag) <= 1e-12)] = 0.0
+    centered = mats - vals[:, None, None] * np.eye(mats.shape[-1])
+    nrm = np.linalg.norm(centered, 2, axis=(-2, -1))
+    keep = ~(nrm < 1e-9)
+    return centered / np.where(keep, nrm, 1.0)[:, None, None], keep
 
 
 def _eval_many(functional, words: list[tuple]) -> np.ndarray:
@@ -385,19 +401,30 @@ class _Candidates:
         self.evaluations += len(words)
         return _eval_many(self.functional, words)
 
+    def _coefficients(self, mats: np.ndarray) -> np.ndarray:
+        return _hs_coefficient_stack(mats)[..., self.skip :]
+
     def values(self, words: list[tuple]) -> np.ndarray:
+        """F of each word: sent, or contracted from one stacked coefficient array."""
         if self.tensor is None or not words:
             return self._send(words)
-        # coefficients once per distinct operator: the words share slots
-        ops = {id(a): a for w in words for a in w}
-        index = {key: i for i, key in enumerate(ops)}
-        rows = np.array([[index[id(a)] for a in w] for w in words])
-        coeffs = _hs_coefficient_stack(np.array([a.mat for a in ops.values()]))
-        coeffs = coeffs[rows][..., self.skip :]
-        # in chunks: contracting the first slot leaves |probe|^(n-1)
-        # numbers per word, 64 at d=2, n=4 for up to 10^4 direction words
-        chunks = range(0, len(words), CONTRACT_CHUNK)
-        return np.concatenate([self._contract(coeffs[i : i + CONTRACT_CHUNK]) for i in chunks])
+        return self._contract(self._coefficients(np.array([[a.mat for a in w] for w in words])))
+
+    def head(self, dirs: Sequence[SiteOperator], n: int) -> np.ndarray:
+        """F of every n-tuple of ``dirs``, in ``itertools.product`` order.
+
+        On the tensor these are n mode products: each contracts the
+        leading axis of M with the directions' coefficient matrix and
+        rotates the new axis to the back, so after n of them the axes
+        are back in slot order and the C-order ravel is product order.
+        """
+        if self.tensor is None:
+            return self._send(list(itertools.product(dirs, repeat=n)))
+        coeffs = self._coefficients(np.array([a.mat for a in dirs]))
+        out = self.tensor
+        for _ in range(n):
+            out = (coeffs @ out.reshape(coeffs.shape[1], -1)).T
+        return out.reshape(-1)
 
     def _contract(self, coeffs: np.ndarray) -> np.ndarray:
         p = self.tensor.shape[0]
@@ -406,28 +433,36 @@ class _Candidates:
             out = np.einsum("wi,wir->wr", coeffs[:, k], out.reshape(len(coeffs), p, -1))
         return out[:, 0]
 
-    def argmax(self, words: list[tuple], floor: float) -> tuple[float, int]:
-        """|F| and index of the first word of largest |F|, from direct values.
+    def argmax(self, values: np.ndarray, word_at, floor: float) -> tuple[float, tuple]:
+        """|F| and the first word of largest |F|, from direct values.
 
+        ``values`` are F of the words ``word_at(0)``, ``word_at(1)``, ...
         Contractions differ from direct values by rounding, and reversed or
         symmetric words tie exactly, so every word whose contraction lies
-        within TIE_TOL of the top is evaluated directly; the first maximum
-        is then the one a direct evaluation of all words would pick. When
-        no contraction can reach ``floor``, nothing is evaluated.
+        within TIE_TOL of the top is built and evaluated directly; the
+        first maximum is then the one a direct evaluation of all words
+        would pick. When no contraction can reach ``floor``, nothing is
+        evaluated.
         """
-        mags = np.abs(self.values(words))
+        mags = np.abs(values)
         top = float(np.max(mags))
         if self.tensor is None:
-            return top, int(np.argmax(mags))
+            return top, word_at(int(np.argmax(mags)))
         slack = TIE_TOL * max(top, 1.0)
         if top < floor - slack:
-            return -1.0, 0
-        near = np.flatnonzero(mags >= top - slack)
-        direct = np.abs(self._send([words[i] for i in near]))
+            return -1.0, ()
+        near = [word_at(i) for i in np.flatnonzero(mags >= top - slack)]
+        direct = np.abs(self._send(near))
         pick = int(np.argmax(direct))
-        return float(direct[pick]), int(near[pick])
+        return float(direct[pick]), near[pick]
 
     def value(self, word: tuple) -> float:
+        """|F(word)|: its contraction on the tensor, else one direct evaluation."""
+        if self.tensor is not None:
+            return float(abs(self.values([word])[0]))
+        return self.direct(word)
+
+    def direct(self, word: tuple) -> float:
         """|F(word)| from one direct evaluation."""
         self.evaluations += 1
         return float(abs(complex(self.functional(word))))
@@ -435,61 +470,42 @@ class _Candidates:
 
 def _search_words(
     n: int, dim: int, search_budget: int, omega: SiteState | None, seed: int
-) -> tuple[list, list, list]:
-    """The ascent probe, the direction words and the seeded random words.
+) -> tuple[list, tuple, list]:
+    """The ascent probe, the head directions and the seeded random words.
 
     Plain searches use the whole Hermitian basis as the probe, centered
-    ones its centered traceless part; the direction words are tuples of
-    unit-norm basis elements and pairwise sums (or of the first three,
-    when the full product exceeds BASIS_PRODUCT_CAP).
+    ones its centered traceless part. The head is every n-tuple of the
+    unit-norm basis elements and pairwise sums (of the first three,
+    when there are more than BASIS_PRODUCT_CAP tuples), centered and
+    renormalized in a centered search.
     """
+    dirs = _combo_directions(dim)
     if omega is None:
-        eye = hermitian_basis(dim)[0]
-        dirs = [SiteOperator(eye.mat / op_norm(eye))] + _combo_directions(dim)
         probe = hermitian_basis(dim)
     else:
-        dirs = []
-        for d0 in _combo_directions(dim):
-            c = _centered_unit(d0, omega)
-            if c is not None:
-                dirs.append(c)
+        mats = np.array([a.mat for a in dirs[1:]]).reshape(-1, dim, dim)
+        units, keep = _centered_units(mats, omega)
+        dirs = tuple(SiteOperator(m) for m in units[keep])
         probe = [center(h, omega) for h in hermitian_basis(dim)[1:]]
-
-    if len(dirs) ** n <= BASIS_PRODUCT_CAP:
-        head = list(itertools.product(dirs, repeat=n))
-    elif len(dirs[:3]) ** n <= BASIS_PRODUCT_CAP:
-        head = list(itertools.product(dirs[:3], repeat=n))
-    else:
-        head = []
+    if len(dirs) ** n > BASIS_PRODUCT_CAP:
+        dirs = dirs[:3] if len(dirs[:3]) ** n <= BASIS_PRODUCT_CAP else ()
 
     # an empty centered probe means d = 1: every operator centers to 0,
     # so no centered word exists and redrawing would never end
-    budget = search_budget if probe else 0
-    draws = _unit_draws(np.random.default_rng(seed), dim, budget * n)
-    rand_words = []
-    for _ in range(budget):
-        w = []
-        for _slot in range(n):
-            cand = SiteOperator(next(draws))
-            if omega is not None:
-                cu = _centered_unit(cand, omega)
-                while cu is None:
-                    cu = _centered_unit(SiteOperator(next(draws)), omega)
-                cand = cu
-            w.append(cand)
-        rand_words.append(tuple(w))
-    return probe, head, rand_words
-
-
-def _unit_draws(rng: np.random.Generator, dim: int, count: int):
-    """Random Hermitian units: ``count`` in one batch, then one at a time.
-
-    A refused centered draw takes the next one; since the batch is drawn
-    in stream order, the words equal those of one draw per operator.
-    """
-    yield from random_hermitian_units(rng, dim, count)
-    while True:
-        yield random_hermitian_units(rng, dim, 1)[0]
+    count = (search_budget if probe else 0) * n
+    rng = np.random.default_rng(seed)
+    draws = random_hermitian_units(rng, dim, count)
+    if omega is not None:
+        units, keep = _centered_units(draws, omega)
+        draws = list(units[keep])
+        # a refused draw takes the next one; the batch is the head of the
+        # stream, so the words equal those of one draw per operator
+        while len(draws) < count:
+            units, keep = _centered_units(random_hermitian_units(rng, dim, 1), omega)
+            draws.extend(units[keep])
+    ops = [SiteOperator(m) for m in draws]
+    rand_words = [tuple(ops[k : k + n]) for k in range(0, count, n)]
+    return probe, dirs, rand_words
 
 
 def _search(
@@ -503,31 +519,37 @@ def _search(
     if n == 0:
         return SeminormEstimate(abs(complex(functional(()))), (), 1)
 
-    probe, head, rand_words = _search_words(n, dim, search_budget, omega, seed)
+    probe, dirs, rand_words = _search_words(n, dim, search_budget, omega, seed)
     # the basis tensor pays off when it has no more words than the
     # direct search would send (the ascent sends 2 n (|probe| + 1)):
     # timed on Markov chains, the tensor won just below this switch
     # (centered d=2, n=5 and 6) and direct won just above it (centered
     # d=3, n=3 and 4; plain d=2, n=5 and 6)
-    direct_words = len(head) + len(rand_words) + 2 * n * (len(probe) + 1)
+    direct_words = len(dirs) ** n + len(rand_words) + 2 * n * (len(probe) + 1)
     tensor_probe = probe if len(probe) ** n <= direct_words else None
     cands = _Candidates(functional, n, tensor_probe, centered=omega is not None)
 
+    def head_word(i: int) -> tuple:
+        return tuple(dirs[k] for k in np.unravel_index(i, (len(dirs),) * n))
+
     best_val = -1.0
     best_word: tuple = ()
-    for words in (head, rand_words):
-        if words:
-            val, idx = cands.argmax(words, best_val)
-            if val > best_val:
-                best_val = val
-                best_word = words[idx]
+    if dirs:
+        best_val, best_word = cands.argmax(cands.head(dirs, n), head_word, best_val)
+    if rand_words:
+        val, word = cands.argmax(cands.values(rand_words), rand_words.__getitem__, best_val)
+        if val > best_val:
+            best_val, best_word = val, word
 
     if not best_word:
         return SeminormEstimate(0.0, (), cands.evaluations)
 
-    # coordinate ascent: each slot is a linear direction, so probe the
-    # basis, take the top eigenvector of the quadratic response, and
-    # keep the renormalized candidate only if its exact value improves
+    # coordinate ascent (the higher-order power method): each slot is a
+    # linear direction, so probe the basis, take the top eigenvector of
+    # the quadratic response, and keep the renormalized candidate only
+    # if its value improves. On the tensor, trials and candidates are
+    # contractions, and the word they end at is evaluated directly once
+    start_val = best_val
     word = list(best_word)
     for _pass in range(2):
         for slot in range(n):
@@ -546,7 +568,14 @@ def _search(
             if val > best_val + 1e-15:
                 best_val = val
                 word[slot] = cand_op
-    return SeminormEstimate(best_val, tuple(word), cands.evaluations)
+    witness = tuple(word)
+    if cands.tensor is not None and witness != best_word:
+        # the reported value is a direct evaluation of the reported word;
+        # should rounding have ranked a worse word higher, keep the start
+        best_val = cands.direct(witness)
+        if best_val < start_val:
+            return SeminormEstimate(start_val, best_word, cands.evaluations)
+    return SeminormEstimate(best_val, witness, cands.evaluations)
 
 
 def seminorm_nu_estimate(

@@ -25,12 +25,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .algebra import (
-    SiteOperator,
-    SiteState,
-    hermitian_basis,
-    op_norm,
-)
+from .algebra import SiteOperator, SiteState, _unit_basis
 from .errors import CostGuardError
 from .lattice import Metric, Region, chain_metric, region_distance
 
@@ -226,6 +221,7 @@ class MarkovState(GlobalState):
         self.site_dim = d
         self.metric = chain_metric(alpha)
         self._powers = {0: np.eye(d), 1: T.copy()}
+        self._site = SiteState(np.diag(pi))
 
     def transition_power(self, g: int) -> np.ndarray:
         """T^g, stepped up as T @ T^(k-1) from the largest cached power.
@@ -261,10 +257,10 @@ class MarkovState(GlobalState):
 
     def site_restriction(self, x) -> SiteState:
         self.metric.check_site(x)
-        return SiteState(np.diag(self.pi))
+        return self._site
 
     def single_site_restriction(self) -> SiteState:
-        return SiteState(np.diag(self.pi))
+        return self._site
 
 
 def _apply_site(tensor: np.ndarray, mat: np.ndarray, x: int) -> np.ndarray:
@@ -429,13 +425,6 @@ def correlator(state: GlobalState, x_asg: Assignment, y_asg: Assignment) -> Corr
     )
 
 
-def _direction_set(dim: int) -> list[SiteOperator]:
-    dirs = []
-    for h in hermitian_basis(dim)[1:]:
-        dirs.append(SiteOperator(h.mat / op_norm(h)))
-    return dirs
-
-
 def estimate_G0(
     state: GlobalState,
     max_region_size: int = 2,
@@ -453,7 +442,7 @@ def estimate_G0(
     """
     if max_region_size < 1 or max_separation < 1 or sample_budget < 0:
         raise ValueError("estimate_G0 parameters must be positive")
-    dirs = _direction_set(state.site_dim)
+    dirs = _unit_basis(state.site_dim)[1:]
     best = 0.0
     count = 0
     metric = state.metric
@@ -542,6 +531,14 @@ def parse_matrix(doc) -> np.ndarray:
     return np.array([[_parse_complex_entry(v) for v in row] for row in doc])
 
 
+def _json_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    # bool is an int subclass, so true would otherwise pass as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def state_from_json(doc: dict) -> GlobalState:
     """Build a state from a JSON-style dictionary.
 
@@ -578,10 +575,10 @@ def state_from_json(doc: dict) -> GlobalState:
         else:
             base = SiteState(parse_matrix(base_doc))
         layers = [
-            (int(layer["offset"]), parse_matrix(layer["gate"]))
+            (_json_int(layer, "offset"), parse_matrix(layer["gate"]))
             for layer in doc.get("layers", [])
         ]
         return CircuitState(
-            base, int(doc["length"]), layers, float(doc.get("scale", 1.0))
+            base, _json_int(doc, "length"), layers, float(doc.get("scale", 1.0))
         )
     raise ValueError(f"unknown state kind {kind!r}")

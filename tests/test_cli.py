@@ -313,6 +313,21 @@ def test_non_object_state_or_metric_rejected(tmp_path, capsys):
         assert err == f"ERR 2: bad state spec: {kind} spec must be an object, got {shown}\n"
 
 
+def test_circuit_float_or_bool_integers_rejected(tmp_path, capsys):
+    """A circuit length of 3.7 or an offset of true exits ERR 2, not 3 sites or offset 1."""
+    layer = {"offset": 0, "gate": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
+    circuit = {"kind": "circuit", "base": {"ket": [1, 0]}, "length": 3, "layers": [layer]}
+    for key, bad, state in (
+        ("length", 3.7, {**circuit, "length": 3.7}),
+        ("offset", True, {**circuit, "layers": [{**layer, "offset": True}]}),
+    ):
+        cfg = write_config(tmp_path, {"state": state, "word": ["Z", "Z"], "sizes": [2]})
+        code, out, err = run(["moments", "--config", cfg], capsys)
+        assert code == 2, key
+        assert out == ""
+        assert err == f"ERR 2: bad state spec: {key!r} must be an integer, got {bad!r}\n"
+
+
 GRID_STATE = {**PRODUCT_TILTED, "metric": {"kind": "grid2d"}}
 EXPLICIT_STATE = {
     **PRODUCT_TILTED,

@@ -439,6 +439,20 @@ def test_state_from_json_kinds():
         state_from_json({"kind": "heisenberg"})
 
 
+def test_state_from_json_circuit_integers_only():
+    """A float or bool length or offset is refused, not truncated."""
+    gate = np.eye(4).tolist()
+    spec = {"kind": "circuit", "base": {"ket": [1.0, 0.0]}, "length": 3}
+    for length in (3.7, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="'length' must be an integer"):
+            state_from_json({**spec, "length": length})
+    for offset in (True, 0.0, "1"):
+        with pytest.raises(ValueError, match="'offset' must be an integer"):
+            state_from_json({**spec, "layers": [{"offset": offset, "gate": gate}]})
+    circ = state_from_json({**spec, "layers": [{"offset": 1, "gate": gate}]})
+    assert (circ.length, circ.layers[0][0]) == (3, 1)
+
+
 def test_state_from_json_complex_entries():
     ps = state_from_json(
         {"kind": "product", "rho": [[0.5, [0, -0.25]], [[0, 0.25], 0.5]]}
