@@ -16,8 +16,8 @@ operators F(a) = |X|^{-1/2} sum_x (a_x - omega_x(a)):
   after every requested prefix of the sorted sites, so a whole size
   table costs one sweep over its largest region
 * the direct product for circuit states: the n fluctuation operators
-  are applied right to left to the cached statevector or density
-  tensor, n |X| single-site contractions per word
+  are applied right to left to the cached statevector, n |X|
+  single-site contractions per word
 
 Product and Markov states evaluate many words of one degree at once over
 the leading numpy axis; the seminorm searches depend on that throughput.

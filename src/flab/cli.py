@@ -24,8 +24,8 @@ import numpy as np
 
 from .algebra import SX, SY, SZ, SiteOperator, identity, op_norm
 from .cluster import DECOMPOSITION_TOL, b_hat_bound, b_n_quantity, decomposition_check
-from .combinatorics import q_sequence
-from .errors import ConfigError, CostGuardError
+from .combinatorics import MAX_Q_INDEX, q_sequence
+from .errors import ConfigError, CostGuardError, json_int
 from .fluctuations import (
     TRANSPORT_TOL,
     InducedMomentFunctional,
@@ -75,22 +75,15 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _checked_int(key: str, value, minimum: int) -> int:
-    # bool is an int subclass, so True would otherwise pass as 1
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
 def _config_int(cfg: dict, key: str, default: int, minimum: int) -> int:
-    return _checked_int(key, cfg.get(key, default), minimum)
+    return json_int(key, cfg.get(key, default), minimum)
 
 
 def _config_ints(cfg: dict, key: str, default, minimum: int) -> list[int]:
     values = cfg.get(key, default)
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{key!r} must be a nonempty list of integers")
-    return [_checked_int(key, v, minimum) for v in values]
+    return [json_int(key, v, minimum) for v in values]
 
 
 def _parse_operator(spec, dim: int) -> SiteOperator:
@@ -105,9 +98,14 @@ def _parse_operator(spec, dim: int) -> SiteOperator:
         return _NAMED_OPS[name]
     if isinstance(spec, list):
         try:
-            return SiteOperator(parse_matrix(spec))
+            op = SiteOperator(parse_matrix(spec))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad inline operator matrix: {exc}") from exc
+        if op.dim != dim:
+            raise ConfigError(
+                f"inline operator dimension {op.dim} does not match site dimension {dim}"
+            )
+        return op
     raise ConfigError(f"operator spec must be a name or a matrix, got {spec!r}")
 
 
@@ -275,6 +273,8 @@ def run_cluster_verify(cfg: dict, seed: int) -> tuple:
 def _counting_checks(cfg: dict, seed: int) -> list[dict]:
     sizes = _config_ints(cfg, "counting_sizes", [6, 10, 14], 1)
     max_k = _config_int(cfg, "counting_max_k", 4, 2)
+    if max_k > MAX_Q_INDEX:
+        raise ConfigError(f"'counting_max_k' must be at most {MAX_Q_INDEX}, got {max_k}")
     max_r = _config_int(cfg, "counting_max_r", 3, 0)
     metric = chain_metric(1.0)
     out = []
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         # rows run in order; the thread count is validated but not used
-        _checked_int(
+        json_int(
             "threads", cfg.get("threads", 1) if args.threads is None else args.threads, 1
         )
         seed = _config_int(cfg, "seed", 0, 0)

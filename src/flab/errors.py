@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 
 class CostGuardError(RuntimeError):
     """Raised when a computation would exceed a declared cost guard.
@@ -17,6 +19,27 @@ class CostGuardError(RuntimeError):
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configuration."""
+
+
+def json_int(key: str, value, minimum: int | None = None) -> int:
+    """``value`` if it is a JSON integer (and at least ``minimum``), else ConfigError."""
+    # bool is an int subclass, so true would otherwise pass as 1
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{key!r} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def json_number(what: str, value) -> float:
+    """``value`` as a float if it is a JSON number, else ConfigError.
+
+    Strings and bools are refused: float() would take "0.4" and true.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 class KahanSum:

@@ -78,10 +78,10 @@ def _moments_of(
 ) -> np.ndarray:
     """Induced moments of equal-degree words, checked, by the state's engine.
 
-    With ``prefixes``, strictly ascending lengths k of the region's sorted
-    sites, the result has one row per k: the moments on the first k
-    sites. Every k passes the |X|^n guard, in ascending order, before any
-    engine work.
+    Every engine gets the region's sites in sorted order. With
+    ``prefixes``, strictly ascending lengths k of those sorted sites, the
+    result has one row per k: the moments on the first k sites. Every k
+    passes the |X|^n guard, in ascending order, before any engine work.
     """
     sizes = [len(region)] if prefixes is None else list(prefixes)
     if not (
@@ -115,8 +115,7 @@ def _moments_of(
                 "Markov subset DP",
                 f"2^n d^2 = 2^{n} * {d}^2 exceeds {MARKOV_DP_GUARD}",
             )
-        # a whole region keeps its own site order; prefixes take sorted sites
-        sites = region.sites if prefixes is None else region.sorted_sites()[: sizes[-1]]
+        sites = region.sorted_sites()[: sizes[-1]]
         stack = np.array([[a.mat for a in w] for w in words])
         # one Markov sweep serves every size; the other engines run per size
         if isinstance(state, ProductState):

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CostGuardError
+from .errors import CostGuardError, json_number
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,13 @@ def metric_from_json(doc: dict) -> Metric:
         raise ValueError(f"metric spec must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "chain":
-        return chain_metric(float(doc.get("scale", 1.0)))
+        return chain_metric(json_number("'scale'", doc.get("scale", 1.0)))
     if kind == "grid2d":
-        return grid2d_metric(float(doc.get("scale", 1.0)))
+        return grid2d_metric(json_number("'scale'", doc.get("scale", 1.0)))
     if kind == "explicit":
-        return explicit_metric(doc["sites"], doc["distances"])
+        what = "a 'distances' entry"
+        distances = [[json_number(what, v) for v in row] for row in doc["distances"]]
+        return explicit_metric(doc["sites"], distances)
     raise ValueError(f"unknown metric kind {kind!r}")
 
 

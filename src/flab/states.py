@@ -4,8 +4,8 @@ Three state families, sharing one query interface:
 
 * ProductState: one density matrix repeated over every site.
 * CircuitState: a product base on a finite chain segment, evolved by a
-  brickwork of two-site unitary layers with open boundaries. Pure bases
-  keep a statevector, mixed bases evolve the density matrix.
+  brickwork of two-site unitary layers with open boundaries, as one
+  statevector; a mixed base is purified with an ancilla per site.
 * MarkovState: a classical stationary Markov chain on the integer line;
   operators act through their diagonals in the chain basis.
 
@@ -25,9 +25,9 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .algebra import SiteOperator, SiteState, _unit_basis
-from .errors import CostGuardError
-from .lattice import Metric, Region, chain_metric, region_distance
+from .algebra import SiteOperator, SiteState, _unit_basis, pure_state
+from .errors import CostGuardError, json_int, json_number
+from .lattice import Metric, Region, chain_metric, metric_from_json, region_distance
 
 STATEVEC_MAX_DIM = 2**14
 DENSITY_MAX_DIM = 2**20  # squared Hilbert space dimension
@@ -280,7 +280,10 @@ class CircuitState(GlobalState):
 
     Each layer is (offset, gate): the d^2 x d^2 unitary acts on every
     neighbor pair (i, i+1) with i matching the offset parity. The state
-    is evolved once at construction and cached. Correlations vanish
+    is evolved once at construction and cached as one statevector. A
+    mixed base sum_k p_k |k><k| is purified first, to sum_k sqrt(p_k)
+    |k>|k> with an ancilla per site, and the gates act on the system
+    axes only; every expectation is then <psi|A|psi>. Correlations vanish
     identically beyond graph distance 2 * depth, since disjoint light
     cones factorize.
     """
@@ -310,8 +313,8 @@ class CircuitState(GlobalState):
                 raise ValueError("gate is not unitary within tolerance")
             self.layers.append((int(offset), g))
 
-        eigs = np.linalg.eigvalsh(base.rho)
-        pure = bool(eigs[-1] > 1.0 - 1e-12)
+        probs, vecs = np.linalg.eigh(base.rho)
+        pure = bool(probs[-1] > 1.0 - 1e-12)
         dim_total = d**length
         if pure:
             if dim_total > STATEVEC_MAX_DIM:
@@ -319,26 +322,28 @@ class CircuitState(GlobalState):
                     "circuit statevector size",
                     f"d^L = {dim_total} exceeds {STATEVEC_MAX_DIM}",
                 )
-            start = np.linalg.eigh(base.rho)[1][:, -1]
+            start = vecs[:, -1]
         else:
             if dim_total * dim_total > DENSITY_MAX_DIM:
                 raise CostGuardError(
                     "circuit density-matrix size",
                     f"d^2L = {dim_total * dim_total} exceeds {DENSITY_MAX_DIM}",
                 )
-            start = base.rho
+            # purification: column k is sqrt(p_k) |k>, its ancilla index k.
+            # SiteState admits eigenvalues down to -1e-12; clipped alone they
+            # would lift the norm by up to L * 1e-12, past the trace check
+            p = np.clip(probs, 0.0, None)
+            start = vecs * np.sqrt(p / p.sum())
         tensor = start.copy()
         for _ in range(length - 1):
             tensor = np.kron(tensor, start)
-        tensor = tensor.reshape((d,) * (start.ndim * length))
+        tensor = tensor.reshape((d,) * length + tensor.shape[1:])
         for offset, g in self.layers:
             for i in range(offset, length - 1, 2):
                 tensor = _apply_two_site(tensor, g, i, d)
-                if not pure:
-                    # rho -> G rho G+: left-multiply rows by G, columns by conj(G)
-                    tensor = _apply_two_site(tensor, g.conj(), length + i, d)
         self.pure = pure
-        self.tensor = tensor  # statevector, or density tensor with row axes first
+        # L system axes; a mixed base adds one axis for all the ancillas
+        self.tensor = tensor
 
     @property
     def depth(self) -> int:
@@ -348,11 +353,8 @@ class CircuitState(GlobalState):
         return isinstance(x, int) and 0 <= x < self.length
 
     def close(self, phi: np.ndarray) -> complex:
-        """omega(A) from phi = A applied to ``tensor``: <psi|phi> or tr(phi)."""
-        if self.pure:
-            return complex(np.vdot(self.tensor.reshape(-1), phi.reshape(-1)))
-        dim_total = self.site_dim**self.length
-        return complex(np.trace(phi.reshape(dim_total, dim_total)))
+        """omega(A) from phi = A applied to ``tensor``: <psi|phi>."""
+        return complex(np.vdot(self.tensor.reshape(-1), phi.reshape(-1)))
 
     def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
         """Per row, the site operators applied to ``tensor`` in the given order."""
@@ -368,16 +370,8 @@ class CircuitState(GlobalState):
     def site_restriction(self, x) -> SiteState:
         if not self.contains_site(x):
             raise ValueError(f"site {x!r} outside circuit segment")
-        d = self.site_dim
-        if self.pure:
-            p = np.moveaxis(self.tensor, x, 0).reshape(d, -1)
-            return SiteState(p @ p.conj().T)
-        letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        rows = list(letters[: self.length])
-        cols = rows.copy()
-        cols[x] = letters[self.length]
-        sub = "".join(rows) + "".join(cols) + "->" + rows[x] + cols[x]
-        return SiteState(np.einsum(sub, self.tensor))
+        p = np.moveaxis(self.tensor, x, 0).reshape(self.site_dim, -1)
+        return SiteState(p @ p.conj().T)
 
     def single_site_restriction(self) -> SiteState:
         mats = [self.site_restriction(x).rho for x in range(self.length)]
@@ -520,23 +514,15 @@ def random_density(rng: np.random.Generator, dim: int) -> SiteState:
 
 
 def _parse_complex_entry(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v, 0.0)
+    """A number, or an [re, im] pair of numbers."""
+    what = "a matrix or ket entry"
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ValueError(f"cannot parse complex entry {v!r}")
+        return complex(json_number(what, v[0]), json_number(what, v[1]))
+    return complex(json_number(what, v), 0.0)
 
 
 def parse_matrix(doc) -> np.ndarray:
     return np.array([[_parse_complex_entry(v) for v in row] for row in doc])
-
-
-def _json_int(doc: dict, key: str) -> int:
-    value = doc[key]
-    # bool is an int subclass, so true would otherwise pass as 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return value
 
 
 def state_from_json(doc: dict) -> GlobalState:
@@ -554,31 +540,28 @@ def state_from_json(doc: dict) -> GlobalState:
         raise ValueError(f"state spec must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "product":
-        metric = None
-        if "metric" in doc:
-            from .lattice import metric_from_json
-
-            metric = metric_from_json(doc["metric"])
+        metric = metric_from_json(doc["metric"]) if "metric" in doc else None
         return ProductState(SiteState(parse_matrix(doc["rho"])), metric)
     if kind == "markov":
-        T = np.array([[float(v) for v in row] for row in doc["T"]])
+        T = np.array([[json_number("a 'T' entry", v) for v in row] for row in doc["T"]])
         pi = doc.get("pi")
         if pi is not None:
-            pi = [float(v) for v in pi]
-        return MarkovState(T, float(doc["alpha"]), pi)
+            pi = [json_number("a 'pi' entry", v) for v in pi]
+        return MarkovState(T, json_number("'alpha'", doc["alpha"]), pi)
     if kind == "circuit":
         base_doc = doc["base"]
         if isinstance(base_doc, dict) and "ket" in base_doc:
-            from .algebra import pure_state
-
             base = pure_state([_parse_complex_entry(v) for v in base_doc["ket"]])
         else:
             base = SiteState(parse_matrix(base_doc))
         layers = [
-            (_json_int(layer, "offset"), parse_matrix(layer["gate"]))
+            (json_int("offset", layer["offset"]), parse_matrix(layer["gate"]))
             for layer in doc.get("layers", [])
         ]
         return CircuitState(
-            base, _json_int(doc, "length"), layers, float(doc.get("scale", 1.0))
+            base,
+            json_int("length", doc["length"]),
+            layers,
+            json_number("'scale'", doc.get("scale", 1.0)),
         )
     raise ValueError(f"unknown state kind {kind!r}")

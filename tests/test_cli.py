@@ -328,6 +328,80 @@ def test_circuit_float_or_bool_integers_rejected(tmp_path, capsys):
         assert err == f"ERR 2: bad state spec: {key!r} must be an integer, got {bad!r}\n"
 
 
+CIRCUIT_KET = {"kind": "circuit", "base": {"ket": [1, 0]}, "length": 3}
+
+
+@pytest.mark.parametrize(
+    "state, shown",
+    [
+        ({**MARKOV_STD, "alpha": "0.4"}, "'alpha' must be a number, got '0.4'"),
+        ({**MARKOV_STD, "alpha": True}, "'alpha' must be a number, got True"),
+        (
+            {**MARKOV_STD, "T": [["0.8", 0.2], [0.2, 0.8]]},
+            "a 'T' entry must be a number, got '0.8'",
+        ),
+        ({**MARKOV_STD, "pi": [True, False]}, "a 'pi' entry must be a number, got True"),
+        (
+            {"kind": "product", "rho": [[True, 0], [0, False]]},
+            "a matrix or ket entry must be a number, got True",
+        ),
+        (
+            {**PRODUCT_TILTED, "metric": {"kind": "chain", "scale": True}},
+            "'scale' must be a number, got True",
+        ),
+        (
+            {**PRODUCT_TILTED, "metric": {"kind": "chain", "scale": "2"}},
+            "'scale' must be a number, got '2'",
+        ),
+        (
+            {
+                **PRODUCT_TILTED,
+                "metric": {"kind": "explicit", "sites": [0, 1], "distances": [[0, "1"], [1, 0]]},
+            },
+            "a 'distances' entry must be a number, got '1'",
+        ),
+        ({**CIRCUIT_KET, "scale": "1"}, "'scale' must be a number, got '1'"),
+        (
+            {**CIRCUIT_KET, "base": {"ket": [True, False]}},
+            "a matrix or ket entry must be a number, got True",
+        ),
+    ],
+)
+def test_state_spec_numbers_must_be_json_numbers(tmp_path, capsys, state, shown):
+    """A string or bool where the spec wants a number exits ERR 2, not a table."""
+    cfg = write_config(tmp_path, {"state": state, "word": ["Z", "Z"], "sizes": [2]})
+    code, out, err = run(["moments", "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"ERR 2: bad state spec: {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "experiment, key, spec",
+    [
+        ("moments", "word", ["Z", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]),
+        ("ccr-decay", "pair", ["X", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]),
+        ("cluster-verify", "op", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ],
+)
+def test_inline_operator_of_wrong_dimension_rejected(tmp_path, capsys, experiment, key, spec):
+    """A 3x3 inline matrix on a d=2 state is a config error, not a failed check."""
+    doc = {"state": MARKOV_STD, "sizes": [2], "degrees": [2], "search_budget": 1, key: spec}
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run([experiment, "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "ERR 2: inline operator dimension 3 does not match site dimension 2\n"
+
+
+def test_counting_max_k_bounded_by_q_sequence(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"checks": ["counting"], "counting_max_k": 31})
+    code, out, err = run(["bounds", "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "ERR 2: 'counting_max_k' must be at most 30, got 31\n"
+
+
 GRID_STATE = {**PRODUCT_TILTED, "metric": {"kind": "grid2d"}}
 EXPLICIT_STATE = {
     **PRODUCT_TILTED,

@@ -159,7 +159,7 @@ def test_circuit_engine_matches_brute_force(base_kind, d, depth, region_kind):
         base = random_density(rng, d)
     layers = [(k % 2, random_two_site_unitary(rng, d)) for k in range(depth)]
     circ = CircuitState(base, L, layers)
-    assert circ.tensor.ndim == (L if base_kind == "pure" else 2 * L)
+    assert circ.tensor.ndim == (L if base_kind == "pure" else L + 1)
     full = circuit_dense_density(base.rho, L, layers)
     oracle_expect = dense_expect(full, L, d)
     oracle_mean = dense_site_mean(full, L, d)
@@ -921,6 +921,8 @@ def test_prefix_readouts_equal_per_size_calls(kind):
     table = induced_moment_table(state, region, words[0], sizes)
     for size, val in zip(sizes, table):
         assert val == induced_moment(state, Region(state.metric, ordered[:size]), words[0])
+    # an unsorted whole region is summed in sorted order as well
+    assert induced_moment(state, region, words[0]) == table[-1]
 
 
 def test_prefix_lengths_checked():

@@ -1,0 +1,40 @@
+"""Every import in the package modules has a caller."""
+
+import ast
+from pathlib import Path
+
+import flab
+
+PACKAGE = Path(flab.__file__).parent
+
+# imported only so that bench/tracing.py can wrap the module's own name
+PINNED_FOR_TRACING = {
+    ("fluctuations", "product_moment"),
+    ("cli", "induced_moment"),
+    ("gaussian", "hs_coefficients"),
+}
+
+
+def _unused_imports(path: Path) -> set:
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add((alias.asname or alias.name).split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {(path.stem, name) for name in imported - used}
+
+
+def test_no_unused_imports():
+    """Only the names bench/tracing.py patches may be imported and never used.
+
+    ``__init__.py`` is skipped: its imports are the package's public names.
+    """
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            unused |= _unused_imports(path)
+    assert unused == PINNED_FOR_TRACING

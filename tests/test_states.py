@@ -45,10 +45,13 @@ RNG = np.random.default_rng(314159)
 T_STD = [[0.8, 0.2], [0.2, 0.8]]
 
 
-def random_two_site_unitary(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, _ = np.linalg.qr(m)
+def random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q
+
+
+def random_two_site_unitary(rng):
+    return random_unitary(rng, 4)
 
 
 # =============================================================================
@@ -358,11 +361,65 @@ def test_circuit_single_site_restriction_homogeneity_check():
 
 def test_circuit_cost_guards():
     base = pure_state([1.0, 0.0])
-    with pytest.raises(CostGuardError):
+    with pytest.raises(CostGuardError) as pure_guard:
         CircuitState(base, 15, [])
+    assert pure_guard.value.guard == "circuit statevector size"
     mixed = SiteState(np.diag([0.7, 0.3]))
-    with pytest.raises(CostGuardError):
+    with pytest.raises(CostGuardError) as mixed_guard:
         CircuitState(mixed, 11, [])
+    assert mixed_guard.value.guard == "circuit density-matrix size"
+
+
+def _assert_circuit_matches_dense(base, rng, length=4):
+    """expect and site_restriction of a d=3 circuit against the dense density matrix."""
+    layers = [(k % 2, random_unitary(rng, 9)) for k in range(2)]
+    circ = CircuitState(base, length, layers)
+    assert not circ.pure and circ.tensor.shape == (3,) * length + (3**length,)
+    full = circuit_dense_density(base.rho, length, layers)
+    oracle = dense_expect(full, length, 3)
+    mean = dense_site_mean(full, length, 3)
+    for _ in range(20):
+        sites = rng.choice(length, size=int(rng.integers(1, 4)), replace=False).tolist()
+        ops = {x: random_hermitian_unit(rng, 3) for x in sites}
+        want = oracle({x: op.mat for x, op in ops.items()})
+        assert abs(circ.expect(ops) - want) < 1e-11
+    for x in range(length):
+        rho_x = circ.site_restriction(x).rho
+        for _ in range(3):
+            a = random_hermitian_unit(rng, 3).mat
+            assert abs(np.trace(rho_x @ a) - mean(x, a)) < 1e-11
+
+
+def test_circuit_rank_deficient_mixed_base_matches_dense():
+    """A d=3 base of rank 2: one purification column is zero up to rounding."""
+    rng = np.random.default_rng(31)
+    v = random_unitary(rng, 3)
+    base = SiteState(v @ np.diag([0.65, 0.35, 0.0]) @ v.conj().T)
+    _assert_circuit_matches_dense(base, rng)
+
+
+def test_circuit_slightly_negative_base_eigenvalue_is_clipped():
+    """SiteState admits eigenvalues down to -1e-12; the purification clips them to 0."""
+    rng = np.random.default_rng(32)
+    v = random_unitary(rng, 3)
+    base = SiteState(v @ np.diag([0.6, 0.4 + 5e-13, -5e-13]) @ v.conj().T)
+    assert np.linalg.eigvalsh(base.rho)[0] < 0.0
+    _assert_circuit_matches_dense(base, rng)
+
+
+def test_circuit_largest_mixed_base_restrictions_have_unit_trace():
+    """L = 10 at d = 2 fills the mixed-base guard: 2^20 purified entries.
+
+    The base trace is 1 + 9e-13, inside SiteState's tolerance; the
+    purification is normalized, so ten sites do not add up to 9e-12.
+    """
+    rng = np.random.default_rng(33)
+    layers = [(0, random_two_site_unitary(rng)), (1, random_two_site_unitary(rng))]
+    base = SiteState(random_density(rng, 2).rho * (1.0 + 9e-13))
+    circ = CircuitState(base, 10, layers)
+    assert circ.tensor.size == 2**20
+    for x in range(10):
+        assert abs(np.trace(circ.site_restriction(x).rho) - 1.0) < 1e-12
 
 
 # =============================================================================
