@@ -27,14 +27,14 @@ from .cluster import DECOMPOSITION_TOL, b_hat_bound, b_n_quantity, decomposition
 from .combinatorics import MAX_Q_INDEX, q_sequence
 from .errors import ConfigError, CostGuardError, json_int
 from .fluctuations import (
+    CCR_BOUND_SLACK,
     TRANSPORT_TOL,
     InducedMomentFunctional,
-    ccr_decay_check,
-    check_tuple_sum,
+    ccr_decay_check,  # no caller here; bench/tracing.py wraps this name
+    ccr_decay_table,
     induced_moment,  # no caller here; bench/tracing.py wraps this name
     induced_moment_table,
     seminorm_comparison_check,
-    seminorm_nu_omega_estimate,
 )
 from .gaussian import (
     Covariance,
@@ -199,39 +199,23 @@ def run_ccr_decay(cfg: dict, seed: int) -> tuple:
     suffix = _parse_word(cfg, "suffix", state.site_dim, required=False)
     sizes = _parse_sizes(cfg, state)
     budget = _config_int(cfg, "search_budget", 8, 0)
-    degree = len(prefix) + 1 + len(suffix)
-    # the defect word is the largest moment; refuse it before any search
-    check_tuple_sum(sizes[-1], degree + 1)
-
-    c_values = []
-    for size in sizes:
-        region = _segment(state, size)
-        est = seminorm_nu_omega_estimate(
-            InducedMomentFunctional(state, region),
-            degree,
-            state.averaged_restriction(region),
-            search_budget=budget,
-            seed=seed,
-        )
-        c_values.append(est.value)
-    c_const = max(c_values)
+    checks = ccr_decay_table(
+        state,
+        _segment(state, sizes[-1]),
+        pair[0],
+        pair[1],
+        sizes,
+        prefix=prefix,
+        suffix=suffix,
+        search_budget=budget,
+        seed=seed,
+    )
 
     norms = 1.0
     for op in prefix + pair + suffix:
         norms *= op_norm(op)
-    cap = 2.0 * c_const * norms
-
     rows = []
-    for size in sizes:
-        check = ccr_decay_check(
-            state,
-            _segment(state, size),
-            pair[0],
-            pair[1],
-            prefix=prefix,
-            suffix=suffix,
-            c_estimate=c_const,
-        )
+    for size, check in zip(sizes, checks):
         # a broken identity voids the whole table: raise before any output
         if check.transport_deviation > TRANSPORT_TOL:
             raise RuntimeError(
@@ -240,7 +224,8 @@ def run_ccr_decay(cfg: dict, seed: int) -> tuple:
             )
         value_abs = abs(check.value)
         ratio = value_abs * math.sqrt(size)
-        flag = value_abs <= check.bound + 1e-12 and ratio <= cap + 1e-12
+        cap = 2.0 * check.c_constant * norms
+        flag = value_abs <= check.bound + CCR_BOUND_SLACK and ratio <= cap + CCR_BOUND_SLACK
         rows.append([size, value_abs, check.bound, ratio, flag])
     return _format_csv(["region_size", "value_abs", "bound", "ratio", "flag"], rows), None
 

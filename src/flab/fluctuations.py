@@ -9,8 +9,14 @@ functional everything in this package measures.
 The commutator of two fluctuations differs from a scalar by one more
 fluctuation with an extra |X|^{-1/2} factor. That identity is exact at
 every finite size when the scalar is computed against the site-averaged
-restriction, and ``ccr_decay_check`` verifies it numerically before
-bounding the moment of the leftover term.
+restriction, and ``ccr_decay_table`` verifies it numerically at every
+size of a table before bounding the moment of the leftover term. Its
+moments are three size tables, each one Markov sweep, taken before any
+search, so every cost guard trips first. Sizes whose restrictions are
+bit-equal (all of them on product and Markov states) share the search
+words, and on the tensor side read their basis tensors from one more
+sweep.
+``ccr_decay_check`` is the table at one size.
 
 Seminorm values reported here are certified lower bounds. Candidates
 are unit-operator-norm words, ranked by contractions of one exact basis
@@ -59,6 +65,7 @@ from .states import CircuitState, GlobalState, MarkovState, ProductState, random
 TUPLE_SUM_GUARD = 10**8
 MARKOV_DP_GUARD = 2**20
 TRANSPORT_TOL = 1e-10
+CCR_BOUND_SLACK = 1e-12
 
 
 def check_tuple_sum(size: int, n: int) -> None:
@@ -258,6 +265,73 @@ class CcrDecayCheck:
     c_constant: float
 
 
+def _prefix_region(region: Region, size: int) -> Region:
+    """The first ``size`` sorted sites of region; the whole region is itself."""
+    if size == len(region):
+        return region
+    return Region(region.metric, region.sorted_sites()[:size])
+
+
+def ccr_decay_table(
+    state: GlobalState,
+    region: Region,
+    a: SiteOperator,
+    b: SiteOperator,
+    sizes: Sequence[int],
+    prefix: Sequence[SiteOperator] = (),
+    suffix: Sequence[SiteOperator] = (),
+    c_estimate: float | None = None,
+    search_budget: int = 8,
+    seed: int = 0,
+) -> list[CcrDecayCheck]:
+    """``ccr_decay_check`` on the first k sorted sites of region, per k.
+
+    ``sizes`` ascend strictly. The defect words, the degree (n-1) word
+    and the transported word are each one size table (one Markov sweep),
+    so every cost guard trips before any search. Each size centers
+    against its own averaged restriction. Without ``c_estimate``, C is
+    the largest seminorm estimate over the sizes, from one search per
+    size (``_search_table``).
+    """
+    prefix = tuple(prefix)
+    suffix = tuple(suffix)
+    sizes = list(sizes)
+    defect = (prefix + (a, b) + suffix, prefix + (b, a) + suffix)
+    comm_word = prefix + (commutator(a, b),) + suffix
+    defect_rows = _moments_of(state, region, list(defect), sizes)
+    rest_rows = _moments_of(state, region, [prefix + suffix], sizes)
+    comm_rows = _moments_of(state, region, [comm_word], sizes)
+
+    omegas = [state.averaged_restriction(_prefix_region(region, k)) for k in sizes]
+    if c_estimate is None:
+        ests = _search_table(state, region, len(comm_word), omegas, sizes, search_budget, seed)
+        c_estimate = max(est.value for est in ests)
+    norms = 1.0
+    for op in prefix + (a, b) + suffix:
+        norms *= op_norm(op)
+
+    out = []
+    rows = zip(sizes, omegas, defect_rows, rest_rows, comm_rows)
+    for size, omega, (m_ab, m_ba), (m_rest,), (m_comm,) in rows:
+        # the defect polynomial a (x) b - b (x) a - omega([a*, b]) inside the word
+        g = site_expect(omega, commutator(a.adjoint(), b))
+        direct = complex(m_ab) - complex(m_ba) - g * complex(m_rest)
+        transported = float(size) ** (-0.5) * complex(m_comm)
+        deviation = abs(direct - transported)
+        bound = 2.0 * float(size) ** (-0.5) * c_estimate * norms
+        out.append(
+            CcrDecayCheck(
+                value=transported,
+                bound=bound,
+                passed=deviation <= TRANSPORT_TOL
+                and abs(transported) <= bound + CCR_BOUND_SLACK,
+                transport_deviation=deviation,
+                c_constant=float(c_estimate),
+            )
+        )
+    return out
+
+
 def ccr_decay_check(
     state: GlobalState,
     region: Region,
@@ -274,43 +348,14 @@ def ccr_decay_check(
     The defect moment is evaluated two ways: directly as a polynomial,
     and through the transport identity that trades the defect for a
     single fluctuation of [a, b] times |X|^{-1/2}. The two must agree to
-    1e-10; the reported bound is 2 |X|^{-1/2} C norms, where C is a
-    lower-bound estimate of the degree (n-1) restricted seminorm of the
-    induced moment functional (or a caller-provided constant).
+    TRANSPORT_TOL; the reported bound is 2 |X|^{-1/2} C norms, where C is
+    a lower-bound estimate of the degree (n-1) restricted seminorm of the
+    induced moment functional (or a caller-provided constant). This is
+    ``ccr_decay_table`` at the one size |X|.
     """
-    prefix = tuple(prefix)
-    suffix = tuple(suffix)
-    size = len(region)
-    poly = TensorPolynomial.word(prefix + (a, b) + suffix) - TensorPolynomial.word(
-        prefix + (b, a) + suffix
-    )
-    omega_bar = state.averaged_restriction(region)
-    g = site_expect(omega_bar, commutator(a.adjoint(), b))
-    poly = poly - g * TensorPolynomial.word(prefix + suffix)
-    direct = induced_moment_polynomial(state, region, poly)
-
-    comm_word = prefix + (commutator(a, b),) + suffix
-    transported = float(size) ** (-0.5) * induced_moment(state, region, comm_word)
-    deviation = abs(direct - transported)
-
-    if c_estimate is None:
-        functional = InducedMomentFunctional(state, region)
-        est = seminorm_nu_omega_estimate(
-            functional, len(comm_word), omega_bar, search_budget=search_budget, seed=seed
-        )
-        c_estimate = est.value
-    norms = 1.0
-    for op in prefix + (a, b) + suffix:
-        norms *= op_norm(op)
-    bound = 2.0 * float(size) ** (-0.5) * c_estimate * norms
-    passed = deviation <= TRANSPORT_TOL and abs(transported) <= bound + 1e-12
-    return CcrDecayCheck(
-        value=transported,
-        bound=bound,
-        passed=passed,
-        transport_deviation=deviation,
-        c_constant=float(c_estimate),
-    )
+    return ccr_decay_table(
+        state, region, a, b, [len(region)], prefix, suffix, c_estimate, search_budget, seed
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +429,29 @@ class _Candidates:
     F(a_1, ..., a_n) = sum M[i_1, ..., i_n] c_1[i_1] ... c_n[i_n]. A
     centered probe is center(h) for h != I; since center(I) = 0, a
     centered operator a = sum_h c_h h equals sum_{h != I} c_h center(h)
-    exactly, so its identity coefficient is dropped.
+    exactly, so its identity coefficient is dropped. A ``tensor`` built
+    beforehand (a row of a size table) stands in for that evaluation and
+    counts the same words.
     """
 
-    def __init__(self, functional, n: int, probe: list | None, centered: bool):
+    def __init__(
+        self,
+        functional,
+        n: int,
+        probe: list | None,
+        centered: bool,
+        tensor: np.ndarray | None = None,
+    ):
         self.functional = functional
         self.evaluations = 0
         self.tensor = None
         self.skip = int(centered)
         if probe is not None:
-            shape = (len(probe),) * n
-            self.tensor = self._send(list(itertools.product(probe, repeat=n))).reshape(shape)
+            if tensor is None:
+                tensor = self._send(list(itertools.product(probe, repeat=n)))
+            else:
+                self.evaluations += tensor.size
+            self.tensor = tensor.reshape((len(probe),) * n)
 
     def _send(self, words: list[tuple]) -> np.ndarray:
         self.evaluations += len(words)
@@ -507,6 +564,19 @@ def _search_words(
     return probe, dirs, rand_words
 
 
+def _tensor_probe(n: int, probe: list, dirs: tuple, rand_words: list) -> list | None:
+    """The probe, when a search ranks on its basis tensor; else None.
+
+    The basis tensor pays off when it has no more words than the direct
+    search would send (the ascent sends 2 n (|probe| + 1)): timed on
+    Markov chains, the tensor won just below this switch (centered d=2,
+    n=5 and 6) and direct won just above it (centered d=3, n=3 and 4;
+    plain d=2, n=5 and 6).
+    """
+    direct_words = len(dirs) ** n + len(rand_words) + 2 * n * (len(probe) + 1)
+    return probe if len(probe) ** n <= direct_words else None
+
+
 def _search(
     functional,
     n: int,
@@ -514,19 +584,21 @@ def _search(
     search_budget: int,
     omega: SiteState | None,
     seed: int,
+    words: tuple | None = None,
+    tensor: np.ndarray | None = None,
 ) -> SeminormEstimate:
+    """One seminorm search. A size table passes the ``_search_words``
+    triple it built once, and on the tensor side this functional's
+    basis tensor; either is then the one the search would build.
+    """
     if n == 0:
         return SeminormEstimate(abs(complex(functional(()))), (), 1)
 
-    probe, dirs, rand_words = _search_words(n, dim, search_budget, omega, seed)
-    # the basis tensor pays off when it has no more words than the
-    # direct search would send (the ascent sends 2 n (|probe| + 1)):
-    # timed on Markov chains, the tensor won just below this switch
-    # (centered d=2, n=5 and 6) and direct won just above it (centered
-    # d=3, n=3 and 4; plain d=2, n=5 and 6)
-    direct_words = len(dirs) ** n + len(rand_words) + 2 * n * (len(probe) + 1)
-    tensor_probe = probe if len(probe) ** n <= direct_words else None
-    cands = _Candidates(functional, n, tensor_probe, centered=omega is not None)
+    if words is None:
+        words = _search_words(n, dim, search_budget, omega, seed)
+    probe, dirs, rand_words = words
+    tensor_probe = _tensor_probe(n, probe, dirs, rand_words)
+    cands = _Candidates(functional, n, tensor_probe, omega is not None, tensor)
 
     def head_word(i: int) -> tuple:
         return tuple(dirs[k] for k in np.unravel_index(i, (len(dirs),) * n))
@@ -575,6 +647,44 @@ def _search(
         if best_val < start_val:
             return SeminormEstimate(start_val, best_word, cands.evaluations)
     return SeminormEstimate(best_val, witness, cands.evaluations)
+
+
+def _search_table(
+    state: GlobalState,
+    region: Region,
+    n: int,
+    omegas: Sequence[SiteState],
+    sizes: Sequence[int],
+    search_budget: int,
+    seed: int,
+) -> list[SeminormEstimate]:
+    """The centered search on the first k sorted sites of region, per k.
+
+    Row i equals ``seminorm_nu_omega_estimate`` on those sites against
+    ``omegas[i]`` bit for bit, evaluations included. Each run of sizes
+    whose omegas are bit-equal builds the search words once and, on the
+    tensor side, reads every size's basis tensor from one size table
+    (one Markov sweep); then each size ranks and ascends on its own.
+    """
+    out: list[SeminormEstimate] = []
+    runs = itertools.groupby(zip(sizes, omegas), key=lambda row: row[1].rho.tobytes())
+    for _, run in runs:
+        group, group_omegas = zip(*run)
+        omega = group_omegas[0]
+        words = _search_words(n, state.site_dim, search_budget, omega, seed)
+        probe = _tensor_probe(n, *words)
+        tensors = [None] * len(group)
+        if probe is not None:
+            basis = list(itertools.product(probe, repeat=n))
+            tensors = list(_moments_of(state, region, basis, group))
+        for size, tensor in zip(group, tensors):
+            functional = InducedMomentFunctional(state, _prefix_region(region, size))
+            out.append(
+                _search(
+                    functional, n, state.site_dim, search_budget, omega, seed, words, tensor
+                )
+            )
+    return out
 
 
 def seminorm_nu_estimate(

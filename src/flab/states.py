@@ -134,7 +134,30 @@ class GlobalState:
         return mats
 
 
-class ProductState(GlobalState):
+class _HomogeneousState(GlobalState):
+    """A state whose every site restricts to the one SiteState ``site``."""
+
+    site: SiteState
+
+    def site_restriction(self, x) -> SiteState:
+        self.metric.check_site(x)
+        return self.site
+
+    def single_site_restriction(self) -> SiteState:
+        return self.site
+
+    def averaged_restriction(self, region: Region) -> SiteState:
+        """``site`` itself, after the domain check: the average of equal states.
+
+        The generic ``sum / len`` would move it in the last bit, and a size
+        table shares one search per bit-equal restriction.
+        """
+        for x in region.sites:
+            self.metric.check_site(x)
+        return self.site
+
+
+class ProductState(_HomogeneousState):
     """The same single-site density matrix at every site of the metric."""
 
     def __init__(self, site: SiteState, metric: Metric | None = None):
@@ -159,15 +182,8 @@ class ProductState(GlobalState):
             out.append(value)
         return np.array(out, dtype=complex)
 
-    def site_restriction(self, x) -> SiteState:
-        self.metric.check_site(x)
-        return self.site
 
-    def single_site_restriction(self) -> SiteState:
-        return self.site
-
-
-class MarkovState(GlobalState):
+class MarkovState(_HomogeneousState):
     """Stationary classical Markov chain on the integer line.
 
     ``transition`` is column stochastic: transition[i, j] is the
@@ -221,7 +237,7 @@ class MarkovState(GlobalState):
         self.site_dim = d
         self.metric = chain_metric(alpha)
         self._powers = {0: np.eye(d), 1: T.copy()}
-        self._site = SiteState(np.diag(pi))
+        self.site = SiteState(np.diag(pi))
 
     def transition_power(self, g: int) -> np.ndarray:
         """T^g, stepped up as T @ T^(k-1) from the largest cached power.
@@ -254,13 +270,6 @@ class MarkovState(GlobalState):
             v = np.diagonal(mats[:, j], axis1=-2, axis2=-1) * v
             prev = sites[j]
         return v.sum(axis=1)
-
-    def site_restriction(self, x) -> SiteState:
-        self.metric.check_site(x)
-        return self._site
-
-    def single_site_restriction(self) -> SiteState:
-        return self._site
 
 
 def _apply_site(tensor: np.ndarray, mat: np.ndarray, x: int) -> np.ndarray:

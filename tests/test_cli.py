@@ -469,7 +469,7 @@ def test_ccr_decay_guard_before_search(tmp_path, capsys, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("seminorm search ran before the cost guard")
 
-    monkeypatch.setattr("flab.cli.seminorm_nu_omega_estimate", no_search)
+    monkeypatch.setattr("flab.fluctuations._search", no_search)
     cfg = write_config(
         tmp_path,
         {
@@ -483,6 +483,34 @@ def test_ccr_decay_guard_before_search(tmp_path, capsys, monkeypatch):
     code, _, err = run(["ccr-decay", "--config", cfg], capsys)
     assert code == 3
     assert err.startswith("ERR 3: cost guard '")
+
+
+def test_ccr_decay_markov_dp_guard_before_search(tmp_path, capsys, monkeypatch):
+    """With the DP guard at 32 (d = 2), the degree-3 searches would pass
+    and the degree-4 defect word trips: it trips before any search."""
+    searches = []
+
+    def no_search(*args, **kwargs):
+        searches.append(args)
+        raise AssertionError("seminorm search ran before the Markov DP guard")
+
+    monkeypatch.setattr("flab.fluctuations.MARKOV_DP_GUARD", 32)
+    monkeypatch.setattr("flab.fluctuations._search", no_search)
+    cfg = write_config(
+        tmp_path,
+        {
+            "state": MARKOV_STD,
+            "prefix": ["X"],
+            "pair": ["Z", "X"],
+            "suffix": ["Y"],
+            "sizes": [4, 8],
+        },
+    )
+    code, out, err = run(["ccr-decay", "--config", cfg], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "ERR 3: cost guard 'Markov subset DP': 2^n d^2 = 2^4 * 2^2 exceeds 32\n"
+    assert searches == []
 
 
 def test_moments_table_guard_before_engine_work(tmp_path, capsys, monkeypatch):
@@ -695,15 +723,16 @@ def test_bounds_failed_check_exits_one(tmp_path, capsys, monkeypatch):
 
 def test_ccr_decay_transport_violation_exits_one(tmp_path, capsys, monkeypatch):
     """A transport violation stops the table: nothing is written, exit 1."""
-    from flab.fluctuations import ccr_decay_check
+    from flab.fluctuations import ccr_decay_table
 
-    def failing(state, region, *args, **kwargs):
-        check = ccr_decay_check(state, region, *args, **kwargs)
-        if len(region) == 9:
-            check = dataclasses.replace(check, transport_deviation=1.0)
-        return check
+    def failing(state, region, a, b, sizes, **kwargs):
+        checks = ccr_decay_table(state, region, a, b, sizes, **kwargs)
+        return [
+            dataclasses.replace(check, transport_deviation=1.0) if size == 9 else check
+            for size, check in zip(sizes, checks)
+        ]
 
-    monkeypatch.setattr("flab.cli.ccr_decay_check", failing)
+    monkeypatch.setattr("flab.cli.ccr_decay_table", failing)
     out_path = tmp_path / "ccr.csv"
     cfg = write_config(
         tmp_path,

@@ -61,7 +61,9 @@ from flab.fluctuations import (
     _eval_many,
     _moments_of,
     _search,
+    _search_table,
     _search_words,
+    ccr_decay_table,
     induced_moment_table,
 )
 from flab.gaussian import _CovariancePairFunctional, covariance_from_state
@@ -923,6 +925,66 @@ def test_prefix_readouts_equal_per_size_calls(kind):
         assert val == induced_moment(state, Region(state.metric, ordered[:size]), words[0])
     # an unsorted whole region is summed in sorted order as well
     assert induced_moment(state, region, words[0]) == table[-1]
+
+
+def _table_case(kind, d, rng):
+    """A state and an unsorted region of 2..5 sites inside its domain."""
+    if kind == "product":
+        state = ProductState(random_density(rng, d))
+    elif kind == "markov":
+        state = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
+    else:
+        # d = 2 purifies a mixed base (2 axes a site); d = 3 keeps a pure one
+        length = 6 if d == 2 else 5
+        base = random_density(rng, d) if d == 2 else pure_state(rng.normal(size=d))
+        layers = [(k % 2, random_two_site_unitary(rng, d)) for k in range(2)]
+        state = CircuitState(base, length, layers)
+    count = int(rng.integers(2, 6))
+    sites = [int(x) for x in rng.permutation(5)[:count]]
+    return state, Region(state.metric, sites)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["product", "markov", "circuit"]),
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(kind="markov", d=2, n=4, seed=1)  # tensor side
+@example(kind="markov", d=3, n=3, seed=2)  # direct side
+def test_size_tables_match_per_size_calls(kind, d, n, seed):
+    """Each ``_search_table`` row is the per-size centered search (value,
+    witness bytes, evaluations), and each ``ccr_decay_table`` row is the
+    per-size ``ccr_decay_check`` with the table's C."""
+    rng = np.random.default_rng(seed)
+    state, region = _table_case(kind, d, rng)
+    ordered = region.sorted_sites()
+    picks = rng.permutation(np.arange(1, len(region) + 1))[: int(rng.integers(1, 4))]
+    sizes = sorted(int(k) for k in picks)
+    parts = [
+        region if k == len(region) else Region(state.metric, ordered[:k]) for k in sizes
+    ]
+    omegas = [state.averaged_restriction(part) for part in parts]
+    rows = _search_table(state, region, n, omegas, sizes, 2, seed)
+    for part, omega, row in zip(parts, omegas, rows):
+        want = seminorm_nu_omega_estimate(
+            InducedMomentFunctional(state, part), n, omega, search_budget=2, seed=seed
+        )
+        assert (row.value, row.evaluations) == (want.value, want.evaluations)
+        assert _same_words([row.witness], [want.witness])
+
+    a, b, *rest = _random_word(rng, d, n + 1)
+    cut = int(rng.integers(0, n))
+    prefix, suffix = tuple(rest[:cut]), tuple(rest[cut:])
+    checks = ccr_decay_table(
+        state, region, a, b, sizes, prefix, suffix, search_budget=2, seed=seed
+    )
+    c_value = max(row.value for row in rows)
+    for part, check in zip(parts, checks):
+        assert check.c_constant == c_value
+        want = ccr_decay_check(state, part, a, b, prefix, suffix, c_estimate=c_value)
+        assert check == want
 
 
 def test_prefix_lengths_checked():

@@ -1,6 +1,9 @@
 """Every import in the package modules has a caller."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import flab
@@ -11,6 +14,7 @@ PACKAGE = Path(flab.__file__).parent
 PINNED_FOR_TRACING = {
     ("fluctuations", "product_moment"),
     ("cli", "induced_moment"),
+    ("cli", "ccr_decay_check"),
     ("gaussian", "hs_coefficients"),
 }
 
@@ -38,3 +42,20 @@ def test_no_unused_imports():
         if path.name != "__init__.py":
             unused |= _unused_imports(path)
     assert unused == PINNED_FOR_TRACING
+
+
+def test_benchmark_tracer_installs():
+    """bench/tracing.py wraps flab names by attribute: a renamed one fails here.
+
+    It runs in a child interpreter, so no wrapper leaks into this process.
+    """
+    bench = PACKAGE.parents[1] / "bench"
+    code = "import tracing; tracing.install(tracing.Tracer())"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(bench), str(PACKAGE.parent), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

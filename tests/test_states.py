@@ -137,6 +137,22 @@ def test_markov_matches_config_enumeration():
         assert abs(got - want) < 1e-12
 
 
+def test_homogeneous_averaged_restriction_is_the_site_state():
+    """Every site restricts to the one site state, so their average is that
+    state bit for bit. A sum over the sites divided by |X| moves it in the
+    last bit on the README chain at |X| = 6, 7, 12, 14, 24, ..."""
+    readme = MarkovState(T_STD, alpha=0.4)
+    product = ProductState(random_density(np.random.default_rng(11), 3))
+    for state in (readme, product):
+        want = state.single_site_restriction()
+        for size in range(1, 101):
+            got = state.averaged_restriction(Region(state.metric, range(size)))
+            assert got.rho.tobytes() == want.rho.tobytes()
+        # a site outside the state's domain still raises
+        with pytest.raises(ValueError):
+            state.averaged_restriction(Region(grid2d_metric(), [(0, 0)]))
+
+
 def test_markov_off_diagonal_observables_decouple():
     mk = MarkovState(T_STD, alpha=0.4)
     # sx has zero diagonal, so the classical chain gives zero across sites
