@@ -21,12 +21,13 @@ operators F(a) = |X|^{-1/2} sum_x (a_x - omega_x(a)):
 
 Product and Markov states evaluate many words of one degree at once over
 the leading numpy axis; the seminorm searches depend on that throughput.
-The circuit engine loops over the words, since circuit rows come one
-word at a time. A scalar call is a batch of one. The product closed form
-adds its partition terms with a plain sum: over 3000 random cases (d in
-{2, 3}, n = 1..7, |X| = 1..199) it differed from a compensated (Kahan)
-sum by at most 3e-15 in absolute value. The independent oracles for all
-three engines are the dense and brute-force helpers of the test suite.
+The circuit engine takes the same batches (a search sends its basis
+words as one) but loops over the words, one statevector pass each. A
+scalar call is a batch of one. The product closed form adds its
+partition terms with a plain sum: over 3000 random cases (d in {2, 3},
+n = 1..7, |X| = 1..199) it differed from a compensated (Kahan) sum by
+at most 3e-15 in absolute value. The independent oracles for all three
+engines are the dense and brute-force helpers of the test suite.
 """
 
 from __future__ import annotations

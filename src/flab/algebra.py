@@ -15,7 +15,7 @@ Only small local dimensions are supported (d <= 4); everything is dense.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -206,27 +206,23 @@ def _unit_basis(dim: int) -> tuple[SiteOperator, ...]:
     return tuple(SiteOperator(h.mat / op_norm(h)) for h in hermitian_basis(dim))
 
 
-def _hs_duals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate transposes and squared Hilbert-Schmidt norms of a basis stack."""
+@lru_cache(maxsize=MAX_LOCAL_DIM)
+def _hermitian_duals(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugate transposes and squared Hilbert-Schmidt norms of the Hermitian basis."""
+    mats = np.array(_hermitian_basis_mats(dim))
     return np.conj(np.swapaxes(mats, -1, -2)), np.real(np.einsum("kij,kji->k", mats, mats))
 
 
-@lru_cache(maxsize=MAX_LOCAL_DIM)
-def _hermitian_duals(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    return _hs_duals(np.array(_hermitian_basis_mats(dim)))
+def _hs_coefficient_stack(mats: np.ndarray) -> np.ndarray:
+    """Hermitian-basis coefficients of a (..., d, d) operator stack, shape (..., k).
 
-
-def _hs_coefficient_stack(mats: np.ndarray, duals=None) -> np.ndarray:
-    """Basis coefficients of a (..., d, d) operator stack, shape (..., k).
-
-    ``duals`` is ``_hs_duals`` of a k-element basis; the default is the
-    cached Hermitian basis of dimension d. Every Hermitian basis element
-    has at most one nonzero entry per row, so each diagonal entry of
-    h^dagger a is one exact product; summing the diagonal last and
-    dividing the real and imaginary parts separately reproduces
-    tr(h^dagger a) / tr(h h), computed one operator at a time, bit for bit.
+    Every Hermitian basis element has at most one nonzero entry per row,
+    so each diagonal entry of h^dagger a is one exact product; summing
+    the diagonal last and dividing the real and imaginary parts
+    separately reproduces tr(h^dagger a) / tr(h h), computed one
+    operator at a time, bit for bit.
     """
-    conj_t, norms = _hermitian_duals(mats.shape[-1]) if duals is None else duals
+    conj_t, norms = _hermitian_duals(mats.shape[-1])
     t = np.einsum("kij,...ji->...ki", conj_t, mats).sum(axis=-1)
     out = np.empty(t.shape, dtype=complex)
     out.real = t.real / norms
@@ -234,11 +230,10 @@ def _hs_coefficient_stack(mats: np.ndarray, duals=None) -> np.ndarray:
     return out
 
 
-def hs_coefficients(a: SiteOperator, basis: Iterable[SiteOperator] | None = None) -> np.ndarray:
+def hs_coefficients(a: SiteOperator) -> np.ndarray:
     """Expansion coefficients of ``a`` in the Hermitian basis.
 
     Coefficients are real exactly when ``a`` is Hermitian; complex input
     is allowed and simply yields complex coefficients.
     """
-    duals = None if basis is None else _hs_duals(np.array([h.mat for h in basis]))
-    return _hs_coefficient_stack(a.mat, duals)
+    return _hs_coefficient_stack(a.mat)

@@ -42,6 +42,7 @@ from .gaussian import covariance_from_state, wick_moment
 from .lattice import (
     Metric,
     Region,
+    _point_to_rest,
     ball_count,
     spread,
     spread_optimal_enumeration,
@@ -52,6 +53,7 @@ PRODUCT_PART_MAX_DEGREE = 8
 CORRECTION_TUPLE_GUARD = 10**7
 CENTERED_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-9
+EXPANSION_TOL = 1e-10
 
 
 def _require_centered(omega: SiteState, word: Sequence[SiteOperator]) -> None:
@@ -103,9 +105,7 @@ class ProductPartFunctional:
         self.dim = omega.dim
 
     def __call__(self, word) -> complex:
-        if len(word) == 0:
-            return complex(1.0)
-        return product_moment(self.omega.rho, self.size, [a.mat for a in word])
+        return complex(self.batch([word])[0])
 
     def batch(self, words) -> np.ndarray:
         if not words:
@@ -195,7 +195,7 @@ def cluster_expansion_check(state: GlobalState, assignment: Assignment) -> Clust
     support: a product of single-site expectations plus, at each split
     point, the truncated correlation of the point against its tail,
     reweighted by e^{-spread} exactly cancelling the correlator's e^{+d}
-    factor.
+    factor. The two sides must agree to EXPANSION_TOL.
     """
     y = assignment.support
     m = len(y)
@@ -222,7 +222,9 @@ def cluster_expansion_check(state: GlobalState, assignment: Assignment) -> Clust
         rhs += prefix * corr.value * math.exp(-delta)
         prefix *= singles[l - 1]
     deviation = abs(lhs - rhs)
-    return ClusterExpansionCheck(lhs=lhs, rhs=rhs, deviation=deviation, passed=deviation <= 1e-10)
+    return ClusterExpansionCheck(
+        lhs=lhs, rhs=rhs, deviation=deviation, passed=deviation <= EXPANSION_TOL
+    )
 
 
 def wick_defect_moment(omega: SiteState, x, word: Sequence[SiteOperator]) -> complex:
@@ -273,10 +275,7 @@ def b_n_quantity(region: Region, n: int) -> float:
         for sub in itertools.combinations(sites, m):
             enum = spread_optimal_enumeration(Region(metric, sub))
             weights = [
-                math.exp(
-                    -min(metric.distance(enum[k], enum[j]) for j in range(k + 1, m))
-                )
-                for k in range(m - 1)
+                math.exp(-_point_to_rest(metric, enum[k], enum[k + 1 :])) for k in range(m - 1)
             ]
             for comp in comps:
                 first_single = next(

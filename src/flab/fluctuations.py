@@ -64,6 +64,7 @@ from .states import CircuitState, GlobalState, MarkovState, ProductState, random
 
 TUPLE_SUM_GUARD = 10**8
 MARKOV_DP_GUARD = 2**20
+SEARCH_DRAW_GUARD = 2**16
 TRANSPORT_TOL = 1e-10
 CCR_BOUND_SLACK = 1e-12
 
@@ -74,6 +75,15 @@ def check_tuple_sum(size: int, n: int) -> None:
         raise CostGuardError(
             "induced-moment tuple sum",
             f"|X|^n = {size}^{n} exceeds {TUPLE_SUM_GUARD}",
+        )
+
+
+def check_search_draws(search_budget: int, n: int) -> None:
+    """Refuse a search whose random words draw more than SEARCH_DRAW_GUARD operators."""
+    if search_budget * n > SEARCH_DRAW_GUARD:
+        raise CostGuardError(
+            "search draws",
+            f"search_budget * n = {search_budget} * {n} exceeds {SEARCH_DRAW_GUARD}",
         )
 
 
@@ -142,10 +152,7 @@ def induced_moment(state: GlobalState, region: Region, word: Sequence[SiteOperat
     Each slot is centered per site against that site's restriction, so
     the value is well defined for inhomogeneous circuit states too.
     """
-    word = tuple(word)
-    if not word:
-        raise ValueError("induced_moment needs a word of degree >= 1")
-    return complex(_moments_of(state, region, [word])[0])
+    return induced_moment_table(state, region, word, [len(region)])[0]
 
 
 def induced_moment_table(
@@ -298,6 +305,8 @@ def ccr_decay_table(
     sizes = list(sizes)
     defect = (prefix + (a, b) + suffix, prefix + (b, a) + suffix)
     comm_word = prefix + (commutator(a, b),) + suffix
+    if c_estimate is None:
+        check_search_draws(search_budget, len(comm_word))
     defect_rows = _moments_of(state, region, list(defect), sizes)
     rest_rows = _moments_of(state, region, [prefix + suffix], sizes)
     comm_rows = _moments_of(state, region, [comm_word], sizes)
@@ -314,7 +323,7 @@ def ccr_decay_table(
     rows = zip(sizes, omegas, defect_rows, rest_rows, comm_rows)
     for size, omega, (m_ab, m_ba), (m_rest,), (m_comm,) in rows:
         # the defect polynomial a (x) b - b (x) a - omega([a*, b]) inside the word
-        g = site_expect(omega, commutator(a.adjoint(), b))
+        g = gamma_form(omega, a, b)
         direct = complex(m_ab) - complex(m_ba) - g * complex(m_rest)
         transported = float(size) ** (-0.5) * complex(m_comm)
         deviation = abs(direct - transported)
@@ -364,6 +373,8 @@ def ccr_decay_check(
 
 BASIS_PRODUCT_CAP = 20000
 TIE_TOL = 1e-12
+NU_OMEGA_SLACK = 1e-9
+NU_SUM_SLACK = 1e-6
 
 
 @dataclass
@@ -411,12 +422,6 @@ def _eval_many(functional, words: list[tuple]) -> np.ndarray:
     if hasattr(functional, "batch"):
         return np.asarray(functional.batch(words), dtype=complex)
     return np.array([complex(functional(w)) for w in words])
-
-
-def _resolve_omega(omega) -> SiteState:
-    if isinstance(omega, SiteState):
-        return omega
-    return omega.single_site_restriction()
 
 
 class _Candidates:
@@ -535,6 +540,7 @@ def _search_words(
     when there are more than BASIS_PRODUCT_CAP tuples), centered and
     renormalized in a centered search.
     """
+    check_search_draws(search_budget, n)
     dirs = _combo_directions(dim)
     if omega is None:
         probe = hermitian_basis(dim)
@@ -687,6 +693,15 @@ def _search_table(
     return out
 
 
+def _search_dim(functional, dim: int | None) -> int:
+    """The given local dimension, else the functional's ``dim``."""
+    if dim is None:
+        dim = getattr(functional, "dim", None)
+    if dim is None:
+        raise ValueError("seminorm search needs the local dimension")
+    return int(dim)
+
+
 def seminorm_nu_estimate(
     functional,
     n: int,
@@ -700,11 +715,7 @@ def seminorm_nu_estimate(
     candidates by contracting its values on basis words. The reported
     value is a direct evaluation of the witness either way.
     """
-    if dim is None:
-        dim = getattr(functional, "dim", None)
-    if dim is None:
-        raise ValueError("seminorm search needs the local dimension")
-    return _search(functional, n, int(dim), search_budget, None, seed)
+    return _search(functional, n, _search_dim(functional, dim), search_budget, None, seed)
 
 
 def seminorm_nu_omega_estimate(
@@ -720,11 +731,10 @@ def seminorm_nu_omega_estimate(
     ``functional`` must be linear in each slot, as for
     ``seminorm_nu_estimate``.
     """
-    if dim is None:
-        dim = getattr(functional, "dim", None)
-    if dim is None:
-        raise ValueError("seminorm search needs the local dimension")
-    return _search(functional, n, int(dim), search_budget, _resolve_omega(omega), seed)
+    dim = _search_dim(functional, dim)
+    if not isinstance(omega, SiteState):
+        omega = omega.single_site_restriction()
+    return _search(functional, n, dim, search_budget, omega, seed)
 
 
 @dataclass
@@ -745,9 +755,10 @@ def seminorm_comparison_check(
     """Estimated chain nu_n^omega <= nu_n <= sum_k C(n,k) 2^k nu_k^omega.
 
     All three quantities are lower-bound estimates, so the first
-    inequality is checked directly and the second with a small additive
-    slack; a genuine violation of the second indicates the centered
-    estimates missed mass that the plain search found.
+    inequality is checked up to rounding (NU_OMEGA_SLACK) and the second
+    with a small additive slack (NU_SUM_SLACK); a genuine violation of
+    the second indicates the centered estimates missed mass that the
+    plain search found.
     """
     if n > 6:
         raise CostGuardError("seminorm comparison degree", f"degree {n} exceeds 6")
@@ -760,7 +771,7 @@ def seminorm_comparison_check(
             )
         )
     rhs = sum(math.comb(n, k) * 2.0**k * parts[k].value for k in range(n + 1))
-    passed = parts[n].value <= nu.value + 1e-9 and nu.value <= rhs + 1e-6
+    passed = parts[n].value <= nu.value + NU_OMEGA_SLACK and nu.value <= rhs + NU_SUM_SLACK
     return SeminormComparisonCheck(
         nu_omega=parts[n].value, nu=nu.value, rhs=rhs, passed=passed
     )

@@ -33,6 +33,9 @@ from .fluctuations import SeminormEstimate, seminorm_nu_estimate
 WICK_MAX_DEGREE = 12
 SHIFTED_MAX_DEGREE = 10
 DIFFERENCE_MAX_DEGREE = 8
+WICK_NORM_PAD = 1.05
+WICK_BOUND_SLACK = 1e-12
+GAMMA_TOL = 1e-12
 
 
 class Covariance:
@@ -96,6 +99,15 @@ def _pair_matrix(cov: Covariance, word: Sequence[SiteOperator]) -> np.ndarray:
     return coeffs @ cov.matrix @ coeffs.T
 
 
+def _matching_products(pm: np.ndarray):
+    """Per perfect matching of pm's positions, in pair_partitions order, its pair product."""
+    for matching in pair_partitions(len(pm)):
+        term = complex(1.0)
+        for i, j in matching:
+            term *= pm[i - 1, j - 1]
+        yield term
+
+
 def wick_moment(cov: Covariance, word: Sequence[SiteOperator]) -> complex:
     """Sum over perfect matchings of products of pair covariances.
 
@@ -115,12 +127,8 @@ def wick_moment(cov: Covariance, word: Sequence[SiteOperator]) -> complex:
     for a in word:
         if a.dim != cov.dim:
             raise ValueError("word dimension does not match covariance")
-    pm = _pair_matrix(cov, word)
     acc = KahanSum()
-    for matching in pair_partitions(n):
-        term = complex(1.0)
-        for i, j in matching:
-            term *= pm[i - 1, j - 1]
+    for term in _matching_products(_pair_matrix(cov, word)):
         acc.add(term)
     return acc.value
 
@@ -148,21 +156,16 @@ def shifted_wick_moment(cov: Covariance, shift, word: Sequence[SiteOperator]) ->
     shifts = [complex(shift(a)) for a in word]
     pm = _pair_matrix(cov, word)
 
-    def sub_wick(positions: tuple[int, ...]) -> complex:
-        if len(positions) % 2 == 1:
-            return complex(0.0)
+    def sub_wick(idx: list[int]) -> complex:
+        # an odd sub-word has no matchings, so its value is this zero
         total = complex(0.0)
-        for matching in pair_partitions(len(positions)):
-            term = complex(1.0)
-            for i, j in matching:
-                term *= pm[positions[i - 1] - 1, positions[j - 1] - 1]
+        for term in _matching_products(pm[np.ix_(idx, idx)]):
             total += term
         return total
 
     acc = KahanSum()
     for mask in range(1 << n):
-        inside = tuple(i + 1 for i in range(n) if mask & (1 << i))
-        term = sub_wick(inside)
+        term = sub_wick([i for i in range(n) if mask & (1 << i)])
         if term == 0.0:
             continue
         for i in range(n):
@@ -196,9 +199,9 @@ def wick_difference_bound_check(
     The word is normalized slotwise to unit operator norm. The bound is
     ||W - W'|| (number of matchings) sum_{k=1}^{n/2} ||W||^{k-1}
     ||W'||^{n/2-k} with every norm a certified lower-bound estimate, so
-    the check also reports the value with each estimate padded by 5
-    percent; ``pad_decisive`` flags the case where only the padded form
-    passed.
+    the check also reports the value with each estimate scaled by
+    WICK_NORM_PAD; ``pad_decisive`` flags the case where only the padded
+    form passed. Both sides compare with WICK_BOUND_SLACK.
     """
     word = tuple(word)
     n = len(word)
@@ -228,10 +231,9 @@ def wick_difference_bound_check(
         return sum(a ** (k - 1) * b ** (n // 2 - k) for k in range(1, n // 2 + 1))
 
     rhs = nd * count * poly(n1, n2)
-    pad = 1.05
-    rhs_padded = (nd * pad) * count * poly(n1 * pad, n2 * pad)
-    passed = lhs <= rhs_padded + 1e-12
-    pad_decisive = passed and not (lhs <= rhs + 1e-12)
+    rhs_padded = (nd * WICK_NORM_PAD) * count * poly(n1 * WICK_NORM_PAD, n2 * WICK_NORM_PAD)
+    passed = lhs <= rhs_padded + WICK_BOUND_SLACK
+    pad_decisive = passed and not (lhs <= rhs + WICK_BOUND_SLACK)
     return WickDifferenceCheck(
         lhs=float(lhs),
         rhs=float(rhs),
@@ -251,7 +253,7 @@ class GammaConsistencyCheck:
 
 
 def gamma_consistency_check(cov: Covariance, omega: SiteState) -> GammaConsistencyCheck:
-    """W(a, b) - W(b, a) must reproduce omega([a, b]) on basis pairs."""
+    """W(a, b) - W(b, a) must reproduce omega([a, b]) on basis pairs, to GAMMA_TOL."""
     basis = hermitian_basis(omega.dim)
     dev = 0.0
     for i, hi in enumerate(basis):
@@ -259,4 +261,4 @@ def gamma_consistency_check(cov: Covariance, omega: SiteState) -> GammaConsisten
             lhs = cov.value(hi, hj) - cov.value(hj, hi)
             rhs = site_expect(omega, commutator(hi, hj))
             dev = max(dev, abs(lhs - rhs))
-    return GammaConsistencyCheck(max_deviation=dev, passed=dev <= 1e-12)
+    return GammaConsistencyCheck(max_deviation=dev, passed=dev <= GAMMA_TOL)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,13 +61,9 @@ class Metric:
             if x not in self._index:
                 raise ValueError(f"site {x!r} not in explicit metric")
 
-    @property
+    @cached_property
     def _index(self) -> dict:
-        idx = object.__getattribute__(self, "__dict__").get("_index_cache")
-        if idx is None:
-            idx = {s: i for i, s in enumerate(self.sites)}
-            object.__getattribute__(self, "__dict__")["_index_cache"] = idx
-        return idx
+        return {s: i for i, s in enumerate(self.sites)}
 
     def distance(self, x, y) -> float:
         if self.kind == "chain":
@@ -185,15 +181,16 @@ def _point_to_rest(metric: Metric, y, rest: Sequence) -> float:
     return min(metric.distance(y, z) for z in rest)
 
 
+def _set_spread(metric: Metric, sites: Sequence) -> float:
+    """max over y of d(y, sites without y), for at least two sites."""
+    return max(_point_to_rest(metric, y, [z for z in sites if z != y]) for y in sites)
+
+
 def spread(region: Region) -> float:
     """max over y of d(y, Y without y). Needs at least two sites."""
-    sites = region.sites
-    if len(sites) < 2:
+    if len(region.sites) < 2:
         raise ValueError("spread needs at least two sites")
-    m = region.metric
-    return max(
-        _point_to_rest(m, y, [z for z in sites if z != y]) for y in sites
-    )
+    return _set_spread(region.metric, region.sites)
 
 
 def k_spread(region: Region, k: int) -> float:
@@ -246,20 +243,13 @@ def ball_count(metric: Metric, r: float, support: Region | None = None) -> int:
     """
     if r < 0.0:
         raise ValueError("radius must be nonnegative")
-    if metric.kind == "chain":
+    if metric.kind in ("chain", "grid2d"):
         m = int(math.floor(r / metric.scale))
         while (m + 1) * metric.scale <= r:
             m += 1
         while m > 0 and m * metric.scale > r:
             m -= 1
-        return 2 * m + 1
-    if metric.kind == "grid2d":
-        m = int(math.floor(r / metric.scale))
-        while (m + 1) * metric.scale <= r:
-            m += 1
-        while m > 0 and m * metric.scale > r:
-            m -= 1
-        return 1 + 2 * m * (m + 1)
+        return 2 * m + 1 if metric.kind == "chain" else 1 + 2 * m * (m + 1)
     if support is None:
         raise ValueError("explicit metric ball count needs a support region")
     best = 0
@@ -286,9 +276,7 @@ def spread_decomposition_witness(region: Region, r: float):
     m = region.metric
 
     def small_spread(rest: tuple) -> bool:
-        if len(rest) <= 1:
-            return True
-        return max(_point_to_rest(m, y, [z for z in rest if z != y]) for y in rest) <= r
+        return len(rest) <= 1 or _set_spread(m, rest) <= r
 
     if k_spread(region, 2) > r:
         for x, y in itertools.combinations(region.sorted_sites(), 2):
@@ -334,10 +322,7 @@ def _subset_spreads(metric: Metric, sites: tuple, k: int) -> np.ndarray:
     vectorized kernels alone add 0.25 MB of resident code.
     """
     spreads = np.fromiter(
-        (
-            max(_point_to_rest(metric, y, [z for z in sub if z != y]) for y in sub)
-            for sub in itertools.combinations(sites, k)
-        ),
+        (_set_spread(metric, sub) for sub in itertools.combinations(sites, k)),
         dtype=float,
         count=math.comb(len(sites), k),
     )

@@ -354,10 +354,6 @@ class CircuitState(GlobalState):
         # L system axes; a mixed base adds one axis for all the ancillas
         self.tensor = tensor
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
     def contains_site(self, x) -> bool:
         return isinstance(x, int) and 0 <= x < self.length
 
@@ -453,19 +449,22 @@ def estimate_G0(
     def domain_ok(sites) -> bool:
         return all(state.contains_site(int(s)) for s in sites)
 
+    def keep(ops_x: dict, ops_y: dict) -> None:
+        nonlocal best, count
+        c = correlator(
+            state,
+            Assignment(Region(metric, ops_x), ops_x),
+            Assignment(Region(metric, ops_y), ops_y),
+        )
+        count += 1
+        best = max(best, abs(c.value))
+
     for m in range(1, max_separation + 1):
         if not domain_ok([0, m]):
             break
-        rx = Region(metric, (0,))
-        ry = Region(metric, (m,))
         for a in dirs:
             for b in dirs:
-                c = correlator(
-                    state, Assignment(rx, {0: a}), Assignment(ry, {m: b})
-                )
-                count += 1
-                if abs(c.value) > best:
-                    best = abs(c.value)
+                keep({0: a}, {m: b})
 
     rng = np.random.default_rng(seed)
     for _ in range(sample_budget):
@@ -474,22 +473,11 @@ def estimate_G0(
         gap = int(rng.integers(1, max_separation + 1))
         xs = list(range(0, kx))
         ys = list(range(kx - 1 + gap, kx - 1 + gap + ky))
-        if not domain_ok(xs + ys):
-            continue
-        ops_x = {}
-        for s in xs:
-            ops_x[s] = random_hermitian_unit(rng, state.site_dim)
-        ops_y = {}
-        for s in ys:
-            ops_y[s] = random_hermitian_unit(rng, state.site_dim)
-        c = correlator(
-            state,
-            Assignment(Region(metric, xs), ops_x),
-            Assignment(Region(metric, ys), ops_y),
-        )
-        count += 1
-        if abs(c.value) > best:
-            best = abs(c.value)
+        if domain_ok(xs + ys):
+            keep(
+                {s: random_hermitian_unit(rng, state.site_dim) for s in xs},
+                {s: random_hermitian_unit(rng, state.site_dim) for s in ys},
+            )
     return G0Estimate(value=best, samples=count)
 
 

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import re
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from flab.cli import main
 PRODUCT_GROUND = {"kind": "product", "rho": [[1.0, 0.0], [0.0, 0.0]]}
 PRODUCT_TILTED = {"kind": "product", "rho": [[0.75, 0.0], [0.0, 0.25]]}
 MARKOV_STD = {"kind": "markov", "T": [[0.8, 0.2], [0.2, 0.8]], "alpha": 0.4}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -205,6 +208,20 @@ def test_cluster_verify_markov(tmp_path, capsys):
     assert len(lines) == 7
     for line in lines[1:]:
         assert float(line.split(",")[2]) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "experiment, intro",
+    [("converge", "Example `converge` config:"), ("cluster-verify", "`cluster-verify` checks:")],
+)
+def test_readme_examples_reproduce_their_tables(tmp_path, capsys, experiment, intro):
+    """The README's example config writes the table printed after it, byte for byte."""
+    text = README.read_text()
+    config, table = re.findall(r"```(?:json)?\n(.*?)```", text[text.index(intro) :], re.S)[:2]
+    cfg = write_config(tmp_path, json.loads(config))
+    code, out, err = run([experiment, "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert out == table
 
 
 # =============================================================================
@@ -461,6 +478,27 @@ def test_cost_guard_exit_three(tmp_path, capsys):
     code, _, err = run(["moments", "--config", cfg], capsys)
     assert code == 3
     assert err.startswith("ERR 3: cost guard '")
+
+
+@pytest.mark.parametrize(
+    "experiment, keys",
+    [
+        ("ccr-decay", {"pair": ["Z", "X"], "prefix": ["Z"], "sizes": [4, 8]}),
+        ("bounds", {"checks": ["seminorm-comparison"], "seminorm_degrees": [2]}),
+    ],
+)
+def test_search_draw_guard_exits_three(tmp_path, capsys, experiment, keys):
+    """Both searches have degree 2, so a budget of 2^15 + 1 draws one operator
+    more than SEARCH_DRAW_GUARD allows: ERR 3, and no output is written."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"state": MARKOV_STD, "search_budget": 2**15 + 1, **keys})
+    code, stdout, err = run([experiment, "--config", cfg, "--out", str(out)], capsys)
+    assert code == 3
+    assert err == (
+        "ERR 3: cost guard 'search draws': search_budget * n = 32769 * 2 exceeds 65536\n"
+    )
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_ccr_decay_guard_before_search(tmp_path, capsys, monkeypatch):

@@ -53,6 +53,7 @@ from flab import (
 from flab import _moments, fluctuations
 from flab.algebra import _hs_coefficient_stack
 from flab.fluctuations import (
+    SEARCH_DRAW_GUARD,
     TIE_TOL,
     TUPLE_SUM_GUARD,
     SeminormEstimate,
@@ -64,6 +65,7 @@ from flab.fluctuations import (
     _search_table,
     _search_words,
     ccr_decay_table,
+    check_search_draws,
     induced_moment_table,
 )
 from flab.gaussian import _CovariancePairFunctional, covariance_from_state
@@ -1137,3 +1139,62 @@ def test_refused_centered_draws_take_the_next_draw(monkeypatch, d):
     want = _sequential_words(3, d, 10, omega, 5, refuse)
     assert len(refused) == draw_refusals
     assert _same_words(words, want)
+
+
+def test_search_draw_guard_trips_before_engine_work(monkeypatch):
+    """A budget whose draws pass SEARCH_DRAW_GUARD is refused before any
+    Markov sweep or functional call, in a search and in a ccr-decay table."""
+    check_search_draws(SEARCH_DRAW_GUARD // 2, 2)
+    budget = SEARCH_DRAW_GUARD // 2 + 1
+    sweeps = []
+    monkeypatch.setattr(fluctuations, "markov_moment_batch", lambda *args: sweeps.append(args))
+    mk = MarkovState(T_STD, alpha=0.4)
+    region = Region(mk.metric, range(8))
+    with pytest.raises(CostGuardError) as err:
+        ccr_decay_table(mk, region, SZ, SX, [4, 8], (SZ,), search_budget=budget)
+    assert err.value.guard == "search draws"
+    assert str(err.value) == f"search_budget * n = {budget} * 2 exceeds {SEARCH_DRAW_GUARD}"
+    functional = InducedMomentFunctional(mk, region)
+    with pytest.raises(CostGuardError):
+        seminorm_nu_estimate(functional, 2, search_budget=budget)
+    with pytest.raises(CostGuardError):
+        seminorm_nu_omega_estimate(functional, 2, mk, search_budget=budget)
+    assert sweeps == []
+
+
+# =============================================================================
+# Exact oracles at sizes beyond brute force
+# =============================================================================
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_product_and_markov_engines_agree_on_one_state(d, n, seed):
+    """rho = diag(p) at every site and the chain T = p 1^T are one state.
+
+    Two unrelated engines compute it: set partitions with falling
+    factorials, and the subset DP. Non-Hermitian words, size tables up to
+    |X| = 64, where no brute-force oracle reaches.
+    """
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(d))
+    product = ProductState(SiteState(np.diag(p)))
+    markov = MarkovState(np.outer(p, np.ones(d)), alpha=0.4, pi=p)
+    sizes = sorted({int(k) for k in rng.integers(1, 64, size=3)} | {64})
+    words = [_random_word(rng, d, n) for _ in range(3)]
+    got = _moments_of(product, Region(product.metric, range(64)), words, sizes)
+    want = _moments_of(markov, Region(markov.metric, range(64)), words, sizes)
+    norms = np.array([math.prod(op_norm(a) for a in w) for w in words])
+    assert np.all(np.abs(got - want) <= 1e-13 * norms), (sizes, np.abs(got - want) / norms)
+
+
+@pytest.mark.parametrize("size", [8, 16, 32, 64, 100])
+def test_markov_degree_two_closed_form_at_large_sizes(size):
+    """On the README chain Z has C(g) = 0.6^g (0.6 is T's second eigenvalue),
+    so m2 = |X|^-1 sum_{x, y in X} 0.6^|x - y| = 4 - 7.5 (1 - 0.6^|X|) / |X|."""
+    mk = MarkovState(T_STD, alpha=0.4)
+    got = induced_moment(mk, Region(mk.metric, range(size)), (SZ, SZ))
+    assert abs(got - (4.0 - 7.5 * (1.0 - 0.6**size) / size)) <= 1e-13

@@ -59,3 +59,38 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def test_private_definitions_have_callers():
+    """Every private module-level function and class is used in the package.
+
+    A use is a name or attribute reference anywhere in ``src/flab`` outside
+    the definition itself, so recursion does not count and an import alone
+    does not either (``test_no_unused_imports`` covers imports). Code with
+    no caller is deleted, not kept.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    refs = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, node))
+    unused = []
+    for module, tree in trees.items():
+        for definition in _private_definitions(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(name == definition.name and id(node) not in own for name, node in refs):
+                unused.append(f"{module}.{definition.name}")
+    assert unused == []
