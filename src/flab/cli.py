@@ -34,18 +34,21 @@ from .fluctuations import (
     ccr_decay_table,
     induced_moment,  # no caller here; bench/tracing.py wraps this name
     induced_moment_table,
-    seminorm_comparison_check,
+    seminorm_comparison_table,
 )
 from .gaussian import (
     Covariance,
     covariance_from_state,
-    wick_difference_bound_check,
+    wick_difference_bound_check,  # no caller here; bench/tracing.py wraps this name
+    wick_difference_bound_table,
     wick_moment,
 )
 from .lattice import Region, ball_count, chain_metric, count_subsets_with_spread
 from .states import CircuitState, GlobalState, parse_matrix, random_density, state_from_json
 
 _NAMED_OPS = {"I": None, "X": SX, "Y": SY, "Z": SZ}
+# each random pair of the wick-difference check runs three norm searches
+RANDOM_PAIRS_GUARD = 1000
 
 
 def _err(code: int, message: str) -> None:
@@ -299,12 +302,21 @@ def _seminorm_checks(cfg: dict, seed: int) -> list[dict]:
     budget = _config_int(cfg, "search_budget", 8, 0)
     omega = _homogeneous_restriction(state)
     functional = InducedMomentFunctional(state, _segment(state, size))
+    checks = seminorm_comparison_table(functional, degrees, omega, budget, seed)
     out = []
-    for n in degrees:
-        check = seminorm_comparison_check(functional, n, omega, search_budget=budget, seed=seed)
+    for n, check in zip(degrees, checks):
         name = f"seminorm-comparison size={size} n={n}"
         out.append(_record(name, check.nu, check.rhs, check.passed))
     return out
+
+
+def _random_pairs(cfg: dict) -> int:
+    pairs = _config_int(cfg, "random_pairs", 20, 0)
+    if pairs > RANDOM_PAIRS_GUARD:
+        raise CostGuardError(
+            "random pairs", f"random_pairs = {pairs} exceeds {RANDOM_PAIRS_GUARD}"
+        )
+    return pairs
 
 
 def _wick_difference_checks(cfg: dict, seed: int) -> list[dict]:
@@ -313,19 +325,18 @@ def _wick_difference_checks(cfg: dict, seed: int) -> list[dict]:
     one = identity(1)
     w1 = Covariance(1, [[1.0]])
     w2 = Covariance(1, [[2.0]])
-    for n in (2, 4):
-        check = wick_difference_bound_check(w1, w2, (one,) * n, search_budget=budget, seed=seed)
+    checks = wick_difference_bound_table(w1, w2, [(one,) * 2, (one,) * 4], budget, seed)
+    for n, check in zip((2, 4), checks):
         out.append(_record(f"wick-difference scalar n={n}", check.lhs, check.rhs, check.passed))
     rng = np.random.default_rng(seed)
-    pairs = _config_int(cfg, "random_pairs", 20, 0)
+    pairs = _random_pairs(cfg)
     word4 = (SX, SY, SZ, SX)
     for idx in range(pairs):
         ca = covariance_from_state(random_density(rng, 2))
         cb = covariance_from_state(random_density(rng, 2))
-        for n in (2, 4):
-            check = wick_difference_bound_check(
-                ca, cb, word4[:n], search_budget=budget, seed=seed + idx + 1
-            )
+        words = [word4[:2], word4[:4]]
+        checks = wick_difference_bound_table(ca, cb, words, budget, seed + idx + 1)
+        for n, check in zip((2, 4), checks):
             name = f"wick-difference random pair {idx} n={n}"
             out.append(_record(name, check.lhs, check.rhs_padded, check.passed))
     return out
@@ -349,6 +360,8 @@ def run_bounds(cfg: dict, seed: int) -> tuple:
     for name in selected:
         if name not in known:
             raise ConfigError(f"unknown bounds check {name!r}")
+    if "wick-difference" in selected:
+        _random_pairs(cfg)  # the pair guard trips before any check runs
     records = []
     for name, checks in _BOUNDS_CHECKS.items():
         if name in selected:

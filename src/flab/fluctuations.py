@@ -745,6 +745,45 @@ class SeminormComparisonCheck:
     passed: bool
 
 
+def seminorm_comparison_table(
+    functional,
+    degrees: Sequence[int],
+    omega,
+    search_budget: int = 16,
+    seed: int = 0,
+) -> list[SeminormComparisonCheck]:
+    """``seminorm_comparison_check`` per degree, on one functional.
+
+    Every degree passes the degree guard (at most 6) and the search
+    draw guard before any search. nu_n is searched once per degree
+    (seed), and each centered nu_k^omega once for k = 0..max(degrees)
+    (seed + k + 1, the same for every n), shared by every row.
+    """
+    degrees = list(degrees)
+    for n in degrees:
+        if n > 6:
+            raise CostGuardError("seminorm comparison degree", f"degree {n} exceeds 6")
+        check_search_draws(search_budget, n)
+    nus = [
+        seminorm_nu_estimate(functional, n, search_budget=search_budget, seed=seed)
+        for n in degrees
+    ]
+    parts = [
+        seminorm_nu_omega_estimate(
+            functional, k, omega, search_budget=search_budget, seed=seed + k + 1
+        ).value
+        for k in range(max(degrees, default=-1) + 1)
+    ]
+    out = []
+    for n, nu in zip(degrees, nus):
+        rhs = sum(math.comb(n, k) * 2.0**k * parts[k] for k in range(n + 1))
+        passed = parts[n] <= nu.value + NU_OMEGA_SLACK and nu.value <= rhs + NU_SUM_SLACK
+        out.append(
+            SeminormComparisonCheck(nu_omega=parts[n], nu=nu.value, rhs=rhs, passed=passed)
+        )
+    return out
+
+
 def seminorm_comparison_check(
     functional,
     n: int,
@@ -758,20 +797,7 @@ def seminorm_comparison_check(
     inequality is checked up to rounding (NU_OMEGA_SLACK) and the second
     with a small additive slack (NU_SUM_SLACK); a genuine violation of
     the second indicates the centered estimates missed mass that the
-    plain search found.
+    plain search found. This is ``seminorm_comparison_table`` at the
+    one degree.
     """
-    if n > 6:
-        raise CostGuardError("seminorm comparison degree", f"degree {n} exceeds 6")
-    nu = seminorm_nu_estimate(functional, n, search_budget=search_budget, seed=seed)
-    parts = []
-    for k in range(n + 1):
-        parts.append(
-            seminorm_nu_omega_estimate(
-                functional, k, omega, search_budget=search_budget, seed=seed + k + 1
-            )
-        )
-    rhs = sum(math.comb(n, k) * 2.0**k * parts[k].value for k in range(n + 1))
-    passed = parts[n].value <= nu.value + NU_OMEGA_SLACK and nu.value <= rhs + NU_SUM_SLACK
-    return SeminormComparisonCheck(
-        nu_omega=parts[n].value, nu=nu.value, rhs=rhs, passed=passed
-    )
+    return seminorm_comparison_table(functional, [n], omega, search_budget, seed)[0]

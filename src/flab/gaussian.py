@@ -187,6 +187,71 @@ class WickDifferenceCheck:
     norm_difference: float
 
 
+def wick_difference_bound_table(
+    cov1: Covariance,
+    cov2: Covariance,
+    words: Sequence[Sequence[SiteOperator]],
+    search_budget: int = 64,
+    seed: int = 0,
+) -> list[WickDifferenceCheck]:
+    """``wick_difference_bound_check`` per word, on one covariance pair.
+
+    Every word is checked and its Wick moments taken before any search;
+    the three norms ||W||, ||W'|| and ||W - W'|| are then searched once
+    (seeds seed, seed + 1 and seed + 2) and shared by every row.
+    """
+    words = [tuple(word) for word in words]
+    for word in words:
+        n = len(word)
+        if n == 0 or n % 2 == 1:
+            raise ValueError("difference bound is stated for even positive degree")
+        if n > DIFFERENCE_MAX_DEGREE:
+            raise CostGuardError(
+                "wick difference degree", f"degree {n} exceeds {DIFFERENCE_MAX_DEGREE}"
+            )
+    if cov1.dim != cov2.dim:
+        raise ValueError("covariances act on different dimensions")
+    lhs_values = []
+    for word in words:
+        norms = [op_norm(a) for a in word]
+        if min(norms) < 1e-14:
+            raise ValueError("cannot normalize a zero operator")
+        normed = tuple(SiteOperator(a.mat / nrm) for a, nrm in zip(word, norms))
+        lhs_values.append(abs(wick_moment(cov1, normed) - wick_moment(cov2, normed)))
+    if not words:
+        return []
+    diff = Covariance(cov1.dim, cov1.matrix - cov2.matrix)
+    n1 = covariance_norm_estimate(cov1, search_budget, seed).value
+    n2 = covariance_norm_estimate(cov2, search_budget, seed + 1).value
+    nd = covariance_norm_estimate(diff, search_budget, seed + 2).value
+
+    def poly(a: float, b: float, half: int) -> float:
+        return sum(a ** (k - 1) * b ** (half - k) for k in range(1, half + 1))
+
+    pad = WICK_NORM_PAD
+    out = []
+    for word, lhs in zip(words, lhs_values):
+        half = len(word) // 2
+        count = len(pair_partitions(len(word)))
+        rhs = nd * count * poly(n1, n2, half)
+        rhs_padded = (nd * pad) * count * poly(n1 * pad, n2 * pad, half)
+        passed = lhs <= rhs_padded + WICK_BOUND_SLACK
+        pad_decisive = passed and not (lhs <= rhs + WICK_BOUND_SLACK)
+        out.append(
+            WickDifferenceCheck(
+                lhs=float(lhs),
+                rhs=float(rhs),
+                rhs_padded=float(rhs_padded),
+                passed=passed,
+                pad_decisive=pad_decisive,
+                norm_first=n1,
+                norm_second=n2,
+                norm_difference=nd,
+            )
+        )
+    return out
+
+
 def wick_difference_bound_check(
     cov1: Covariance,
     cov2: Covariance,
@@ -201,49 +266,10 @@ def wick_difference_bound_check(
     ||W'||^{n/2-k} with every norm a certified lower-bound estimate, so
     the check also reports the value with each estimate scaled by
     WICK_NORM_PAD; ``pad_decisive`` flags the case where only the padded
-    form passed. Both sides compare with WICK_BOUND_SLACK.
+    form passed. Both sides compare with WICK_BOUND_SLACK. This is
+    ``wick_difference_bound_table`` at the one word.
     """
-    word = tuple(word)
-    n = len(word)
-    if n == 0 or n % 2 == 1:
-        raise ValueError("difference bound is stated for even positive degree")
-    if n > DIFFERENCE_MAX_DEGREE:
-        raise CostGuardError(
-            "wick difference degree", f"degree {n} exceeds {DIFFERENCE_MAX_DEGREE}"
-        )
-    if cov1.dim != cov2.dim:
-        raise ValueError("covariances act on different dimensions")
-    normed = []
-    for a in word:
-        nrm = op_norm(a)
-        if nrm < 1e-14:
-            raise ValueError("cannot normalize a zero operator")
-        normed.append(SiteOperator(a.mat / nrm))
-    normed = tuple(normed)
-    lhs = abs(wick_moment(cov1, normed) - wick_moment(cov2, normed))
-    diff = Covariance(cov1.dim, cov1.matrix - cov2.matrix)
-    n1 = covariance_norm_estimate(cov1, search_budget, seed).value
-    n2 = covariance_norm_estimate(cov2, search_budget, seed + 1).value
-    nd = covariance_norm_estimate(diff, search_budget, seed + 2).value
-    count = len(pair_partitions(n))
-
-    def poly(a: float, b: float) -> float:
-        return sum(a ** (k - 1) * b ** (n // 2 - k) for k in range(1, n // 2 + 1))
-
-    rhs = nd * count * poly(n1, n2)
-    rhs_padded = (nd * WICK_NORM_PAD) * count * poly(n1 * WICK_NORM_PAD, n2 * WICK_NORM_PAD)
-    passed = lhs <= rhs_padded + WICK_BOUND_SLACK
-    pad_decisive = passed and not (lhs <= rhs + WICK_BOUND_SLACK)
-    return WickDifferenceCheck(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        rhs_padded=float(rhs_padded),
-        passed=passed,
-        pad_decisive=pad_decisive,
-        norm_first=n1,
-        norm_second=n2,
-        norm_difference=nd,
-    )
+    return wick_difference_bound_table(cov1, cov2, [word], search_budget, seed)[0]
 
 
 @dataclass

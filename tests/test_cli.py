@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flab.cli import main
+from flab.cli import RANDOM_PAIRS_GUARD, main
 
 PRODUCT_GROUND = {"kind": "product", "rho": [[1.0, 0.0], [0.0, 0.0]]}
 PRODUCT_TILTED = {"kind": "product", "rho": [[0.75, 0.0], [0.0, 0.25]]}
@@ -254,6 +254,92 @@ def test_bounds_report(tmp_path, capsys):
     for c in doc["checks"]:
         assert c["pass"] is True
         assert c["lhs"] <= c["rhs"] + 1e-9
+
+
+BOUNDS_ALL_CHECKS = {
+    "checks": ["counting", "weight-sum", "seminorm-comparison", "wick-difference"],
+    "state": MARKOV_STD,
+    "counting_sizes": [6],
+    "counting_max_k": 3,
+    "counting_max_r": 1,
+    "weight_sizes": [4],
+    "weight_degrees": [2, 3],
+    "seminorm_size": 4,
+    "seminorm_degrees": [2, 3, 4],
+    "random_pairs": 2,
+    "search_budget": 4,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_bounds_report_bytes_pinned(tmp_path, capsys, seed):
+    """The report of a small four-check config, byte for byte as recorded
+    before the norm and centered searches were shared across rows."""
+    cfg = write_config(tmp_path, {**BOUNDS_ALL_CHECKS, "seed": seed})
+    code, out, err = run(["bounds", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    pinned = Path(__file__).resolve().parent / "data" / f"bounds_seed{seed}.json"
+    assert out == pinned.read_text()
+
+
+def _record_searches(monkeypatch):
+    """Wrap fluctuations._search; each call appends its (functional, n,
+    budget, omega bytes, seed) key. A covariance functional is keyed by its
+    matrix (each norm estimate builds a new one), a moment functional by
+    identity (the list keeps it alive, so no id is reused)."""
+    from flab import fluctuations
+
+    keys, alive = [], []
+    real = fluctuations._search
+
+    def record(functional, n, dim, budget, omega, seed, *rest):
+        cov = getattr(functional, "cov", None)
+        alive.append(functional)
+        who = ("covariance", cov.matrix.tobytes()) if cov is not None else id(functional)
+        omega_bytes = None if omega is None else omega.rho.tobytes()
+        keys.append((who, n, budget, omega_bytes, seed))
+        return real(functional, n, dim, budget, omega, seed, *rest)
+
+    monkeypatch.setattr(fluctuations, "_search", record)
+    return keys
+
+
+def test_bounds_runs_each_search_once(tmp_path, capsys, monkeypatch):
+    """Degrees 2, 3, 4 make 3 plain and 5 centered searches (k = 0..4); the
+    scalar pair and each of 3 random pairs make 3 norm searches: 20 in all."""
+    keys = _record_searches(monkeypatch)
+    cfg = write_config(tmp_path, {**BOUNDS_ALL_CHECKS, "random_pairs": 3, "seed": 2})
+    code, _, err = run(["bounds", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert len(set(keys)) == len(keys) == 3 + 5 + 3 * (1 + 3)
+
+
+def test_bounds_seminorm_degree_guard_before_search(tmp_path, capsys, monkeypatch):
+    keys = _record_searches(monkeypatch)
+    doc = {**BOUNDS_ALL_CHECKS, "seminorm_degrees": [2, 7]}
+    code, out, err = run(["bounds", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "ERR 3: cost guard 'seminorm comparison degree': degree 7 exceeds 6\n"
+    assert keys == []
+
+
+@pytest.mark.parametrize(
+    "checks", [["wick-difference"], BOUNDS_ALL_CHECKS["checks"]]
+)
+def test_random_pairs_guard_exits_three(tmp_path, capsys, monkeypatch, checks):
+    """Each random pair runs three searches, so a huge count is refused
+    before any check runs, whichever checks come before it."""
+    keys = _record_searches(monkeypatch)
+    too_many = RANDOM_PAIRS_GUARD + 1
+    doc = {**BOUNDS_ALL_CHECKS, "checks": checks, "random_pairs": too_many}
+    code, out, err = run(["bounds", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"ERR 3: cost guard 'random pairs': random_pairs = {too_many} exceeds 1000\n"
+    )
+    assert keys == []
 
 
 def test_bounds_rejects_unknown_check(tmp_path, capsys):

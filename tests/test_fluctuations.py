@@ -67,6 +67,7 @@ from flab.fluctuations import (
     ccr_decay_table,
     check_search_draws,
     induced_moment_table,
+    seminorm_comparison_table,
 )
 from flab.gaussian import _CovariancePairFunctional, covariance_from_state
 
@@ -580,6 +581,43 @@ def test_seminorm_comparison_chain():
         assert chk.passed
         assert chk.nu_omega <= chk.nu + 1e-9
         assert chk.nu <= chk.rhs + 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["product", "markov"]),
+    degrees=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4),
+    budget=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_seminorm_comparison_table_rows_equal_per_degree_checks(kind, degrees, budget, seed):
+    """Each row of the table equals the one-degree check field for field."""
+    F, omega = _search_case(kind, 2, np.random.default_rng(seed))
+    search_seed = seed % 1000
+    rows = seminorm_comparison_table(F, degrees, omega, search_budget=budget, seed=search_seed)
+    assert len(rows) == len(degrees)
+    for n, row in zip(degrees, rows):
+        assert row == seminorm_comparison_check(
+            F, n, omega, search_budget=budget, seed=search_seed
+        )
+
+
+def test_seminorm_comparison_table_searches_each_degree_once(monkeypatch):
+    """nu_n once per degree, then nu_k^omega once per k <= max degree."""
+    calls = []
+    real = fluctuations._search
+
+    def record(functional, n, dim, budget, omega, seed, *rest):
+        calls.append((n, omega is None, seed))
+        return real(functional, n, dim, budget, omega, seed, *rest)
+
+    monkeypatch.setattr(fluctuations, "_search", record)
+    rho = SiteState(np.diag([0.75, 0.25]))
+    ps = ProductState(rho)
+    F = InducedMomentFunctional(ps, Region(ps.metric, range(6)))
+    seminorm_comparison_table(F, [2, 4, 3], rho, search_budget=2, seed=10)
+    plain = [(n, True, 10) for n in (2, 4, 3)]
+    assert calls == plain + [(k, False, 11 + k) for k in range(5)]
 
 
 # =============================================================================

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import wick_recursive
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flab import (
     CostGuardError,
@@ -32,6 +34,8 @@ from flab import (
     wick_difference_bound_check,
     wick_moment,
 )
+from flab import fluctuations
+from flab.gaussian import wick_difference_bound_table
 
 RNG = np.random.default_rng(1618)
 
@@ -250,6 +254,47 @@ def test_difference_bound_random_pairs():
             )
             assert chk.passed, (idx, n)
             assert chk.lhs <= chk.rhs_padded + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    budget=st.integers(min_value=0, max_value=8),
+)
+def test_difference_table_rows_equal_per_word_checks(seed, budget):
+    """Each row of the table equals the one-word check field for field."""
+    rng = np.random.default_rng(seed)
+    ca = covariance_from_state(random_density(rng, 2))
+    cb = covariance_from_state(random_density(rng, 2))
+    words = [
+        tuple(random_hermitian_unit(rng, 2) for _ in range(n)) for n in (2, 4, 2)
+    ]
+    search_seed = seed % 1000
+    rows = wick_difference_bound_table(ca, cb, words, search_budget=budget, seed=search_seed)
+    assert len(rows) == len(words)
+    for word, row in zip(words, rows):
+        assert row == wick_difference_bound_check(
+            ca, cb, word, search_budget=budget, seed=search_seed
+        )
+
+
+def test_difference_table_validates_every_word_before_searching(monkeypatch):
+    """A bad word anywhere in the table raises before any norm search."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before validating the words")
+
+    monkeypatch.setattr(fluctuations, "_search", no_search)
+    cov = covariance_from_state(random_density(RNG, 2))
+    cases = [
+        ([(SX, SY), (SX,) * 3], ValueError, "even positive degree"),
+        ([(SX, SY), (SX,) * 10], CostGuardError, "degree 10 exceeds 8"),
+        ([(SX, SY), (SX, SiteOperator(np.zeros((2, 2))))], ValueError, "zero operator"),
+    ]
+    for words, exc, match in cases:
+        with pytest.raises(exc, match=match):
+            wick_difference_bound_table(cov, cov, words)
+    assert wick_difference_bound_table(cov, cov, []) == []
 
 
 def test_difference_bound_vanishes_on_equal_covariances():

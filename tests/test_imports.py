@@ -15,6 +15,7 @@ PINNED_FOR_TRACING = {
     ("fluctuations", "product_moment"),
     ("cli", "induced_moment"),
     ("cli", "ccr_decay_check"),
+    ("cli", "wick_difference_bound_check"),
     ("gaussian", "hs_coefficients"),
 }
 
