@@ -23,7 +23,13 @@ import sys
 import numpy as np
 
 from .algebra import SX, SY, SZ, SiteOperator, identity, op_norm
-from .cluster import DECOMPOSITION_TOL, b_hat_bound, b_n_quantity, decomposition_check
+from .cluster import (
+    DECOMPOSITION_TOL,
+    b_hat_bound,
+    b_n_quantity,
+    check_correction_tuples,
+    decomposition_check,
+)
 from .combinatorics import MAX_Q_INDEX, q_sequence
 from .errors import ConfigError, CostGuardError, json_int
 from .fluctuations import (
@@ -32,6 +38,7 @@ from .fluctuations import (
     InducedMomentFunctional,
     ccr_decay_check,  # no caller here; bench/tracing.py wraps this name
     ccr_decay_table,
+    check_tuple_sum,
     induced_moment,  # no caller here; bench/tracing.py wraps this name
     induced_moment_table,
     seminorm_comparison_table,
@@ -49,6 +56,8 @@ from .states import CircuitState, GlobalState, parse_matrix, random_density, sta
 _NAMED_OPS = {"I": None, "X": SX, "Y": SY, "Z": SZ}
 # each random pair of the wick-difference check runs three norm searches
 RANDOM_PAIRS_GUARD = 1000
+# the counting check takes every radius 0..counting_max_r
+COUNTING_RADIUS_GUARD = 1000
 
 
 def _err(code: int, message: str) -> None:
@@ -245,6 +254,10 @@ def run_cluster_verify(cfg: dict, seed: int) -> tuple:
     degrees = _config_ints(cfg, "degrees", [2, 3, 4], 1)
     op = _parse_operator(cfg.get("op", "Z"), state.site_dim)
     _homogeneous_restriction(state)
+    # every row's tuple guard trips before any region is built or row runs
+    for size in sizes:
+        for n in degrees:
+            check_correction_tuples(size, n)
 
     rows = []
     ok = True
@@ -258,12 +271,21 @@ def run_cluster_verify(cfg: dict, seed: int) -> tuple:
     return text, None if ok else failure
 
 
+def _counting_max_r(cfg: dict) -> int:
+    max_r = _config_int(cfg, "counting_max_r", 3, 0)
+    if max_r > COUNTING_RADIUS_GUARD:
+        raise CostGuardError(
+            "counting radii", f"counting_max_r = {max_r} exceeds {COUNTING_RADIUS_GUARD}"
+        )
+    return max_r
+
+
 def _counting_checks(cfg: dict, seed: int) -> list[dict]:
     sizes = _config_ints(cfg, "counting_sizes", [6, 10, 14], 1)
     max_k = _config_int(cfg, "counting_max_k", 4, 2)
     if max_k > MAX_Q_INDEX:
         raise ConfigError(f"'counting_max_k' must be at most {MAX_Q_INDEX}, got {max_k}")
-    max_r = _config_int(cfg, "counting_max_r", 3, 0)
+    max_r = _counting_max_r(cfg)
     metric = chain_metric(1.0)
     out = []
     for size in sizes:
@@ -295,10 +317,17 @@ def _weight_sum_checks(cfg: dict, seed: int) -> list[dict]:
     return out
 
 
-def _seminorm_checks(cfg: dict, seed: int) -> list[dict]:
-    state = _load_state(cfg)
+def _seminorm_keys(cfg: dict) -> tuple:
+    """'seminorm_size' and 'seminorm_degrees', once the largest degree passes the tuple guard."""
     size = _config_int(cfg, "seminorm_size", 6, 1)
     degrees = _config_ints(cfg, "seminorm_degrees", [2, 3], 0)
+    check_tuple_sum(size, max(degrees))
+    return size, degrees
+
+
+def _seminorm_checks(cfg: dict, seed: int) -> list[dict]:
+    state = _load_state(cfg)
+    size, degrees = _seminorm_keys(cfg)
     budget = _config_int(cfg, "search_budget", 8, 0)
     omega = _homogeneous_restriction(state)
     functional = InducedMomentFunctional(state, _segment(state, size))
@@ -349,6 +378,12 @@ _BOUNDS_CHECKS = {
     "seminorm-comparison": _seminorm_checks,
     "wick-difference": _wick_difference_checks,
 }
+# the cost guards that a check's keys decide, each read from the config alone
+_BOUNDS_GUARDS = {
+    "counting": _counting_max_r,
+    "seminorm-comparison": _seminorm_keys,
+    "wick-difference": _random_pairs,
+}
 
 
 def run_bounds(cfg: dict, seed: int) -> tuple:
@@ -360,8 +395,9 @@ def run_bounds(cfg: dict, seed: int) -> tuple:
     for name in selected:
         if name not in known:
             raise ConfigError(f"unknown bounds check {name!r}")
-    if "wick-difference" in selected:
-        _random_pairs(cfg)  # the pair guard trips before any check runs
+    for name, guard in _BOUNDS_GUARDS.items():
+        if name in selected:
+            guard(cfg)  # every key guard trips before any check runs
     records = []
     for name, checks in _BOUNDS_CHECKS.items():
         if name in selected:

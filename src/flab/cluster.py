@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,6 +52,8 @@ from .states import Assignment, GlobalState, correlator
 
 PRODUCT_PART_MAX_DEGREE = 8
 CORRECTION_TUPLE_GUARD = 10**7
+# (subset, partition) rows per expect_rows call; the guard admits millions of rows
+_CORRECTION_ROW_BUDGET = 256
 CENTERED_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-9
 EXPANSION_TOL = 1e-10
@@ -116,6 +119,12 @@ class ProductPartFunctional:
         return product_moment_batch(self.omega.rho, self.size, stack)
 
 
+def check_correction_tuples(size: int, n: int, guard: str = "correction tuple sum") -> None:
+    """Refuse a sum over the |X|^n site tuples above CORRECTION_TUPLE_GUARD."""
+    if float(size) ** n > CORRECTION_TUPLE_GUARD:
+        raise CostGuardError(guard, f"|X|^n = {size}^{n} exceeds {CORRECTION_TUPLE_GUARD}")
+
+
 def f_correction_moment(
     state: GlobalState, region: Region, word: Sequence[SiteOperator]
 ) -> complex:
@@ -127,43 +136,67 @@ def f_correction_moment(
     expectations) times (truncated correlation of the tail) telescopes
     exactly, so adding the factorized moment reproduces the direct one
     up to rounding.
+
+    The subsets of each block count m stream in chunks of at most
+    _CORRECTION_ROW_BUDGET (subset, partition) rows, and each tail of a
+    chunk is one ``expect_rows`` call. The terms are summed in the order
+    (m, subset, partition, split point), their complex products taken
+    as real float operations, so every bit equals the scalar loop's.
     """
     word = tuple(word)
     n = len(word)
     if n < 1:
         raise ValueError("correction needs a word of degree >= 1")
     size = len(region)
-    if float(size) ** n > CORRECTION_TUPLE_GUARD:
-        raise CostGuardError(
-            "correction tuple sum",
-            f"|X|^n = {size}^{n} exceeds {CORRECTION_TUPLE_GUARD}",
-        )
+    check_correction_tuples(size, n)
     omega = state.single_site_restriction()
     _require_centered(omega, word)
     metric = region.metric
     sites = region.sorted_sites()
+    d = state.site_dim
+    blocks = {}  # block of word slots -> (its operator matrix, its single-site expectation)
     acc = KahanSum()
     for m in range(2, min(n, size) + 1):
-        # the block operators and their singles depend on the partition only
-        ops = [
-            [ordered_product([word[i - 1] for i in block]) for block in part]
-            for part in ordered_partitions(m, n)
-        ]
-        singles = [[site_expect(omega, op) for op in row] for row in ops]
-        stack = np.array([[op.mat for op in row] for row in ops])
-        for sub in itertools.combinations(sites, m):
-            enum = spread_optimal_enumeration(Region(metric, sub))
-            # tails[k - 1][p]: the tail from position k on, for every partition p
-            tails = [
-                state.expect_batch(enum[k - 1 :], stack[:, k - 1 :]).tolist()
-                for k in range(1, m + 1)
-            ]
-            for p, single in enumerate(singles):
-                prefix = complex(1.0)
-                for k in range(1, m):
-                    acc.add(prefix * (tails[k - 1][p] - single[k - 1] * tails[k][p]))
-                    prefix *= single[k - 1]
+        parts = ordered_partitions(m, n)
+        for block in {block for part in parts for block in part} - blocks.keys():
+            op = ordered_product([word[i - 1] for i in block])
+            blocks[block] = (op.mat, site_expect(omega, op))
+        stack = np.array([[blocks[block][0] for block in part] for part in parts])
+        singles = [[blocks[block][1] for block in part] for part in parts]
+        # prefixes[p, k - 1]: partition p's first k - 1 singles, multiplied from the left
+        prefixes = np.array(
+            [list(itertools.accumulate(r[:-2], operator.mul, initial=1.0 + 0j)) for r in singles]
+        )
+        singles = np.array(singles)[:, :-1]
+        subsets = itertools.combinations(sites, m)
+        per_chunk = max(1, _CORRECTION_ROW_BUDGET // len(parts))
+        while chunk := list(itertools.islice(subsets, per_chunk)):
+            enums = [spread_optimal_enumeration(Region(metric, sub)) for sub in chunk]
+            shape = (len(chunk), len(parts))
+            tails = []  # tails[k - 1]: the tail from position k on, (subset, partition)
+            for k in range(1, m + 1):
+                rows = [tail for tail in (enum[k - 1 :] for enum in enums) for _ in parts]
+                mats = np.broadcast_to(stack[:, k - 1 :], shape + (m - k + 1, d, d))
+                tails.append(state.expect_rows(rows, mats.reshape((-1, m - k + 1, d, d))))
+            acc.add_terms(*_telescoped_terms(tails, shape, singles, prefixes))
     return acc.value * float(size) ** (-n / 2.0)
+
+
+def _telescoped_terms(tails: list, shape: tuple, singles, prefixes) -> tuple:
+    """The terms prefix * (tail_k - single * tail_{k+1}) in (subset, partition, k) order.
+
+    Every complex product is taken as real float operations, so each term
+    rounds as Python complex arithmetic does. The real and imaginary
+    parts come back as memoryviews, which yield one float at a time: a
+    list of every term's float objects would lift the peak resident set.
+    """
+    tails = np.stack(tails, axis=-1).reshape(shape + (len(tails),))
+    tr, ti = tails.real, tails.imag
+    sr, si = singles.real, singles.imag
+    yr = tr[..., :-1] - (sr * tr[..., 1:] - si * ti[..., 1:])
+    yi = ti[..., :-1] - (sr * ti[..., 1:] + si * tr[..., 1:])
+    pr, pi = prefixes.real, prefixes.imag
+    return memoryview((pr * yr - pi * yi).ravel()), memoryview((pr * yi + pi * yr).ravel())
 
 
 class CorrectionFunctional:
@@ -260,11 +293,7 @@ def b_n_quantity(region: Region, n: int) -> float:
     if n < 1:
         raise ValueError("degree must be positive")
     size = len(region)
-    if float(size) ** n > CORRECTION_TUPLE_GUARD:
-        raise CostGuardError(
-            "weight-sum enumeration",
-            f"|X|^n = {size}^{n} exceeds {CORRECTION_TUPLE_GUARD}",
-        )
+    check_correction_tuples(size, n, "weight-sum enumeration")
     if size == 1:
         return 0.0
     metric = region.metric

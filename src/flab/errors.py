@@ -59,21 +59,28 @@ class KahanSum:
         self._ci = 0.0
 
     def add(self, z: complex) -> None:
-        zr = z.real
-        zi = z.imag
-        t = self._sr + zr
-        if abs(self._sr) >= abs(zr):
-            self._cr += (self._sr - t) + zr
-        else:
-            self._cr += (zr - t) + self._sr
-        self._sr = t
-        t = self._si + zi
-        if abs(self._si) >= abs(zi):
-            self._ci += (self._si - t) + zi
-        else:
-            self._ci += (zi - t) + self._si
-        self._si = t
+        self.add_terms((z.real,), (z.imag,))
+
+    def add_terms(self, reals, imags) -> None:
+        """Add the terms reals[i] + 1j * imags[i] in index order, as ``add`` would.
+
+        ``reals`` and ``imags`` are iterables of floats of one length.
+        """
+        self._sr, self._cr = _neumaier(self._sr, self._cr, reals)
+        self._si, self._ci = _neumaier(self._si, self._ci, imags)
 
     @property
     def value(self) -> complex:
         return complex(self._sr + self._cr, self._si + self._ci)
+
+
+def _neumaier(total: float, comp: float, terms) -> tuple:
+    """Neumaier's step over ``terms`` from the running sum and compensation."""
+    for z in terms:
+        t = total + z
+        if abs(total) >= abs(z):
+            comp += (total - t) + z
+        else:
+            comp += (z - t) + total
+        total = t
+    return total, comp

@@ -11,8 +11,9 @@ Three state families, sharing one query interface:
 
 An expectation query takes a map from sites to single-site operators and
 returns the expectation of the corresponding tensor product. Each family
-implements only ``expect_batch``, which answers N such queries over the
-same sites at once; ``expect`` is a batch of one.
+implements only ``expect_rows``, which answers N such queries at once,
+each row over its own sites; ``expect_batch`` (N rows over the same
+sites) and ``expect`` (one row) are wrappers over it.
 Truncated pair correlations are exposed through ``correlator`` with the
 distance reweighting e^{+d} applied, and ``estimate_G0`` reports a
 certified lower bound on the decay constant sup over separated pairs.
@@ -82,13 +83,24 @@ class GlobalState:
     def expect(self, ops: Dict) -> complex:
         """Expectation of one tensor product: a batch of one row."""
         self._check_query(list(ops), [op.dim for op in ops.values()])
-        return complex(self.expect_batch(list(ops), [[op.mat for op in ops.values()]])[0])
+        return complex(self.expect_rows([tuple(ops)], [[op.mat for op in ops.values()]])[0])
 
     def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
         """Expectations of N tensor products over the same sites.
 
         ``mats`` has shape (N, len(sites), d, d); row i assigns
-        mats[i, j] to sites[j].
+        mats[i, j] to sites[j]. This is ``expect_rows`` with every row
+        ``sites``.
+        """
+        return self.expect_rows([tuple(sites)] * len(mats), mats)
+
+    def expect_rows(self, rows: Sequence[tuple], mats) -> np.ndarray:
+        """Expectations of N tensor products, each over its own sites.
+
+        ``mats`` has shape (N, L, d, d); row i assigns mats[i, j] to
+        rows[i][j], so rows may differ in their sites and in their order.
+        The row list is separate from ``expect_batch``'s site list because
+        a grid site is itself a tuple.
         """
         raise NotImplementedError
 
@@ -120,18 +132,25 @@ class GlobalState:
                     f"operator dimension {dim} does not match site dimension {self.site_dim}"
                 )
 
-    def _check_batch(self, sites: Sequence, mats) -> np.ndarray:
+    def _check_rows(self, rows: Sequence, mats) -> tuple:
+        """``mats`` as a complex array, the distinct rows, and each row's place among them.
+
+        Each distinct row is checked once, as a query of its own.
+        """
         mats = np.asarray(mats, dtype=complex)
-        if sites and (
-            mats.ndim != 4 or mats.shape[1] != len(sites) or mats.shape[2] != mats.shape[3]
+        place = {row: None for row in map(tuple, rows)}
+        if mats.ndim != 4 or mats.shape[0] != len(rows) or mats.shape[2] != mats.shape[3] or any(
+            len(row) != mats.shape[1] for row in place
         ):
             raise ValueError(
-                f"operator stack of shape {mats.shape} does not fit {len(sites)} sites"
+                f"operator stack of shape {mats.shape} does not fit {len(rows)} rows of sites"
             )
-        self._check_query(sites, [mats.shape[-1] for _ in sites])
-        if len(set(sites)) != len(sites):
-            raise ValueError("expectation sites must be distinct")
-        return mats
+        for k, row in enumerate(place):
+            self._check_query(row, [mats.shape[-1] for _ in row])
+            if len(set(row)) != len(row):
+                raise ValueError("expectation sites must be distinct")
+            place[row] = k
+        return mats, list(place), [place[row] for row in map(tuple, rows)]
 
 
 class _HomogeneousState(GlobalState):
@@ -165,20 +184,21 @@ class ProductState(_HomogeneousState):
         self.site_dim = site.dim
         self.metric = metric if metric is not None else chain_metric(1.0)
 
-    def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
-        """Per row, the product of the site traces in metric site order.
+    def expect_rows(self, rows: Sequence[tuple], mats) -> np.ndarray:
+        """Per row, the product of the site traces in the row's metric site order.
 
         The product is Python complex multiplication, row by row: numpy's
         vectorized complex multiply can differ from it in the last bit.
         """
-        mats = self._check_batch(sites, mats)
+        mats, distinct, pick = self._check_rows(rows, mats)
+        key = self.metric.site_key
+        orders = [sorted(range(len(row)), key=lambda j: key(row[j])) for row in distinct]
         traces = np.trace(self.site.rho @ mats, axis1=-2, axis2=-1).tolist()
-        order = sorted(range(len(sites)), key=lambda j: self.metric.site_key(sites[j]))
         out = []
-        for row in traces:
+        for k, values in zip(pick, traces):
             value = complex(1.0, 0.0)
-            for j in order:
-                value *= row[j]
+            for j in orders[k]:
+                value *= values[j]
             out.append(value)
         return np.array(out, dtype=complex)
 
@@ -255,20 +275,34 @@ class MarkovState(_HomogeneousState):
                 self._powers[k] = power
         return power
 
-    def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
-        """One transfer sweep over the sorted sites for all N rows at once.
+    def expect_rows(self, rows: Sequence[tuple], mats) -> np.ndarray:
+        """One transfer sweep for all N rows, each over its own sorted sites.
 
-        Each row's vector steps as (T^g @ v[..., None])[..., 0], which is
-        bit-identical to the one-vector T^g @ v; T^g @ V.T is not.
+        Row i steps from one of its sites to the next by the gap's power,
+        gathered from a stack of T^g over the distinct gaps only, as
+        (T^g @ v[..., None])[..., 0], which is bit-identical to the
+        one-vector T^g @ v; T^g @ V.T is not. Each distinct row's order
+        and gaps are taken once, in Python.
         """
-        mats = self._check_batch(sites, mats)
-        v = np.broadcast_to(self.pi.astype(complex), (len(mats), self.site_dim))
-        prev = None
-        for j in sorted(range(len(sites)), key=lambda j: sites[j]):
-            if prev is not None:
-                v = (self.transition_power(sites[j] - prev) @ v[..., None])[..., 0]
-            v = np.diagonal(mats[:, j], axis1=-2, axis2=-1) * v
-            prev = sites[j]
+        mats, distinct, pick = self._check_rows(rows, mats)
+        orders, gaps = [], []
+        for row in distinct:
+            order = sorted(range(len(row)), key=row.__getitem__)
+            orders.append(order)
+            gaps.append([row[b] - row[a] for a, b in zip(order, order[1:])])
+        slot = {g: k for k, g in enumerate({g for row_gaps in gaps for g in row_gaps})}
+        d, width = self.site_dim, mats.shape[1]
+        powers = np.array([self.transition_power(g) for g in slot]).reshape(-1, d, d)
+        order = np.array(orders, dtype=np.intp).reshape(len(distinct), width)[pick]
+        step = [[slot[g] for g in row_gaps] for row_gaps in gaps]
+        step = np.array(step, dtype=np.intp).reshape(len(distinct), max(width - 1, 0))[pick]
+        diagonals = np.diagonal(mats, axis1=-2, axis2=-1)
+        every = np.arange(len(pick))
+        v = np.broadcast_to(self.pi.astype(complex), (len(pick), d))
+        for j in range(width):
+            if j:
+                v = (powers[step[:, j - 1]] @ v[..., None])[..., 0]
+            v = diagonals[every, order[:, j]] * v
         return v.sum(axis=1)
 
 
@@ -361,13 +395,13 @@ class CircuitState(GlobalState):
         """omega(A) from phi = A applied to ``tensor``: <psi|phi>."""
         return complex(np.vdot(self.tensor.reshape(-1), phi.reshape(-1)))
 
-    def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
-        """Per row, the site operators applied to ``tensor`` in the given order."""
-        mats = self._check_batch(sites, mats)
+    def expect_rows(self, rows: Sequence[tuple], mats) -> np.ndarray:
+        """Per row, the row's site operators applied to ``tensor`` in the given order."""
+        mats, distinct, pick = self._check_rows(rows, mats)
         out = []
-        for row in mats:
+        for k, row in zip(pick, mats):
             phi = self.tensor
-            for x, a in zip(sites, row):
+            for x, a in zip(distinct[k], row):
                 phi = _apply_site(phi, a, x)
             out.append(self.close(phi))
         return np.array(out, dtype=complex)

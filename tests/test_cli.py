@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flab.cli import RANDOM_PAIRS_GUARD, main
+from flab.cli import COUNTING_RADIUS_GUARD, RANDOM_PAIRS_GUARD, main
 
 PRODUCT_GROUND = {"kind": "product", "rho": [[1.0, 0.0], [0.0, 0.0]]}
 PRODUCT_TILTED = {"kind": "product", "rho": [[0.75, 0.0], [0.0, 0.25]]}
@@ -340,6 +340,81 @@ def test_random_pairs_guard_exits_three(tmp_path, capsys, monkeypatch, checks):
         f"ERR 3: cost guard 'random pairs': random_pairs = {too_many} exceeds 1000\n"
     )
     assert keys == []
+
+
+def _refuse_work(monkeypatch, *names):
+    """Make each named ``flab.cli`` function record its call and raise."""
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran before the guard")
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(f"flab.cli.{name}", refuse(name))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "checks", [["seminorm-comparison"], BOUNDS_ALL_CHECKS["checks"]]
+)
+def test_bounds_seminorm_size_guard_before_region(tmp_path, capsys, monkeypatch, checks):
+    """A huge seminorm_size trips the tuple guard at its largest degree
+    before any check runs and before its region is built."""
+    calls = _refuse_work(monkeypatch, "_segment", "Region", "count_subsets_with_spread")
+    doc = {**BOUNDS_ALL_CHECKS, "checks": checks, "seminorm_size": 10**9}
+    code, out, err = run(["bounds", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "ERR 3: cost guard 'induced-moment tuple sum': "
+        "|X|^n = 1000000000^4 exceeds 100000000\n"
+    )
+    assert calls == []
+
+
+@pytest.mark.parametrize("checks", [["counting"], BOUNDS_ALL_CHECKS["checks"]])
+def test_counting_radius_guard_exits_three(tmp_path, capsys, monkeypatch, checks):
+    """counting_max_r above its guard is refused before any radius is counted."""
+    calls = _refuse_work(monkeypatch, "_segment", "Region", "count_subsets_with_spread")
+    doc = {**BOUNDS_ALL_CHECKS, "checks": checks, "counting_max_r": 10**9}
+    code, out, err = run(["bounds", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "ERR 3: cost guard 'counting radii': counting_max_r = 1000000000 exceeds 1000\n"
+    )
+    assert calls == []
+
+
+def test_counting_radius_guard_admits_its_limit(tmp_path, capsys):
+    doc = {
+        "checks": ["counting"],
+        "counting_sizes": [3],
+        "counting_max_k": 2,
+        "counting_max_r": COUNTING_RADIUS_GUARD,
+    }
+    code, out, err = run(["bounds", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["checks"]) == COUNTING_RADIUS_GUARD + 1
+
+
+def test_cluster_verify_guard_before_any_row(tmp_path, capsys, monkeypatch):
+    """Every (size, degree) passes the correction guard before any region
+    is built or any row runs, so the huge last size is refused at once."""
+    calls = _refuse_work(monkeypatch, "_segment", "decomposition_check")
+    doc = {"state": MARKOV_STD, "sizes": [2, 4, 10**9], "degrees": [2, 3]}
+    code, out, err = run(["cluster-verify", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "ERR 3: cost guard 'correction tuple sum': "
+        "|X|^n = 1000000000^2 exceeds 10000000\n"
+    )
+    assert calls == []
 
 
 def test_bounds_rejects_unknown_check(tmp_path, capsys):

@@ -9,6 +9,7 @@ from conftest import random_gapped_transition
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flab import cluster
 from flab import (
     Assignment,
     CircuitState,
@@ -382,3 +383,27 @@ def test_correction_matches_tail_loop_bit_for_bit(family, d, n, seed):
     got = f_correction_moment(state, region, word)
     want = _f_correction_loop(state, region, word)
     assert got == want, (family, region.sites, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["markov", "product", "circuit-pure", "circuit-mixed"]),
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_correction_does_not_depend_on_row_budget(family, d, n, seed):
+    """One subset per sweep and every subset in one sweep give the same bits."""
+    rng = np.random.default_rng(seed)
+    state, region = _correction_case(family, d, rng)
+    omega = state.single_site_restriction()
+    word = tuple(
+        center(SiteOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))), omega)
+        for _ in range(n)
+    )
+    got = []
+    for budget in (1, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cluster, "_CORRECTION_ROW_BUDGET", budget)
+            got.append(f_correction_moment(state, region, word))
+    assert got[0] == got[1] == _f_correction_loop(state, region, word), (family, region.sites)

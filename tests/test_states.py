@@ -306,6 +306,84 @@ def test_expect_batch_raises_expect_errors():
         mk.expect_batch([0, 1], np.zeros((1, 3, 2, 2)))
 
 
+def _row_state(family, d, rng):
+    """A state, a site pool the state accepts, and a per-row reference query."""
+    if family == "markov":
+        mk = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
+        pool = (np.cumsum(rng.integers(1, 5, size=7)) - int(rng.integers(0, 4))).tolist()
+        return mk, pool, lambda ops: _markov_expect_loop(mk, ops)
+    if family in ("product-chain", "product-grid"):
+        if family == "product-chain":
+            metric, pool = chain_metric(1.0), list(range(-4, 8))
+        else:
+            metric, pool = grid2d_metric(1.0), [(i, j) for i in range(-1, 3) for j in range(3)]
+        ps = ProductState(random_density(rng, d), metric)
+        return ps, pool, lambda ops: _product_expect_loop(
+            ps, {x: SiteOperator(a) for x, a in ops.items()}
+        )
+    base = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d))
+    if family == "circuit-mixed":
+        base = random_density(rng, d)
+    length = 5 if d == 2 else 3
+    gate = random_unitary(rng, d * d)
+    circ = CircuitState(base, length, [(0, gate), (1, gate)])
+    return circ, list(range(length)), lambda ops: _circuit_expect_loop(
+        circ, {x: SiteOperator(a) for x, a in ops.items()}
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(
+        ["markov", "product-chain", "product-grid", "circuit-pure", "circuit-mixed"]
+    ),
+    d=st.sampled_from([2, 3]),
+    width=st.integers(min_value=1, max_value=3),
+    count=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_expect_rows_equal_row_by_row(family, d, width, count, seed):
+    """Rows over differing sites, in differing orders, each equal their own
+    one-row query and the family's scalar reference, bit for bit."""
+    rng = np.random.default_rng(seed)
+    state, pool, reference = _row_state(family, d, rng)
+    rows = [tuple(pool[i] for i in rng.permutation(len(pool))[:width]) for _ in range(count)]
+    mats = rng.normal(size=(count, width, d, d)) + 1j * rng.normal(size=(count, width, d, d))
+    got = state.expect_rows(rows, mats)
+    assert got.shape == (count,)
+    for row, row_mats, value in zip(rows, mats, got):
+        ops = dict(zip(row, row_mats))
+        assert value == state.expect({x: SiteOperator(a) for x, a in ops.items()})
+        assert value == reference(ops)
+
+
+def test_markov_rows_stack_only_their_gaps(monkeypatch):
+    """A sparse region asks for the powers of its distinct gaps only."""
+    mk = MarkovState(T_STD, alpha=0.4)
+    asked = []
+    power = mk.transition_power
+    monkeypatch.setattr(mk, "transition_power", lambda g: asked.append(g) or power(g))
+    rows = [(0, 3, 10**5), (10**5, 0, 3), (3, 10**5, 0)]
+    mats = np.stack([np.stack([SZ.mat, SX.mat + SZ.mat, SI.mat])] * 3)
+    got = mk.expect_rows(rows, mats)
+    assert sorted(asked) == [3, 10**5 - 3]
+    for row, row_mats, value in zip(rows, mats, got):
+        assert value == _markov_expect_loop(mk, dict(zip(row, row_mats)))
+
+
+def test_expect_rows_checks_every_row():
+    mk = MarkovState(T_STD, alpha=0.4)
+    mats = np.zeros((2, 2, 2, 2))
+    with pytest.raises(ValueError, match="distinct"):
+        mk.expect_rows([(0, 1), (2, 2)], mats)
+    with pytest.raises(ValueError, match="outside the state's domain"):
+        mk.expect_rows([(0, 1), (2, 1.5)], mats)
+    with pytest.raises(ValueError, match="does not fit"):
+        mk.expect_rows([(0, 1), (2, 3, 4)], mats)
+    with pytest.raises(ValueError, match="does not fit"):
+        mk.expect_rows([(0, 1)], mats)
+
+
 # =============================================================================
 # Circuit states
 # =============================================================================
