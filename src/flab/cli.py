@@ -16,6 +16,7 @@ checks that ran and failed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -50,7 +51,13 @@ from .gaussian import (
     wick_difference_bound_table,
     wick_moment,
 )
-from .lattice import Region, ball_count, chain_metric, count_subsets_with_spread
+from .lattice import (
+    Region,
+    ball_count,
+    chain_metric,
+    check_subset_enumeration,
+    count_subsets_with_spread,
+)
 from .states import CircuitState, GlobalState, parse_matrix, random_density, state_from_json
 
 _NAMED_OPS = {"I": None, "X": SX, "Y": SY, "Z": SZ}
@@ -271,21 +278,24 @@ def run_cluster_verify(cfg: dict, seed: int) -> tuple:
     return text, None if ok else failure
 
 
-def _counting_max_r(cfg: dict) -> int:
+def _counting_keys(cfg: dict) -> tuple:
+    """The counting keys, once the radius guard and every (size, k) subset guard pass."""
     max_r = _config_int(cfg, "counting_max_r", 3, 0)
     if max_r > COUNTING_RADIUS_GUARD:
         raise CostGuardError(
             "counting radii", f"counting_max_r = {max_r} exceeds {COUNTING_RADIUS_GUARD}"
         )
-    return max_r
-
-
-def _counting_checks(cfg: dict, seed: int) -> list[dict]:
     sizes = _config_ints(cfg, "counting_sizes", [6, 10, 14], 1)
     max_k = _config_int(cfg, "counting_max_k", 4, 2)
     if max_k > MAX_Q_INDEX:
         raise ConfigError(f"'counting_max_k' must be at most {MAX_Q_INDEX}, got {max_k}")
-    max_r = _counting_max_r(cfg)
+    for size, k in itertools.product(sizes, range(2, max_k + 1)):
+        check_subset_enumeration(size, k)
+    return sizes, max_k, max_r
+
+
+def _counting_checks(cfg: dict, seed: int, keys: tuple) -> list[dict]:
+    sizes, max_k, max_r = keys
     metric = chain_metric(1.0)
     out = []
     for size in sizes:
@@ -303,9 +313,17 @@ def _counting_checks(cfg: dict, seed: int) -> list[dict]:
     return out
 
 
-def _weight_sum_checks(cfg: dict, seed: int) -> list[dict]:
+def _weight_keys(cfg: dict) -> tuple:
+    """'weight_sizes' and 'weight_degrees', once every (size, n) passes the tuple guard."""
     sizes = _config_ints(cfg, "weight_sizes", [4, 8], 1)
     degrees = _config_ints(cfg, "weight_degrees", [2, 3], 1)
+    for size, n in itertools.product(sizes, degrees):
+        check_correction_tuples(size, n, "weight-sum enumeration")
+    return sizes, degrees
+
+
+def _weight_sum_checks(cfg: dict, seed: int, keys: tuple) -> list[dict]:
+    sizes, degrees = keys
     metric = chain_metric(1.0)
     out = []
     for size in sizes:
@@ -325,9 +343,9 @@ def _seminorm_keys(cfg: dict) -> tuple:
     return size, degrees
 
 
-def _seminorm_checks(cfg: dict, seed: int) -> list[dict]:
+def _seminorm_checks(cfg: dict, seed: int, keys: tuple) -> list[dict]:
     state = _load_state(cfg)
-    size, degrees = _seminorm_keys(cfg)
+    size, degrees = keys
     budget = _config_int(cfg, "search_budget", 8, 0)
     omega = _homogeneous_restriction(state)
     functional = InducedMomentFunctional(state, _segment(state, size))
@@ -348,7 +366,7 @@ def _random_pairs(cfg: dict) -> int:
     return pairs
 
 
-def _wick_difference_checks(cfg: dict, seed: int) -> list[dict]:
+def _wick_difference_checks(cfg: dict, seed: int, pairs: int) -> list[dict]:
     budget = _config_int(cfg, "search_budget", 32, 0)
     out = []
     one = identity(1)
@@ -358,7 +376,6 @@ def _wick_difference_checks(cfg: dict, seed: int) -> list[dict]:
     for n, check in zip((2, 4), checks):
         out.append(_record(f"wick-difference scalar n={n}", check.lhs, check.rhs, check.passed))
     rng = np.random.default_rng(seed)
-    pairs = _random_pairs(cfg)
     word4 = (SX, SY, SZ, SX)
     for idx in range(pairs):
         ca = covariance_from_state(random_density(rng, 2))
@@ -371,18 +388,13 @@ def _wick_difference_checks(cfg: dict, seed: int) -> list[dict]:
     return out
 
 
-# in report order; each takes (cfg, seed) and returns its records
+# in report order: each check's key reader, which trips the cost guards that its
+# keys decide from the config alone, and the check, which takes (cfg, seed, keys)
 _BOUNDS_CHECKS = {
-    "counting": _counting_checks,
-    "weight-sum": _weight_sum_checks,
-    "seminorm-comparison": _seminorm_checks,
-    "wick-difference": _wick_difference_checks,
-}
-# the cost guards that a check's keys decide, each read from the config alone
-_BOUNDS_GUARDS = {
-    "counting": _counting_max_r,
-    "seminorm-comparison": _seminorm_keys,
-    "wick-difference": _random_pairs,
+    "counting": (_counting_keys, _counting_checks),
+    "weight-sum": (_weight_keys, _weight_sum_checks),
+    "seminorm-comparison": (_seminorm_keys, _seminorm_checks),
+    "wick-difference": (_random_pairs, _wick_difference_checks),
 }
 
 
@@ -395,13 +407,12 @@ def run_bounds(cfg: dict, seed: int) -> tuple:
     for name in selected:
         if name not in known:
             raise ConfigError(f"unknown bounds check {name!r}")
-    for name, guard in _BOUNDS_GUARDS.items():
-        if name in selected:
-            guard(cfg)  # every key guard trips before any check runs
+    # every key guard trips before any check runs
+    keys = {name: read(cfg) for name, (read, _) in _BOUNDS_CHECKS.items() if name in selected}
     records = []
-    for name, checks in _BOUNDS_CHECKS.items():
-        if name in selected:
-            records.extend(checks(cfg, seed))
+    for name, (_, checks) in _BOUNDS_CHECKS.items():
+        if name in keys:
+            records.extend(checks(cfg, seed, keys[name]))
     all_pass = all(r["pass"] for r in records)
     doc = {"experiment": "bounds", "checks": records, "all_pass": all_pass}
     failure = None if all_pass else "one or more bound checks failed"

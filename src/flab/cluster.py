@@ -68,19 +68,17 @@ def _require_centered(omega: SiteState, word: Sequence[SiteOperator]) -> None:
             )
 
 
-def _region_size(x) -> int:
-    if isinstance(x, Region):
-        return len(x)
-    size = int(x)
+def _checked_size(size: int) -> int:
+    size = int(size)
     if size < 1:
         raise ValueError("region size must be positive")
     return size
 
 
-def product_part_moment(omega: SiteState, x, word: Sequence[SiteOperator]) -> complex:
+def product_part_moment(omega: SiteState, size: int, word: Sequence[SiteOperator]) -> complex:
     """Induced moment the factorized state omega^X assigns to a centered word.
 
-    ``x`` may be a region or a plain size; only the site count enters.
+    ``size`` is the site count |X|, the only thing of X that enters.
     Uncentered input is refused, since the closed form groups tuples by
     block structure under the assumption that singleton blocks vanish in
     the decomposition bookkeeping downstream.
@@ -95,7 +93,7 @@ def product_part_moment(omega: SiteState, x, word: Sequence[SiteOperator]) -> co
             f"degree {n} exceeds {PRODUCT_PART_MAX_DEGREE}",
         )
     _require_centered(omega, word)
-    size = _region_size(x)
+    size = _checked_size(size)
     return product_moment(omega.rho, size, [a.mat for a in word])
 
 
@@ -260,8 +258,8 @@ def cluster_expansion_check(state: GlobalState, assignment: Assignment) -> Clust
     )
 
 
-def wick_defect_moment(omega: SiteState, x, word: Sequence[SiteOperator]) -> complex:
-    """Factorized moment minus its finite-size Wick value.
+def wick_defect_moment(omega: SiteState, size: int, word: Sequence[SiteOperator]) -> complex:
+    """Factorized moment minus its finite-size Wick value on ``size`` sites.
 
     For even degree the Wick moment of the single-site covariance is
     multiplied by prod_{l < n/2} (1 - l / |X|), the exact finite-size
@@ -270,7 +268,7 @@ def wick_defect_moment(omega: SiteState, x, word: Sequence[SiteOperator]) -> com
     """
     word = tuple(word)
     n = len(word)
-    size = _region_size(x)
+    size = _checked_size(size)
     pp = product_part_moment(omega, size, word)
     if n % 2 == 1:
         return pp
@@ -311,8 +309,6 @@ def b_n_quantity(region: Region, n: int) -> float:
                     (idx + 1 for idx, c in enumerate(comp) if c == 1), m + 1
                 )
                 kmax = min(m - 1, first_single)
-                if kmax < 1:
-                    continue
                 total += multinomial(comp) * sum(weights[:kmax])
     return total
 

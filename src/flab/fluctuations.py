@@ -91,16 +91,16 @@ def _moments_of(
     state: GlobalState,
     region: Region,
     words: Sequence[Sequence[SiteOperator]],
-    prefixes: Sequence[int] | None = None,
+    sizes: Sequence[int],
 ) -> np.ndarray:
     """Induced moments of equal-degree words, checked, by the state's engine.
 
-    Every engine gets the region's sites in sorted order. With
-    ``prefixes``, strictly ascending lengths k of those sorted sites, the
-    result has one row per k: the moments on the first k sites. Every k
-    passes the |X|^n guard, in ascending order, before any engine work.
+    Every engine gets the region's sites in sorted order. ``sizes`` are
+    strictly ascending lengths k of those sorted sites, and the result
+    has one row per k: the moments on the first k sites. Every k passes
+    the |X|^n guard, in ascending order, before any engine work.
     """
-    sizes = [len(region)] if prefixes is None else list(prefixes)
+    sizes = list(sizes)
     if not (
         sizes
         and 1 <= sizes[0]
@@ -143,7 +143,7 @@ def _moments_of(
             out = np.array([classified_moment(state, sites[:k], stack) for k in sizes])
         else:
             raise TypeError(f"no moment engine for state family {type(state).__name__}")
-    return out if prefixes is not None else out[0]
+    return out
 
 
 def induced_moment(state: GlobalState, region: Region, word: Sequence[SiteOperator]) -> complex:
@@ -229,7 +229,7 @@ class InducedMomentFunctional:
         return induced_moment(self.state, self.region, tuple(word))
 
     def batch(self, words: Sequence[Sequence[SiteOperator]]) -> np.ndarray:
-        return _moments_of(self.state, self.region, words)
+        return _moments_of(self.state, self.region, words, [len(self.region)])[0]
 
 
 def gamma_form(state, a: SiteOperator, b: SiteOperator, region: Region | None = None) -> complex:
@@ -693,29 +693,20 @@ def _search_table(
     return out
 
 
-def _search_dim(functional, dim: int | None) -> int:
-    """The given local dimension, else the functional's ``dim``."""
-    if dim is None:
-        dim = getattr(functional, "dim", None)
-    if dim is None:
-        raise ValueError("seminorm search needs the local dimension")
-    return int(dim)
-
-
 def seminorm_nu_estimate(
     functional,
     n: int,
     search_budget: int = 64,
-    dim: int | None = None,
     seed: int = 0,
 ) -> SeminormEstimate:
     """Lower bound on sup |F(a_1 (x) ... (x) a_n)| over unit-norm tuples.
 
     ``functional`` must be linear in each slot: the search ranks
-    candidates by contracting its values on basis words. The reported
-    value is a direct evaluation of the witness either way.
+    candidates by contracting its values on basis words. Its ``dim``
+    attribute is the local dimension of the search. The reported value
+    is a direct evaluation of the witness either way.
     """
-    return _search(functional, n, _search_dim(functional, dim), search_budget, None, seed)
+    return _search(functional, n, functional.dim, search_budget, None, seed)
 
 
 def seminorm_nu_omega_estimate(
@@ -723,18 +714,16 @@ def seminorm_nu_omega_estimate(
     n: int,
     omega,
     search_budget: int = 64,
-    dim: int | None = None,
     seed: int = 0,
 ) -> SeminormEstimate:
     """Same search restricted to directions centered against omega.
 
-    ``functional`` must be linear in each slot, as for
-    ``seminorm_nu_estimate``.
+    ``functional`` must be linear in each slot and carry the local
+    dimension as ``dim``, as for ``seminorm_nu_estimate``.
     """
-    dim = _search_dim(functional, dim)
     if not isinstance(omega, SiteState):
         omega = omega.single_site_restriction()
-    return _search(functional, n, dim, search_budget, omega, seed)
+    return _search(functional, n, functional.dim, search_budget, omega, seed)
 
 
 @dataclass

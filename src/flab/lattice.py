@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import CostGuardError, json_number
 
+SUBSET_ENUMERATION_GUARD = 2_000_000
+
 
 @dataclass(frozen=True)
 class Metric:
@@ -145,16 +147,6 @@ class Region:
 
     def __len__(self) -> int:
         return len(self.sites)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Region)
-            and self.metric == other.metric
-            and self.sites == other.sites
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.metric, self.sites))
 
     def sorted_sites(self) -> tuple:
         return tuple(sorted(self.sites, key=self.metric.site_key))
@@ -293,6 +285,15 @@ def spread_decomposition_witness(region: Region, r: float):
     return None
 
 
+def check_subset_enumeration(size: int, k: int) -> None:
+    """Refuse to enumerate more than SUBSET_ENUMERATION_GUARD k-subsets of size sites."""
+    total = math.comb(size, k)
+    if total > SUBSET_ENUMERATION_GUARD:
+        raise CostGuardError(
+            "subset-spread enumeration", f"{total} subsets exceeds the enumeration guard"
+        )
+
+
 def count_subsets_with_spread(region: Region, k: int, r: float) -> int:
     """Number of k-subsets of the region whose spread is at most r.
 
@@ -304,12 +305,7 @@ def count_subsets_with_spread(region: Region, k: int, r: float) -> int:
     n = len(region.sites)
     if k > n:
         return 0
-    total = math.comb(n, k)
-    if total > 2_000_000:
-        raise CostGuardError(
-            "subset-spread enumeration",
-            f"{total} subsets exceeds the enumeration guard",
-        )
+    check_subset_enumeration(n, k)
     spreads = _subset_spreads(region.metric, region.sorted_sites(), k)
     return int(np.count_nonzero(spreads <= r))
 

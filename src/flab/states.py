@@ -12,8 +12,7 @@ Three state families, sharing one query interface:
 An expectation query takes a map from sites to single-site operators and
 returns the expectation of the corresponding tensor product. Each family
 implements only ``expect_rows``, which answers N such queries at once,
-each row over its own sites; ``expect_batch`` (N rows over the same
-sites) and ``expect`` (one row) are wrappers over it.
+each row over its own sites; ``expect`` is a batch of one row.
 Truncated pair correlations are exposed through ``correlator`` with the
 distance reweighting e^{+d} applied, and ``estimate_G0`` reports a
 certified lower bound on the decay constant sup over separated pairs.
@@ -55,10 +54,6 @@ class Assignment:
         self.support = support
         self.ops = ops
 
-    @property
-    def dim(self) -> int:
-        return next(iter(self.ops.values())).dim
-
 
 @dataclass
 class CorrelatorValue:
@@ -85,26 +80,12 @@ class GlobalState:
         self._check_query(list(ops), [op.dim for op in ops.values()])
         return complex(self.expect_rows([tuple(ops)], [[op.mat for op in ops.values()]])[0])
 
-    def expect_batch(self, sites: Sequence, mats) -> np.ndarray:
-        """Expectations of N tensor products over the same sites.
-
-        ``mats`` has shape (N, len(sites), d, d); row i assigns
-        mats[i, j] to sites[j]. This is ``expect_rows`` with every row
-        ``sites``.
-        """
-        return self.expect_rows([tuple(sites)] * len(mats), mats)
-
     def expect_rows(self, rows: Sequence[tuple], mats) -> np.ndarray:
         """Expectations of N tensor products, each over its own sites.
 
         ``mats`` has shape (N, L, d, d); row i assigns mats[i, j] to
         rows[i][j], so rows may differ in their sites and in their order.
-        The row list is separate from ``expect_batch``'s site list because
-        a grid site is itself a tuple.
         """
-        raise NotImplementedError
-
-    def site_restriction(self, x) -> SiteState:
         raise NotImplementedError
 
     def contains_site(self, x) -> bool:
@@ -116,10 +97,6 @@ class GlobalState:
 
     def single_site_restriction(self) -> SiteState:
         raise NotImplementedError
-
-    def averaged_restriction(self, region: Region) -> SiteState:
-        mats = [self.site_restriction(x).rho for x in region.sites]
-        return SiteState(sum(mats) / len(mats))
 
     def _check_query(self, sites, dims) -> None:
         if not sites:
@@ -157,10 +134,6 @@ class _HomogeneousState(GlobalState):
     """A state whose every site restricts to the one SiteState ``site``."""
 
     site: SiteState
-
-    def site_restriction(self, x) -> SiteState:
-        self.metric.check_site(x)
-        return self.site
 
     def single_site_restriction(self) -> SiteState:
         return self.site
@@ -253,7 +226,6 @@ class MarkovState(_HomogeneousState):
             )
         self.transition = T
         self.pi = pi
-        self.alpha = float(alpha)
         self.site_dim = d
         self.metric = chain_metric(alpha)
         self._powers = {0: np.eye(d), 1: T.copy()}
@@ -341,7 +313,6 @@ class CircuitState(GlobalState):
         if length < 1:
             raise ValueError("segment length must be positive")
         d = base.dim
-        self.base = base
         self.length = length
         self.site_dim = d
         self.metric = chain_metric(scale)
@@ -384,7 +355,6 @@ class CircuitState(GlobalState):
         for offset, g in self.layers:
             for i in range(offset, length - 1, 2):
                 tensor = _apply_two_site(tensor, g, i, d)
-        self.pure = pure
         # L system axes; a mixed base adds one axis for all the ancillas
         self.tensor = tensor
 
@@ -412,6 +382,10 @@ class CircuitState(GlobalState):
         p = np.moveaxis(self.tensor, x, 0).reshape(self.site_dim, -1)
         return SiteState(p @ p.conj().T)
 
+    def averaged_restriction(self, region: Region) -> SiteState:
+        mats = [self.site_restriction(x).rho for x in region.sites]
+        return SiteState(sum(mats) / len(mats))
+
     def single_site_restriction(self) -> SiteState:
         mats = [self.site_restriction(x).rho for x in range(self.length)]
         avg = sum(mats) / self.length
@@ -423,11 +397,9 @@ class CircuitState(GlobalState):
         return SiteState(avg)
 
 
-def expect_global(state: GlobalState, assignment) -> complex:
-    """Expectation of a tensor product of single-site operators."""
-    if isinstance(assignment, Assignment):
-        return state.expect(assignment.ops)
-    return state.expect(dict(assignment))
+def expect_global(state: GlobalState, assignment: Assignment) -> complex:
+    """Expectation of the tensor product an assignment places on its support."""
+    return state.expect(assignment.ops)
 
 
 def correlator(state: GlobalState, x_asg: Assignment, y_asg: Assignment) -> CorrelatorValue:

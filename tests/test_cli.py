@@ -7,8 +7,16 @@ import re
 import signal
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import (
+    brute_induced_moment,
+    circuit_dense_density,
+    dense_expect,
+    dense_site_mean,
+)
 
+from flab import SX, SY, SZ, random_density
 from flab.cli import COUNTING_RADIUS_GUARD, RANDOM_PAIRS_GUARD, main
 
 PRODUCT_GROUND = {"kind": "product", "rho": [[1.0, 0.0], [0.0, 0.0]]}
@@ -118,6 +126,50 @@ def test_moments_rows(tmp_path, capsys):
     # second moments of the markov chain grow toward the infinite sum 4
     assert vals == sorted(vals)
     assert all(1.0 <= v <= 4.0 for v in vals)
+
+
+def test_moments_inline_matrix_equals_named_operator(tmp_path, capsys):
+    """[[0, 1], [1, 0]] in place of "X" prints the same bytes."""
+    outs = []
+    for x in ("X", [[0, 1], [1, 0]]):
+        doc = {"state": PRODUCT_TILTED, "word": [x, "Z", x, "Z"], "sizes": [3, 5, 8]}
+        code, out, err = run(["moments", "--config", write_config(tmp_path, doc)], capsys)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[1] == outs[0]
+    assert all(float(line.split(",")[2]) != 0.0 for line in outs[0].splitlines()[1:])
+
+
+def _json_matrix(mat):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat)]
+
+
+def test_moments_circuit_on_mixed_base_matches_dense_oracle(tmp_path, capsys):
+    """A circuit whose base is a density matrix, against the dense density
+    matrix evolved gate by gate and the brute-force tuple sum."""
+    rng = np.random.default_rng(41)
+    base = random_density(rng, 2).rho
+    layers = [
+        (k, np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0])
+        for k in (0, 1)
+    ]
+    state = {
+        "kind": "circuit",
+        "base": _json_matrix(base),
+        "length": 4,
+        "layers": [{"offset": k, "gate": _json_matrix(g)} for k, g in layers],
+    }
+    doc = {"state": state, "word": ["Z", "X", "Y"], "sizes": [2, 3, 4]}
+    code, out, err = run(["moments", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, err) == (0, "")
+    full = circuit_dense_density(base, 4, layers)
+    expectation, mean = dense_expect(full, 4, 2), dense_site_mean(full, 4, 2)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [2, 3, 4]
+    for row in rows:
+        size = int(row[0])
+        want = brute_induced_moment(range(size), [SZ.mat, SX.mat, SY.mat], expectation, mean)
+        assert abs(complex(float(row[2]), float(row[3])) - want) < 1e-11
 
 
 # =============================================================================
@@ -400,6 +452,43 @@ def test_counting_radius_guard_admits_its_limit(tmp_path, capsys):
     code, out, err = run(["bounds", "--config", write_config(tmp_path, doc)], capsys)
     assert (code, err) == (0, "")
     assert len(json.loads(out)["checks"]) == COUNTING_RADIUS_GUARD + 1
+
+
+@pytest.mark.parametrize("alone", [True, False], ids=["alone", "all-checks"])
+@pytest.mark.parametrize(
+    ("check", "key", "sizes", "message"),
+    [
+        (
+            "counting",
+            "counting_sizes",
+            [6, 10**9],
+            "'subset-spread enumeration': 499999999500000000 subsets exceeds "
+            "the enumeration guard",
+        ),
+        (
+            "weight-sum",
+            "weight_sizes",
+            [4, 10**9],
+            "'weight-sum enumeration': |X|^n = 1000000000^2 exceeds 10000000",
+        ),
+    ],
+    ids=["counting", "weight-sum"],
+)
+def test_bounds_enumeration_guards_before_region(
+    tmp_path, capsys, monkeypatch, check, key, sizes, message, alone
+):
+    """Every counting (size, k) and weight-sum (size, n) passes its guard
+    before any check runs, so a huge last size builds no region."""
+    calls = _refuse_work(
+        monkeypatch, "_segment", "Region", "count_subsets_with_spread", "b_n_quantity"
+    )
+    checks = [check] if alone else BOUNDS_ALL_CHECKS["checks"]
+    doc = {**BOUNDS_ALL_CHECKS, "checks": checks, key: sizes}
+    code, out, err = run(["bounds", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"ERR 3: cost guard {message}\n"
+    assert calls == []
 
 
 def test_cluster_verify_guard_before_any_row(tmp_path, capsys, monkeypatch):

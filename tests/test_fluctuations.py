@@ -959,7 +959,7 @@ def test_prefix_readouts_equal_per_size_calls(kind):
     assert rows.shape == (len(sizes), len(words))
     for size, row in zip(sizes, rows):
         prefix = Region(state.metric, ordered[:size])
-        assert row.tobytes() == _moments_of(state, prefix, words).tobytes()
+        assert row.tobytes() == _moments_of(state, prefix, words, [size])[0].tobytes()
     table = induced_moment_table(state, region, words[0], sizes)
     for size, val in zip(sizes, table):
         assert val == induced_moment(state, Region(state.metric, ordered[:size]), words[0])
@@ -1062,9 +1062,9 @@ def test_markov_dp_guard_runs_before_engine_work(monkeypatch):
     assert info.value.guard == "Markov subset DP"
     mk3 = MarkovState(random_gapped_transition(np.random.default_rng(3), 3), alpha=0.4)
     word = (SiteOperator(np.eye(3)),)
-    _moments_of(mk3, Region(mk3.metric, [0]), [word * 16])
+    _moments_of(mk3, Region(mk3.metric, [0]), [word * 16], [1])
     with pytest.raises(CostGuardError, match="2\\^17 \\* 3\\^2"):
-        _moments_of(mk3, Region(mk3.metric, [0]), [word * 17])
+        _moments_of(mk3, Region(mk3.metric, [0]), [word * 17], [1])
     assert sweeps == [18, 16]
 
 

@@ -95,3 +95,23 @@ def test_private_definitions_have_callers():
             if not any(name == definition.name and id(node) not in own for name, node in refs):
                 unused.append(f"{module}.{definition.name}")
     assert unused == []
+
+
+def test_stored_attributes_are_read():
+    """Every attribute assigned on ``self`` in ``src/flab`` is read somewhere.
+
+    A read is an attribute load of that name anywhere in ``src/flab`` or
+    ``tests``. State that nothing reads is deleted, not kept.
+    """
+    tests = Path(__file__).parent
+    stored, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif path.parent == PACKAGE and getattr(node.value, "id", None) == "self":
+                stored.setdefault(node.attr, f"{path.stem}:{node.lineno}")
+    unread = sorted(f"{where} self.{name}" for name, where in stored.items() if name not in read)
+    assert unread == []

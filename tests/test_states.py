@@ -181,12 +181,12 @@ def _markov_expect_loop(mk, ops):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_markov_expect_batch_matches_rows(d, count, rows, seed):
-    """One transfer sweep per batch equals one per row, bit for bit."""
+    """One transfer sweep for N rows over the same sites equals one per row, bit for bit."""
     rng = np.random.default_rng(seed)
     mk = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
     sites = rng.permutation(rng.choice(7, size=count, replace=False)).tolist()
     mats = rng.normal(size=(rows, count, d, d)) + 1j * rng.normal(size=(rows, count, d, d))
-    got = mk.expect_batch(sites, mats)
+    got = mk.expect_rows([tuple(sites)] * rows, mats)
     oracle = markov_config_expect(mk.transition, mk.pi, list(range(7)))
     for row, value in zip(mats, got):
         ops = dict(zip(sites, row))
@@ -197,15 +197,15 @@ def test_markov_expect_batch_matches_rows(d, count, rows, seed):
 
 
 def test_expect_batch_default_matches_rows():
-    """Product and circuit batches equal one expect per row."""
+    """Product and circuit rows over the same sites equal one expect per row."""
     circ = CircuitState(random_density(RNG, 2), 4, [(0, random_two_site_unitary(RNG))])
     for state in (ProductState(random_density(RNG, 2)), circ):
         sites = [2, 0, 3]
         mats = RNG.normal(size=(5, 3, 2, 2)) + 1j * RNG.normal(size=(5, 3, 2, 2))
-        got = state.expect_batch(sites, mats)
+        got = state.expect_rows([tuple(sites)] * len(mats), mats)
         want = [state.expect({x: SiteOperator(a) for x, a in zip(sites, row)}) for row in mats]
         assert got.tolist() == want
-        assert state.expect_batch(sites, mats[:0]).shape == (0,)
+        assert state.expect_rows([], mats[:0]).shape == (0,)
 
 
 def _product_expect_loop(ps, ops):
@@ -250,7 +250,7 @@ def test_product_expect_batch_matches_scalar_loop(kind, d, count, rows, seed):
     ps = ProductState(random_density(rng, d), metric)
     sites = [pool[i] for i in rng.permutation(len(pool))[:count]]
     mats = rng.normal(size=(rows, count, d, d)) + 1j * rng.normal(size=(rows, count, d, d))
-    got = ps.expect_batch(sites, mats)
+    got = ps.expect_rows([tuple(sites)] * rows, mats)
     assert got.shape == (rows,)
     for row, value in zip(mats, got):
         ops = {x: SiteOperator(a) for x, a in zip(sites, row)}
@@ -277,7 +277,7 @@ def test_circuit_expect_batch_matches_scalar_loop(pure, length, depth, count, ro
     mats = rng.normal(size=(rows, len(sites), 2, 2)) + 1j * rng.normal(
         size=(rows, len(sites), 2, 2)
     )
-    got = circ.expect_batch(sites, mats)
+    got = circ.expect_rows([tuple(sites)] * rows, mats)
     assert got.shape == (rows,)
     for row, value in zip(mats, got):
         ops = {x: SiteOperator(a) for x, a in zip(sites, row)}
@@ -298,12 +298,12 @@ def test_expect_batch_raises_expect_errors():
             with pytest.raises(ValueError) as scalar:
                 state.expect(ops)
             with pytest.raises(ValueError) as batch:
-                state.expect_batch(sites, mats)
+                state.expect_rows([tuple(sites)] * len(mats), mats)
             assert str(batch.value) == str(scalar.value)
     with pytest.raises(ValueError, match="distinct"):
-        mk.expect_batch([0, 0], np.zeros((1, 2, 2, 2)))
+        mk.expect_rows([(0, 0)], np.zeros((1, 2, 2, 2)))
     with pytest.raises(ValueError, match="does not fit"):
-        mk.expect_batch([0, 1], np.zeros((1, 3, 2, 2)))
+        mk.expect_rows([(0, 1)], np.zeros((1, 3, 2, 2)))
 
 
 def _row_state(family, d, rng):
@@ -468,7 +468,7 @@ def _assert_circuit_matches_dense(base, rng, length=4):
     """expect and site_restriction of a d=3 circuit against the dense density matrix."""
     layers = [(k % 2, random_unitary(rng, 9)) for k in range(2)]
     circ = CircuitState(base, length, layers)
-    assert not circ.pure and circ.tensor.shape == (3,) * length + (3**length,)
+    assert circ.tensor.shape == (3,) * length + (3**length,)
     full = circuit_dense_density(base.rho, length, layers)
     oracle = dense_expect(full, length, 3)
     mean = dense_site_mean(full, length, 3)
