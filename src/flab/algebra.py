@@ -52,8 +52,8 @@ class SiteOperator:
     def adjoint(self) -> "SiteOperator":
         return SiteOperator(self.mat.conj().T)
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= HERMITIAN_TOL)
 
     def __add__(self, other: "SiteOperator") -> "SiteOperator":
         return SiteOperator(self.mat + other.mat)

@@ -23,22 +23,24 @@ import sys
 
 import numpy as np
 
-from .algebra import SX, SY, SZ, SiteOperator, identity, op_norm
+from .algebra import SX, SY, SZ, SiteOperator, identity
 from .cluster import (
     DECOMPOSITION_TOL,
     b_hat_bound,
     b_n_quantity,
     check_correction_tuples,
+    check_partition_degree,
     decomposition_check,
 )
 from .combinatorics import MAX_Q_INDEX, q_sequence
 from .errors import ConfigError, CostGuardError, json_int
 from .fluctuations import (
-    CCR_BOUND_SLACK,
     TRANSPORT_TOL,
     InducedMomentFunctional,
     ccr_decay_check,  # no caller here; bench/tracing.py wraps this name
     ccr_decay_table,
+    check_comparison_degree,
+    check_search_draws,
     check_tuple_sum,
     induced_moment,  # no caller here; bench/tracing.py wraps this name
     induced_moment_table,
@@ -58,7 +60,7 @@ from .lattice import (
     check_subset_enumeration,
     count_subsets_with_spread,
 )
-from .states import CircuitState, GlobalState, parse_matrix, random_density, state_from_json
+from .states import GlobalState, parse_matrix, random_density, state_from_json
 
 _NAMED_OPS = {"I": None, "X": SX, "Y": SY, "Z": SZ}
 # each random pair of the wick-difference check runs three norm searches
@@ -143,10 +145,7 @@ def _parse_sizes(cfg: dict, state: GlobalState) -> list[int]:
     out = _config_ints(cfg, "sizes", None, 1)
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigError("region sizes must be strictly ascending")
-    if isinstance(state, CircuitState) and out[-1] > state.length:
-        raise ConfigError(
-            f"largest region size {out[-1]} exceeds circuit length {state.length}"
-        )
+    _check_domain(state, out[-1])
     return out
 
 
@@ -167,6 +166,16 @@ def _segment(state: GlobalState, size: int) -> Region:
         raise ConfigError(
             f"region size {size} needs the sites 0..{size - 1} of the state's metric: {exc}"
         ) from exc
+
+
+def _check_domain(state: GlobalState, size: int) -> None:
+    """Refuse a region size whose last site, size - 1, lies outside the state."""
+    if not state.contains_site(size - 1):
+        try:
+            state.metric.check_site(size - 1)
+        except ValueError:
+            _segment(state, size)  # raises, naming the first site the metric lacks
+        raise ConfigError(f"region size {size} needs site {size - 1}, outside the state")
 
 
 def _homogeneous_restriction(state: GlobalState):
@@ -230,9 +239,6 @@ def run_ccr_decay(cfg: dict, seed: int) -> tuple:
         seed=seed,
     )
 
-    norms = 1.0
-    for op in prefix + pair + suffix:
-        norms *= op_norm(op)
     rows = []
     for size, check in zip(sizes, checks):
         # a broken identity voids the whole table: raise before any output
@@ -242,10 +248,7 @@ def run_ccr_decay(cfg: dict, seed: int) -> tuple:
                 f"deviation {check.transport_deviation:.3e}"
             )
         value_abs = abs(check.value)
-        ratio = value_abs * math.sqrt(size)
-        cap = 2.0 * check.c_constant * norms
-        flag = value_abs <= check.bound + CCR_BOUND_SLACK and ratio <= cap + CCR_BOUND_SLACK
-        rows.append([size, value_abs, check.bound, ratio, flag])
+        rows.append([size, value_abs, check.bound, value_abs * math.sqrt(size), check.passed])
     return _format_csv(["region_size", "value_abs", "bound", "ratio", "flag"], rows), None
 
 
@@ -261,10 +264,11 @@ def run_cluster_verify(cfg: dict, seed: int) -> tuple:
     degrees = _config_ints(cfg, "degrees", [2, 3, 4], 1)
     op = _parse_operator(cfg.get("op", "Z"), state.site_dim)
     _homogeneous_restriction(state)
-    # every row's tuple guard trips before any region is built or row runs
-    for size in sizes:
-        for n in degrees:
-            check_correction_tuples(size, n)
+    # every row's tuple and degree guards trip before any region is built or row runs
+    for size, n in itertools.product(sizes, degrees):
+        check_correction_tuples(size, n)
+    for n in degrees:
+        check_partition_degree(n)
 
     rows = []
     ok = True
@@ -278,8 +282,7 @@ def run_cluster_verify(cfg: dict, seed: int) -> tuple:
     return text, None if ok else failure
 
 
-def _counting_keys(cfg: dict) -> tuple:
-    """The counting keys, once the radius guard and every (size, k) subset guard pass."""
+def _counting(cfg: dict, seed: int):
     max_r = _config_int(cfg, "counting_max_r", 3, 0)
     if max_r > COUNTING_RADIUS_GUARD:
         raise CostGuardError(
@@ -291,110 +294,114 @@ def _counting_keys(cfg: dict) -> tuple:
         raise ConfigError(f"'counting_max_k' must be at most {MAX_Q_INDEX}, got {max_k}")
     for size, k in itertools.product(sizes, range(2, max_k + 1)):
         check_subset_enumeration(size, k)
-    return sizes, max_k, max_r
+
+    def records() -> list[dict]:
+        metric = chain_metric(1.0)
+        out = []
+        for size in sizes:
+            region = Region(metric, range(size))
+            for k in range(2, max_k + 1):
+                for r in range(0, max_r + 1):
+                    lhs = count_subsets_with_spread(region, k, float(r))
+                    rhs = (
+                        q_sequence(k)
+                        * float(size) ** (k / 2.0)
+                        * float(ball_count(metric, float(r))) ** (k / 2.0)
+                    )
+                    name = f"counting size={size} k={k} r={r}"
+                    out.append(_record(name, float(lhs), rhs, lhs <= rhs + 1e-9))
+        return out
+
+    return records
 
 
-def _counting_checks(cfg: dict, seed: int, keys: tuple) -> list[dict]:
-    sizes, max_k, max_r = keys
-    metric = chain_metric(1.0)
-    out = []
-    for size in sizes:
-        region = Region(metric, range(size))
-        for k in range(2, max_k + 1):
-            for r in range(0, max_r + 1):
-                lhs = count_subsets_with_spread(region, k, float(r))
-                rhs = (
-                    q_sequence(k)
-                    * float(size) ** (k / 2.0)
-                    * float(ball_count(metric, float(r))) ** (k / 2.0)
-                )
-                name = f"counting size={size} k={k} r={r}"
-                out.append(_record(name, float(lhs), rhs, lhs <= rhs + 1e-9))
-    return out
-
-
-def _weight_keys(cfg: dict) -> tuple:
-    """'weight_sizes' and 'weight_degrees', once every (size, n) passes the tuple guard."""
+def _weight_sum(cfg: dict, seed: int):
     sizes = _config_ints(cfg, "weight_sizes", [4, 8], 1)
     degrees = _config_ints(cfg, "weight_degrees", [2, 3], 1)
     for size, n in itertools.product(sizes, degrees):
         check_correction_tuples(size, n, "weight-sum enumeration")
-    return sizes, degrees
+    for n in degrees:
+        check_partition_degree(n, "weight-majorant degree")
+
+    def records() -> list[dict]:
+        metric = chain_metric(1.0)
+        out = []
+        for size in sizes:
+            region = Region(metric, range(size))
+            for n in degrees:
+                lhs = b_n_quantity(region, n)
+                rhs = b_hat_bound(n, metric) * float(size) ** (n / 2.0)
+                out.append(_record(f"weight-sum size={size} n={n}", lhs, rhs, lhs <= rhs + 1e-9))
+        return out
+
+    return records
 
 
-def _weight_sum_checks(cfg: dict, seed: int, keys: tuple) -> list[dict]:
-    sizes, degrees = keys
-    metric = chain_metric(1.0)
-    out = []
-    for size in sizes:
-        region = Region(metric, range(size))
-        for n in degrees:
-            lhs = b_n_quantity(region, n)
-            rhs = b_hat_bound(n, metric) * float(size) ** (n / 2.0)
-            out.append(_record(f"weight-sum size={size} n={n}", lhs, rhs, lhs <= rhs + 1e-9))
-    return out
-
-
-def _seminorm_keys(cfg: dict) -> tuple:
-    """'seminorm_size' and 'seminorm_degrees', once the largest degree passes the tuple guard."""
+def _seminorm_comparison(cfg: dict, seed: int):
     size = _config_int(cfg, "seminorm_size", 6, 1)
     degrees = _config_ints(cfg, "seminorm_degrees", [2, 3], 0)
     check_tuple_sum(size, max(degrees))
-    return size, degrees
-
-
-def _seminorm_checks(cfg: dict, seed: int, keys: tuple) -> list[dict]:
     state = _load_state(cfg)
-    size, degrees = keys
     budget = _config_int(cfg, "search_budget", 8, 0)
     omega = _homogeneous_restriction(state)
+    _check_domain(state, size)
     functional = InducedMomentFunctional(state, _segment(state, size))
-    checks = seminorm_comparison_table(functional, degrees, omega, budget, seed)
-    out = []
-    for n, check in zip(degrees, checks):
-        name = f"seminorm-comparison size={size} n={n}"
-        out.append(_record(name, check.nu, check.rhs, check.passed))
-    return out
+    for n in degrees:
+        check_comparison_degree(n)
+        check_search_draws(budget, n)
+
+    def records() -> list[dict]:
+        checks = seminorm_comparison_table(functional, degrees, omega, budget, seed)
+        out = []
+        for n, check in zip(degrees, checks):
+            name = f"seminorm-comparison size={size} n={n}"
+            out.append(_record(name, check.nu, check.rhs, check.passed))
+        return out
+
+    return records
 
 
-def _random_pairs(cfg: dict) -> int:
+def _wick_difference(cfg: dict, seed: int):
     pairs = _config_int(cfg, "random_pairs", 20, 0)
     if pairs > RANDOM_PAIRS_GUARD:
         raise CostGuardError(
             "random pairs", f"random_pairs = {pairs} exceeds {RANDOM_PAIRS_GUARD}"
         )
-    return pairs
-
-
-def _wick_difference_checks(cfg: dict, seed: int, pairs: int) -> list[dict]:
     budget = _config_int(cfg, "search_budget", 32, 0)
-    out = []
-    one = identity(1)
-    w1 = Covariance(1, [[1.0]])
-    w2 = Covariance(1, [[2.0]])
-    checks = wick_difference_bound_table(w1, w2, [(one,) * 2, (one,) * 4], budget, seed)
-    for n, check in zip((2, 4), checks):
-        out.append(_record(f"wick-difference scalar n={n}", check.lhs, check.rhs, check.passed))
-    rng = np.random.default_rng(seed)
-    word4 = (SX, SY, SZ, SX)
-    for idx in range(pairs):
-        ca = covariance_from_state(random_density(rng, 2))
-        cb = covariance_from_state(random_density(rng, 2))
-        words = [word4[:2], word4[:4]]
-        checks = wick_difference_bound_table(ca, cb, words, budget, seed + idx + 1)
+    # every norm search is of degree 2
+    check_search_draws(budget, 2)
+
+    def records() -> list[dict]:
+        out = []
+        one = identity(1)
+        w1 = Covariance(1, [[1.0]])
+        w2 = Covariance(1, [[2.0]])
+        checks = wick_difference_bound_table(w1, w2, [(one,) * 2, (one,) * 4], budget, seed)
         for n, check in zip((2, 4), checks):
-            name = f"wick-difference random pair {idx} n={n}"
-            out.append(_record(name, check.lhs, check.rhs_padded, check.passed))
-    return out
+            name = f"wick-difference scalar n={n}"
+            out.append(_record(name, check.lhs, check.rhs, check.passed))
+        rng = np.random.default_rng(seed)
+        word4 = (SX, SY, SZ, SX)
+        for idx in range(pairs):
+            ca = covariance_from_state(random_density(rng, 2))
+            cb = covariance_from_state(random_density(rng, 2))
+            words = [word4[:2], word4[:4]]
+            checks = wick_difference_bound_table(ca, cb, words, budget, seed + idx + 1)
+            for n, check in zip((2, 4), checks):
+                name = f"wick-difference random pair {idx} n={n}"
+                out.append(_record(name, check.lhs, check.rhs_padded, check.passed))
+        return out
+
+    return records
 
 
-# in report order: each check's key reader, which trips the cost guards that its
-# keys decide from the config alone, and the check, which takes (cfg, seed, keys)
+# in report order: each check takes (cfg, seed), reads all of its keys, trips every
+# cost guard they decide, and returns the zero-argument computation of its records
 _BOUNDS_CHECKS = {
-    "counting": (_counting_keys, _counting_checks),
-    "weight-sum": (_weight_keys, _weight_sum_checks),
-    "seminorm-comparison": (_seminorm_keys, _seminorm_checks),
-    "wick-difference": (_random_pairs, _wick_difference_checks),
+    "counting": _counting,
+    "weight-sum": _weight_sum,
+    "seminorm-comparison": _seminorm_comparison,
+    "wick-difference": _wick_difference,
 }
 
 
@@ -407,12 +414,9 @@ def run_bounds(cfg: dict, seed: int) -> tuple:
     for name in selected:
         if name not in known:
             raise ConfigError(f"unknown bounds check {name!r}")
-    # every key guard trips before any check runs
-    keys = {name: read(cfg) for name, (read, _) in _BOUNDS_CHECKS.items() if name in selected}
-    records = []
-    for name, (_, checks) in _BOUNDS_CHECKS.items():
-        if name in keys:
-            records.extend(checks(cfg, seed, keys[name]))
+    # every selected check reads its keys and trips their guards before any runs
+    runs = [check(cfg, seed) for name, check in _BOUNDS_CHECKS.items() if name in selected]
+    records = [record for run in runs for record in run()]
     all_pass = all(r["pass"] for r in records)
     doc = {"experiment": "bounds", "checks": records, "all_pass": all_pass}
     failure = None if all_pass else "one or more bound checks failed"

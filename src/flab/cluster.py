@@ -26,6 +26,7 @@ import numpy as np
 from .algebra import (
     SiteOperator,
     SiteState,
+    center,
     expect as site_expect,
     ordered_product,
 )
@@ -87,11 +88,7 @@ def product_part_moment(omega: SiteState, size: int, word: Sequence[SiteOperator
     n = len(word)
     if n < 1:
         raise ValueError("product part needs a word of degree >= 1")
-    if n > PRODUCT_PART_MAX_DEGREE:
-        raise CostGuardError(
-            "product-part partition sum",
-            f"degree {n} exceeds {PRODUCT_PART_MAX_DEGREE}",
-        )
+    check_partition_degree(n)
     _require_centered(omega, word)
     size = _checked_size(size)
     return product_moment(omega.rho, size, [a.mat for a in word])
@@ -115,6 +112,12 @@ class ProductPartFunctional:
             return np.ones(len(words), dtype=complex)
         stack = np.array([[a.mat for a in w] for w in words])
         return product_moment_batch(self.omega.rho, self.size, stack)
+
+
+def check_partition_degree(n: int, guard: str = "product-part partition sum") -> None:
+    """Refuse a partition sum over a degree above PRODUCT_PART_MAX_DEGREE."""
+    if n > PRODUCT_PART_MAX_DEGREE:
+        raise CostGuardError(guard, f"degree {n} exceeds {PRODUCT_PART_MAX_DEGREE}")
 
 
 def check_correction_tuples(size: int, n: int, guard: str = "correction tuple sum") -> None:
@@ -353,10 +356,7 @@ def b_hat_bound(n: int, metric: Metric, support: Region | None = None) -> float:
     """
     if n < 1:
         raise ValueError("degree must be positive")
-    if n > PRODUCT_PART_MAX_DEGREE:
-        raise CostGuardError(
-            "weight-majorant degree", f"degree {n} exceeds {PRODUCT_PART_MAX_DEGREE}"
-        )
+    check_partition_degree(n, "weight-majorant degree")
     total = 0.0
     for k in range(2, n + 1):
         inner = 0.0
@@ -387,10 +387,7 @@ def decomposition_check(
     DECOMPOSITION_TOL.
     """
     omega = state.single_site_restriction()
-    eye = np.eye(state.site_dim)
-    centered = tuple(
-        SiteOperator(a.mat - complex(np.trace(omega.rho @ a.mat)) * eye) for a in word
-    )
+    centered = tuple(center(a, omega) for a in word)
     direct = induced_moment(state, region, centered)
     pp = product_part_moment(omega, len(region), centered)
     fc = f_correction_moment(state, region, centered)

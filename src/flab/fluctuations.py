@@ -178,14 +178,14 @@ class TensorPolynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms):
         self.terms: list[tuple[complex, tuple[SiteOperator, ...]]] = []
-        for coeff, word in terms or []:
+        for coeff, word in terms:
             self.terms.append((complex(coeff), tuple(word)))
 
     @classmethod
-    def word(cls, ops: Sequence[SiteOperator], coeff: complex = 1.0) -> "TensorPolynomial":
-        return cls([(coeff, tuple(ops))])
+    def word(cls, ops: Sequence[SiteOperator]) -> "TensorPolynomial":
+        return cls([(1.0, tuple(ops))])
 
     def __add__(self, other: "TensorPolynomial") -> "TensorPolynomial":
         return TensorPolynomial(self.terms + other.terms)
@@ -232,30 +232,19 @@ class InducedMomentFunctional:
         return _moments_of(self.state, self.region, words, [len(self.region)])[0]
 
 
-def gamma_form(state, a: SiteOperator, b: SiteOperator, region: Region | None = None) -> complex:
-    """Commutator form omega([a*, b]) of the state's local restriction.
-
-    ``state`` may be a single-site density matrix or a global state; for
-    global states the restriction is site-averaged over ``region`` when
-    given, otherwise the homogeneous single-site restriction is used.
-    """
-    if isinstance(state, SiteState):
-        omega = state
-    elif region is not None:
-        omega = state.averaged_restriction(region)
-    else:
-        omega = state.single_site_restriction()
+def gamma_form(omega: SiteState, a: SiteOperator, b: SiteOperator) -> complex:
+    """Commutator form omega([a*, b]) of a single-site state."""
     return site_expect(omega, commutator(a.adjoint(), b))
 
 
-def ccr_ideal_element(a: SiteOperator, b: SiteOperator, state, region: Region | None = None) -> TensorPolynomial:
+def ccr_ideal_element(a: SiteOperator, b: SiteOperator, omega: SiteState) -> TensorPolynomial:
     """The commutation defect a (x) b - b (x) a - omega([a*, b]) * unit.
 
     Induced moments of words containing this element measure how far the
     fluctuations are from exact boson commutation relations at finite
     size.
     """
-    g = gamma_form(state, a, b, region)
+    g = gamma_form(omega, a, b)
     return (
         TensorPolynomial.word((a, b))
         - TensorPolynomial.word((b, a))
@@ -328,12 +317,15 @@ def ccr_decay_table(
         transported = float(size) ** (-0.5) * complex(m_comm)
         deviation = abs(direct - transported)
         bound = 2.0 * float(size) ** (-0.5) * c_estimate * norms
+        # |value| fits the bound, and |value| sqrt(k) fits 2 C norms, each up to the slack
+        ratio = abs(transported) * math.sqrt(size)
         out.append(
             CcrDecayCheck(
                 value=transported,
                 bound=bound,
                 passed=deviation <= TRANSPORT_TOL
-                and abs(transported) <= bound + CCR_BOUND_SLACK,
+                and abs(transported) <= bound + CCR_BOUND_SLACK
+                and ratio <= 2.0 * float(c_estimate) * norms + CCR_BOUND_SLACK,
                 transport_deviation=deviation,
                 c_constant=float(c_estimate),
             )
@@ -350,7 +342,6 @@ def ccr_decay_check(
     suffix: Sequence[SiteOperator] = (),
     c_estimate: float | None = None,
     search_budget: int = 8,
-    seed: int = 0,
 ) -> CcrDecayCheck:
     """Moment of a word containing one commutation defect, with its bound.
 
@@ -359,11 +350,11 @@ def ccr_decay_check(
     single fluctuation of [a, b] times |X|^{-1/2}. The two must agree to
     TRANSPORT_TOL; the reported bound is 2 |X|^{-1/2} C norms, where C is
     a lower-bound estimate of the degree (n-1) restricted seminorm of the
-    induced moment functional (or a caller-provided constant). This is
-    ``ccr_decay_table`` at the one size |X|.
+    induced moment functional (or a caller-provided constant), searched
+    with seed 0. This is ``ccr_decay_table`` at the one size |X|.
     """
     return ccr_decay_table(
-        state, region, a, b, [len(region)], prefix, suffix, c_estimate, search_budget, seed
+        state, region, a, b, [len(region)], prefix, suffix, c_estimate, search_budget
     )[0]
 
 
@@ -712,7 +703,7 @@ def seminorm_nu_estimate(
 def seminorm_nu_omega_estimate(
     functional,
     n: int,
-    omega,
+    omega: SiteState,
     search_budget: int = 64,
     seed: int = 0,
 ) -> SeminormEstimate:
@@ -721,8 +712,6 @@ def seminorm_nu_omega_estimate(
     ``functional`` must be linear in each slot and carry the local
     dimension as ``dim``, as for ``seminorm_nu_estimate``.
     """
-    if not isinstance(omega, SiteState):
-        omega = omega.single_site_restriction()
     return _search(functional, n, functional.dim, search_budget, omega, seed)
 
 
@@ -734,10 +723,16 @@ class SeminormComparisonCheck:
     passed: bool
 
 
+def check_comparison_degree(n: int) -> None:
+    """Refuse a seminorm comparison above degree 6."""
+    if n > 6:
+        raise CostGuardError("seminorm comparison degree", f"degree {n} exceeds 6")
+
+
 def seminorm_comparison_table(
     functional,
     degrees: Sequence[int],
-    omega,
+    omega: SiteState,
     search_budget: int = 16,
     seed: int = 0,
 ) -> list[SeminormComparisonCheck]:
@@ -750,8 +745,7 @@ def seminorm_comparison_table(
     """
     degrees = list(degrees)
     for n in degrees:
-        if n > 6:
-            raise CostGuardError("seminorm comparison degree", f"degree {n} exceeds 6")
+        check_comparison_degree(n)
         check_search_draws(search_budget, n)
     nus = [
         seminorm_nu_estimate(functional, n, search_budget=search_budget, seed=seed)
@@ -776,7 +770,7 @@ def seminorm_comparison_table(
 def seminorm_comparison_check(
     functional,
     n: int,
-    omega,
+    omega: SiteState,
     search_budget: int = 16,
     seed: int = 0,
 ) -> SeminormComparisonCheck:

@@ -155,11 +155,11 @@ class Region:
         return f"Region({self.metric.kind}, {len(self.sites)} sites)"
 
 
-def chain_region(size: int, start: int = 0, scale: float = 1.0) -> Region:
-    """Contiguous chain segment start .. start+size-1. Convenience builder."""
+def chain_region(size: int) -> Region:
+    """Contiguous unit-scale chain segment 0 .. size-1. Convenience builder."""
     if size < 1:
         raise ValueError("region size must be positive")
-    return Region(chain_metric(scale), range(start, start + size))
+    return Region(chain_metric(1.0), range(size))
 
 
 def region_distance(x: Region, y: Region) -> float:

@@ -37,6 +37,8 @@ UNITARY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 HOMOGENEITY_TOL = 1e-10
+G0_MAX_REGION_SIZE = 2
+G0_MAX_SEPARATION = 8
 
 
 class Assignment:
@@ -430,13 +432,7 @@ def correlator(state: GlobalState, x_asg: Assignment, y_asg: Assignment) -> Corr
     )
 
 
-def estimate_G0(
-    state: GlobalState,
-    max_region_size: int = 2,
-    max_separation: int = 8,
-    sample_budget: int = 200,
-    seed: int = 0,
-) -> G0Estimate:
+def estimate_G0(state: GlobalState, sample_budget: int = 200, seed: int = 0) -> G0Estimate:
     """Certified lower bound on the truncated-correlation decay constant.
 
     Sweeps single-site Hermitian basis directions over a deterministic
@@ -445,8 +441,8 @@ def estimate_G0(
     an exact correlator evaluation divided by the operator norms, so the
     reported value is a true lower bound on the supremum.
     """
-    if max_region_size < 1 or max_separation < 1 or sample_budget < 0:
-        raise ValueError("estimate_G0 parameters must be positive")
+    if sample_budget < 0:
+        raise ValueError("estimate_G0 sample_budget must be nonnegative")
     dirs = _unit_basis(state.site_dim)[1:]
     best = 0.0
     count = 0
@@ -465,7 +461,7 @@ def estimate_G0(
         count += 1
         best = max(best, abs(c.value))
 
-    for m in range(1, max_separation + 1):
+    for m in range(1, G0_MAX_SEPARATION + 1):
         if not domain_ok([0, m]):
             break
         for a in dirs:
@@ -474,9 +470,9 @@ def estimate_G0(
 
     rng = np.random.default_rng(seed)
     for _ in range(sample_budget):
-        kx = int(rng.integers(1, max_region_size + 1))
-        ky = int(rng.integers(1, max_region_size + 1))
-        gap = int(rng.integers(1, max_separation + 1))
+        kx = int(rng.integers(1, G0_MAX_REGION_SIZE + 1))
+        ky = int(rng.integers(1, G0_MAX_REGION_SIZE + 1))
+        gap = int(rng.integers(1, G0_MAX_SEPARATION + 1))
         xs = list(range(0, kx))
         ys = list(range(kx - 1 + gap, kx - 1 + gap + ky))
         if domain_ok(xs + ys):

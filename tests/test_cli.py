@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from conftest import (
     brute_induced_moment,
     circuit_dense_density,
@@ -231,6 +233,79 @@ def test_ccr_decay_markov_flags(tmp_path, capsys):
     assert code == 0
     for line in out.splitlines()[1:]:
         assert line.split(",")[4] == "1"
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    kind=st.sampled_from(["product", "markov"]),
+    p=st.floats(min_value=0.2, max_value=0.8),
+    pair=st.lists(st.sampled_from(["X", "Y", "Z"]), min_size=2, max_size=2),
+    prefix=st.lists(st.sampled_from(["X", "Y", "Z"]), max_size=1),
+    suffix=st.lists(st.sampled_from(["X", "Y", "Z"]), max_size=1),
+    sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=3, unique=True),
+    budget=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=1000),
+    scale=st.floats(min_value=0.0, max_value=1.5),
+)
+def test_ccr_decay_flag_is_the_check_verdict(
+    tmp_path, capsys, kind, p, pair, prefix, suffix, sizes, budget, seed, scale
+):
+    """The flag column is ``CcrDecayCheck.passed``, and the CSV bytes equal
+    the rows the CLI wrote when it computed its own flag from the check's
+    fields: |value| within bound + slack and |value| sqrt(k) within
+    2 C norms + slack. With C scaled down so that rows fail, ``passed``
+    is still that flag (and the transport clause)."""
+    from flab.algebra import op_norm
+    from flab.cli import _format_csv, _parse_word
+    from flab.fluctuations import CCR_BOUND_SLACK, TRANSPORT_TOL, ccr_decay_table
+    from flab.lattice import Region
+    from flab.states import state_from_json
+
+    if kind == "product":
+        spec = {"kind": "product", "rho": [[p, 0.0], [0.0, 1.0 - p]]}
+    else:
+        spec = {"kind": "markov", "T": [[p, 1.0 - p], [1.0 - p, p]], "alpha": 0.4}
+    sizes = sorted(sizes)
+    doc = {
+        "state": spec,
+        "pair": pair,
+        "prefix": prefix,
+        "suffix": suffix,
+        "sizes": sizes,
+        "search_budget": budget,
+        "seed": seed,
+    }
+    code, out, err = run(["ccr-decay", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, err) == (0, "")
+
+    state = state_from_json(spec)
+    a, b = _parse_word(doc, "pair", 2)
+    pre, suf = _parse_word(doc, "prefix", 2), _parse_word(doc, "suffix", 2)
+    region = Region(state.metric, range(sizes[-1]))
+    checks = ccr_decay_table(
+        state, region, a, b, sizes, prefix=pre, suffix=suf, search_budget=budget, seed=seed
+    )
+    flags = [line.split(",")[4] for line in out.splitlines()[1:]]
+    assert flags == ["1" if c.passed else "0" for c in checks]
+    norms = 1.0
+    for op in pre + (a, b) + suf:
+        norms *= op_norm(op)
+
+    def row(size, check):
+        value_abs = abs(check.value)
+        ratio = value_abs * math.sqrt(size)
+        cap = 2.0 * check.c_constant * norms
+        flag = value_abs <= check.bound + CCR_BOUND_SLACK and ratio <= cap + CCR_BOUND_SLACK
+        return [size, value_abs, check.bound, ratio, flag]
+
+    rows = [row(size, check) for size, check in zip(sizes, checks)]
+    assert out == _format_csv(["region_size", "value_abs", "bound", "ratio", "flag"], rows)
+    c_value = scale * checks[0].c_constant
+    scaled = ccr_decay_table(state, region, a, b, sizes, pre, suf, c_estimate=c_value)
+    for size, check in zip(sizes, scaled):
+        assert check.passed == (check.transport_deviation <= TRANSPORT_TOL and row(size, check)[4])
 
 
 def test_ccr_decay_needs_exactly_two(tmp_path, capsys):
@@ -488,6 +563,96 @@ def test_bounds_enumeration_guards_before_region(
     assert code == 3
     assert out == ""
     assert err == f"ERR 3: cost guard {message}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    ("checks", "change", "error"),
+    [
+        (None, {"state": None}, "ERR 2: config is missing the state spec"),
+        (None, {"state": {"kind": "nope"}}, "ERR 2: bad state spec: unknown state kind 'nope'"),
+        (None, {"search_budget": "x"}, "ERR 2: 'search_budget' must be an integer >= 0, got 'x'"),
+        (None, {"search_budget": True}, "ERR 2: 'search_budget' must be an integer >= 0, got True"),
+        (
+            ["counting", "seminorm-comparison"],
+            {"search_budget": 10**9},
+            "ERR 3: cost guard 'search draws': search_budget * n = 1000000000 * 2 exceeds 65536",
+        ),
+        (
+            ["counting", "wick-difference"],
+            {"search_budget": 10**9},
+            "ERR 3: cost guard 'search draws': search_budget * n = 1000000000 * 2 exceeds 65536",
+        ),
+        (
+            None,
+            {"seminorm_degrees": [2, 7]},
+            "ERR 3: cost guard 'seminorm comparison degree': degree 7 exceeds 6",
+        ),
+        (
+            None,
+            {"weight_degrees": [2, 9]},
+            "ERR 3: cost guard 'weight-majorant degree': degree 9 exceeds 8",
+        ),
+    ],
+    ids=[
+        "state-missing",
+        "state-unknown",
+        "budget-string",
+        "budget-bool",
+        "draws-seminorm",
+        "draws-wick",
+        "seminorm-degree",
+        "weight-degree",
+    ],
+)
+def test_bounds_key_errors_before_any_check(tmp_path, capsys, monkeypatch, checks, change, error):
+    """Each check reads every key it uses, and trips every guard they
+    decide, before any check computes a record."""
+    calls = _refuse_work(
+        monkeypatch,
+        "count_subsets_with_spread",
+        "b_n_quantity",
+        "b_hat_bound",
+        "seminorm_comparison_table",
+        "wick_difference_bound_table",
+    )
+    doc = {**BOUNDS_ALL_CHECKS, **change}
+    doc = {key: value for key, value in doc.items() if value is not None}
+    if checks is not None:
+        doc["checks"] = checks
+    code, out, err = run(["bounds", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out, err) == (int(error[4]), "", error + "\n")
+    assert calls == []
+
+
+def test_bounds_seminorm_size_outside_circuit_exits_two(tmp_path, capsys, monkeypatch):
+    """A seminorm_size past a circuit's last site is a config error, found
+    before any check runs (it was ERR 1 from the moment engine)."""
+    calls = _refuse_work(monkeypatch, "count_subsets_with_spread", "seminorm_comparison_table")
+    circuit = {**CIRCUIT_KET, "length": 4}
+    doc = {"checks": ["counting", "seminorm-comparison"], "state": circuit, "search_budget": 1}
+    code, out, err = run(["bounds", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "ERR 2: region size 6 needs site 5, outside the state\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("experiment", ["moments", "converge", "ccr-decay", "cluster-verify"])
+def test_sizes_outside_circuit_exit_two(tmp_path, capsys, experiment):
+    """The largest region size must fit the state's domain (a circuit's length)."""
+    doc = {"state": CIRCUIT_KET, "word": ["Z", "Z"], "pair": ["X", "Y"], "sizes": [2, 4]}
+    code, out, err = run([experiment, "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "ERR 2: region size 4 needs site 3, outside the state\n"
+
+
+def test_cluster_verify_degree_guard_before_any_row(tmp_path, capsys, monkeypatch):
+    """A degree above the product part's limit is refused before any row runs."""
+    calls = _refuse_work(monkeypatch, "_segment", "decomposition_check")
+    doc = {"state": MARKOV_STD, "sizes": [2], "degrees": [2, 9]}
+    code, out, err = run(["cluster-verify", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "ERR 3: cost guard 'product-part partition sum': degree 9 exceeds 8\n"
     assert calls == []
 
 

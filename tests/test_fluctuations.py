@@ -436,7 +436,7 @@ def test_gamma_form_values():
 def test_ccr_ideal_element_shape():
     tilted = ProductState(SiteState(np.diag([0.75, 0.25])))
     region = Region(tilted.metric, range(4))
-    poly = ccr_ideal_element(SX, SY, tilted, region)
+    poly = ccr_ideal_element(SX, SY, tilted.averaged_restriction(region))
     degrees = sorted({len(term[1]) for term in poly.terms})
     assert degrees == [0, 2]
 
@@ -1196,7 +1196,9 @@ def test_search_draw_guard_trips_before_engine_work(monkeypatch):
     with pytest.raises(CostGuardError):
         seminorm_nu_estimate(functional, 2, search_budget=budget)
     with pytest.raises(CostGuardError):
-        seminorm_nu_omega_estimate(functional, 2, mk, search_budget=budget)
+        seminorm_nu_omega_estimate(
+            functional, 2, mk.single_site_restriction(), search_budget=budget
+        )
     assert sweeps == []
 
 

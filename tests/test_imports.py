@@ -115,3 +115,63 @@ def test_stored_attributes_are_read():
                 stored.setdefault(node.attr, f"{path.stem}:{node.lineno}")
     unread = sorted(f"{where} self.{name}" for name, where in stored.items() if name not in read)
     assert unread == []
+
+
+def _defaulted_parameters(tree: ast.Module) -> list:
+    """(function name, parameter, positional index or None) per defaulted parameter.
+
+    ``__init__`` is named by its class. A method's first parameter
+    (``self`` or ``cls``) is skipped, so the index counts the arguments
+    a call writes; a keyword-only parameter has no index.
+    """
+    out = []
+    scopes = [(node, None) for node in tree.body]
+    while scopes:
+        node, owner = scopes.pop()
+        if isinstance(node, ast.ClassDef):
+            scopes.extend((child, node.name) for child in node.body)
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 0 if owner is None else 1
+        name = owner if node.name == "__init__" else node.name
+        for index in range(len(positional) - len(args.defaults), len(positional)):
+            out.append((name, positional[index].arg, index - skip))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                out.append((name, arg.arg, None))
+    return out
+
+
+def _sets(call: ast.Call, param: str, index) -> bool:
+    """Whether a call passes the parameter by keyword, by position or through * or **."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_defaulted_parameters_are_passed():
+    """Every defaulted parameter of a ``src/flab`` function is set by some call.
+
+    Calls in ``src/flab``, ``tests`` and ``bench`` are matched by function
+    name, or by class name for ``__init__``. An option that no caller
+    sets is a constant, not a parameter.
+    """
+    root = PACKAGE.parents[1]
+    calls = {}
+    paths = [PACKAGE, root / "tests", root / "bench"]
+    for path in [p for folder in paths for p in sorted(folder.glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [
+        f"{path.stem}.{name}({param})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, param, index in _defaulted_parameters(ast.parse(path.read_text()))
+        if not any(_sets(call, param, index) for call in calls.get(name, []))
+    ]
+    assert unset == []
