@@ -39,8 +39,7 @@ from .fluctuations import (
     InducedMomentFunctional,
     ccr_decay_check,  # no caller here; bench/tracing.py wraps this name
     ccr_decay_table,
-    check_comparison_degree,
-    check_search_draws,
+    check_comparison_table,
     check_tuple_sum,
     induced_moment,  # no caller here; bench/tracing.py wraps this name
     induced_moment_table,
@@ -48,6 +47,7 @@ from .fluctuations import (
 )
 from .gaussian import (
     Covariance,
+    check_covariance_norm_budget,
     covariance_from_state,
     wick_difference_bound_check,  # no caller here; bench/tracing.py wraps this name
     wick_difference_bound_table,
@@ -169,12 +169,13 @@ def _segment(state: GlobalState, size: int) -> Region:
 
 
 def _check_domain(state: GlobalState, size: int) -> None:
-    """Refuse a region size whose last site, size - 1, lies outside the state."""
-    if not state.contains_site(size - 1):
-        try:
-            state.metric.check_site(size - 1)
-        except ValueError:
-            _segment(state, size)  # raises, naming the first site the metric lacks
+    """Refuse a region size whose last site, size - 1, the metric has but the state lacks.
+
+    A site the metric lacks is left to ``_segment``, which callers reach
+    only after their cost guards; nothing here builds a region.
+    """
+    # GlobalState.contains_site is the metric's own site check
+    if GlobalState.contains_site(state, size - 1) and not state.contains_site(size - 1):
         raise ConfigError(f"region size {size} needs site {size - 1}, outside the state")
 
 
@@ -346,9 +347,7 @@ def _seminorm_comparison(cfg: dict, seed: int):
     omega = _homogeneous_restriction(state)
     _check_domain(state, size)
     functional = InducedMomentFunctional(state, _segment(state, size))
-    for n in degrees:
-        check_comparison_degree(n)
-        check_search_draws(budget, n)
+    check_comparison_table(degrees, budget)
 
     def records() -> list[dict]:
         checks = seminorm_comparison_table(functional, degrees, omega, budget, seed)
@@ -368,8 +367,7 @@ def _wick_difference(cfg: dict, seed: int):
             "random pairs", f"random_pairs = {pairs} exceeds {RANDOM_PAIRS_GUARD}"
         )
     budget = _config_int(cfg, "search_budget", 32, 0)
-    # every norm search is of degree 2
-    check_search_draws(budget, 2)
+    check_covariance_norm_budget(budget)
 
     def records() -> list[dict]:
         out = []

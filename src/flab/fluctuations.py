@@ -723,10 +723,12 @@ class SeminormComparisonCheck:
     passed: bool
 
 
-def check_comparison_degree(n: int) -> None:
-    """Refuse a seminorm comparison above degree 6."""
-    if n > 6:
-        raise CostGuardError("seminorm comparison degree", f"degree {n} exceeds 6")
+def check_comparison_table(degrees: Sequence[int], search_budget: int) -> None:
+    """Refuse a seminorm comparison above degree 6 or over the search draw guard."""
+    for n in degrees:
+        if n > 6:
+            raise CostGuardError("seminorm comparison degree", f"degree {n} exceeds 6")
+        check_search_draws(search_budget, n)
 
 
 def seminorm_comparison_table(
@@ -744,9 +746,7 @@ def seminorm_comparison_table(
     (seed + k + 1, the same for every n), shared by every row.
     """
     degrees = list(degrees)
-    for n in degrees:
-        check_comparison_degree(n)
-        check_search_draws(search_budget, n)
+    check_comparison_table(degrees, search_budget)
     nus = [
         seminorm_nu_estimate(functional, n, search_budget=search_budget, seed=seed)
         for n in degrees

@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .combinatorics import pair_partitions
 from .errors import CostGuardError, KahanSum
-from .fluctuations import SeminormEstimate, seminorm_nu_estimate
+from .fluctuations import SeminormEstimate, check_search_draws, seminorm_nu_estimate
 
 WICK_MAX_DEGREE = 12
 SHIFTED_MAX_DEGREE = 10
@@ -83,6 +83,11 @@ class _CovariancePairFunctional:
     def batch(self, words) -> np.ndarray:
         coeffs = _hs_coefficient_stack(np.array([[a.mat for a in w] for w in words]))
         return np.einsum("wi,ij,wj->w", coeffs[:, 0], self.cov.matrix, coeffs[:, 1])
+
+
+def check_covariance_norm_budget(search_budget: int) -> None:
+    """Refuse a ``covariance_norm_estimate`` (degree 2) over the search draw guard."""
+    check_search_draws(search_budget, 2)
 
 
 def covariance_norm_estimate(
@@ -196,8 +201,8 @@ def wick_difference_bound_table(
 ) -> list[WickDifferenceCheck]:
     """``wick_difference_bound_check`` per word, on one covariance pair.
 
-    Every word is checked and its Wick moments taken before any search;
-    the three norms ||W||, ||W'|| and ||W - W'|| are then searched once
+    Every word and the search budget are checked, and the Wick moments
+    taken, before any search; the three norms ||W||, ||W'|| and ||W - W'|| are then searched once
     (seeds seed, seed + 1 and seed + 2) and shared by every row.
     """
     words = [tuple(word) for word in words]
@@ -211,6 +216,9 @@ def wick_difference_bound_table(
             )
     if cov1.dim != cov2.dim:
         raise ValueError("covariances act on different dimensions")
+    if not words:
+        return []
+    check_covariance_norm_budget(search_budget)
     lhs_values = []
     for word in words:
         norms = [op_norm(a) for a in word]
@@ -218,8 +226,6 @@ def wick_difference_bound_table(
             raise ValueError("cannot normalize a zero operator")
         normed = tuple(SiteOperator(a.mat / nrm) for a, nrm in zip(word, norms))
         lhs_values.append(abs(wick_moment(cov1, normed) - wick_moment(cov2, normed)))
-    if not words:
-        return []
     diff = Covariance(cov1.dim, cov1.matrix - cov2.matrix)
     n1 = covariance_norm_estimate(cov1, search_budget, seed).value
     n2 = covariance_norm_estimate(cov2, search_budget, seed + 1).value

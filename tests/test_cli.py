@@ -658,17 +658,19 @@ def test_cluster_verify_degree_guard_before_any_row(tmp_path, capsys, monkeypatc
 
 def test_cluster_verify_guard_before_any_row(tmp_path, capsys, monkeypatch):
     """Every (size, degree) passes the correction guard before any region
-    is built or any row runs, so the huge last size is refused at once."""
-    calls = _refuse_work(monkeypatch, "_segment", "decomposition_check")
-    doc = {"state": MARKOV_STD, "sizes": [2, 4, 10**9], "degrees": [2, 3]}
-    code, out, err = run(["cluster-verify", "--config", write_config(tmp_path, doc)], capsys)
-    assert code == 3
-    assert out == ""
-    assert err == (
-        "ERR 3: cost guard 'correction tuple sum': "
-        "|X|^n = 1000000000^2 exceeds 10000000\n"
-    )
-    assert calls == []
+    is built or any row runs, so the huge last size is refused at once,
+    also on metrics that lack the sites 0..size-1 (grid2d, explicit)."""
+    calls = _refuse_work(monkeypatch, "Region", "_segment", "decomposition_check")
+    for state in (MARKOV_STD, GRID_STATE, EXPLICIT_STATE):
+        doc = {"state": state, "sizes": [2, 4, 10**9], "degrees": [2, 3]}
+        code, out, err = run(["cluster-verify", "--config", write_config(tmp_path, doc)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "ERR 3: cost guard 'correction tuple sum': "
+            "|X|^n = 1000000000^2 exceeds 10000000\n"
+        )
+        assert calls == []
 
 
 def test_bounds_rejects_unknown_check(tmp_path, capsys):
