@@ -37,6 +37,7 @@ from .errors import ConfigError, CostGuardError, json_int
 from .fluctuations import (
     TRANSPORT_TOL,
     InducedMomentFunctional,
+    _prefix_region,
     ccr_decay_check,  # no caller here; bench/tracing.py wraps this name
     ccr_decay_table,
     check_comparison_table,
@@ -271,11 +272,13 @@ def run_cluster_verify(cfg: dict, seed: int) -> tuple:
     for n in degrees:
         check_partition_degree(n)
 
+    # the largest region holds every row's sites: a missing one is ERR 2 before any row
+    region = _segment(state, sizes[-1])
     rows = []
     ok = True
     for size in sizes:
         for n in degrees:
-            check = decomposition_check(state, _segment(state, size), (op,) * n)
+            check = decomposition_check(state, _prefix_region(region, size), (op,) * n)
             rows.append([size, n, check.residual])
             ok = ok and check.passed
     text = _format_csv(["region_size", "n", "residual"], rows)

@@ -42,9 +42,12 @@ from .errors import CostGuardError, KahanSum
 from .fluctuations import induced_moment
 from .gaussian import covariance_from_state, wick_moment
 from .lattice import (
+    _SPREAD_ELEMENT_BUDGET,
     Metric,
     Region,
-    _point_to_rest,
+    _distance_matrix,
+    _index_chunks,
+    _spread_orders,
     ball_count,
     spread,
     spread_optimal_enumeration,
@@ -152,9 +155,9 @@ def f_correction_moment(
     check_correction_tuples(size, n)
     omega = state.single_site_restriction()
     _require_centered(omega, word)
-    metric = region.metric
     sites = region.sorted_sites()
     d = state.site_dim
+    dist = _distance_matrix(region.metric, sites) if min(n, size) > 1 else None
     blocks = {}  # block of word slots -> (its operator matrix, its single-site expectation)
     acc = KahanSum()
     for m in range(2, min(n, size) + 1):
@@ -169,11 +172,11 @@ def f_correction_moment(
             [list(itertools.accumulate(r[:-2], operator.mul, initial=1.0 + 0j)) for r in singles]
         )
         singles = np.array(singles)[:, :-1]
-        subsets = itertools.combinations(sites, m)
         per_chunk = max(1, _CORRECTION_ROW_BUDGET // len(parts))
-        while chunk := list(itertools.islice(subsets, per_chunk)):
-            enums = [spread_optimal_enumeration(Region(metric, sub)) for sub in chunk]
-            shape = (len(chunk), len(parts))
+        for chunk in _index_chunks(size, m, per_chunk):
+            orders, _ = _spread_orders(dist, chunk)
+            enums = [tuple(sites[i] for i in order) for order in orders.tolist()]
+            shape = (len(enums), len(parts))
             tails = []  # tails[k - 1]: the tail from position k on, (subset, partition)
             for k in range(1, m + 1):
                 rows = [tail for tail in (enum[k - 1 :] for enum in enums) for _ in parts]
@@ -295,25 +298,27 @@ def b_n_quantity(region: Region, n: int) -> float:
         raise ValueError("degree must be positive")
     size = len(region)
     check_correction_tuples(size, n, "weight-sum enumeration")
-    if size == 1:
+    if min(n, size) < 2:
         return 0.0
-    metric = region.metric
-    sites = region.sorted_sites()
-    total = 0.0
+    dist = _distance_matrix(region.metric, region.sorted_sites())
+    decay = {}  # split distance -> math.exp(-distance); np.exp can differ in the last bit
+    total = np.zeros(1)
     for m in range(2, min(n, size) + 1):
         comps = integer_partitions_into_k(n, m)
-        for sub in itertools.combinations(sites, m):
-            enum = spread_optimal_enumeration(Region(metric, sub))
-            weights = [
-                math.exp(-_point_to_rest(metric, enum[k], enum[k + 1 :])) for k in range(m - 1)
-            ]
-            for comp in comps:
-                first_single = next(
-                    (idx + 1 for idx, c in enumerate(comp) if c == 1), m + 1
-                )
-                kmax = min(m - 1, first_single)
-                total += multinomial(comp) * sum(weights[:kmax])
-    return total
+        coeffs = np.array([float(multinomial(comp)) for comp in comps])
+        # a composition sums the weights before min(m - 1, its first singleton position)
+        ends = [
+            min(m - 1, next((idx + 1 for idx, c in enumerate(comp) if c == 1), m + 1)) - 1
+            for comp in comps
+        ]
+        for chunk in _index_chunks(size, m, max(1, _SPREAD_ELEMENT_BUDGET // m**2)):
+            _, splits = _spread_orders(dist, chunk)
+            flat = splits.ravel().tolist()
+            decay.update((x, math.exp(-x)) for x in set(flat).difference(decay))
+            prefix = np.cumsum(np.reshape([decay[x] for x in flat], splits.shape), axis=1)
+            # cumsum adds in sequence, as total += term in (m, subset, composition) order
+            total = np.cumsum(np.concatenate((total, (coeffs * prefix[:, ends]).ravel())))[-1:]
+    return float(total[0])
 
 
 def n_hat_series(k: int, metric: Metric, support: Region | None = None) -> float:

@@ -11,6 +11,11 @@ Spread quantities measure how separated a finite set is:
 * k_spread(Y, k) maximizes the set-to-set distance over k-point subsets
 * spread_optimal_enumeration(Y) orders Y greedily by farthest point, so
   each prefix point realizes the spread of the suffix that starts at it
+
+spread, the subset spreads of count_subsets_with_spread and the orders
+reduce one pairwise distance matrix D (one distance call per pair, inf on
+the diagonal) with min, max and first argmax, which return an input
+unchanged: every spread is a metric distance bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import numpy as np
 from .errors import CostGuardError, json_number
 
 SUBSET_ENUMERATION_GUARD = 2_000_000
+# entries of one gathered (subsets, m, m) block of the distance matrix
+_SPREAD_ELEMENT_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -169,13 +176,20 @@ def region_distance(x: Region, y: Region) -> float:
     return min(x.metric.distance(a, b) for a in x.sites for b in y.sites)
 
 
-def _point_to_rest(metric: Metric, y, rest: Sequence) -> float:
-    return min(metric.distance(y, z) for z in rest)
+def _distance_matrix(metric: Metric, sites: Sequence) -> np.ndarray:
+    """D[i, j] = metric.distance(sites[i], sites[j]), one call per pair; D[i, i] = inf."""
+    n = len(sites)
+    dist = np.full((n, n), np.inf)
+    for i, a in enumerate(sites):
+        row = np.fromiter((metric.distance(a, b) for b in sites[i + 1 :]), float, n - i - 1)
+        dist[i, i + 1 :] = row
+        dist[i + 1 :, i] = row
+    return dist
 
 
 def _set_spread(metric: Metric, sites: Sequence) -> float:
     """max over y of d(y, sites without y), for at least two sites."""
-    return max(_point_to_rest(metric, y, [z for z in sites if z != y]) for y in sites)
+    return float(_distance_matrix(metric, sites).min(axis=1).max())
 
 
 def spread(region: Region) -> float:
@@ -200,22 +214,34 @@ def k_spread(region: Region, k: int) -> float:
     return best
 
 
-@lru_cache(maxsize=262144)
-def _spread_enum_cached(metric: Metric, sites: tuple) -> tuple:
-    order = []
-    remaining = list(sites)
-    while len(remaining) > 1:
-        best_site = None
-        best_d = -1.0
-        for y in remaining:
-            d = _point_to_rest(metric, y, [z for z in remaining if z != y])
-            if d > best_d or (d == best_d and metric.site_key(y) < metric.site_key(best_site)):
-                best_d = d
-                best_site = y
-        order.append(best_site)
-        remaining.remove(best_site)
-    order.append(remaining[0])
-    return tuple(order)
+def _index_chunks(n: int, m: int, rows: int):
+    """The m-subsets of range(n) in combinations order, as (at most rows, m) index arrays."""
+    subsets = itertools.combinations(range(n), m)
+    while chunk := list(itertools.islice(subsets, rows)):
+        yield np.array(chunk, dtype=np.intp)
+
+
+def _spread_orders(dist: np.ndarray, rows: np.ndarray) -> tuple:
+    """Spread-optimal orders of the (M, m) index rows, each in key order, and their splits.
+
+    Each step takes per row the live site farthest from the other live
+    sites, the first on ties, and records that distance as its split.
+    """
+    count, m = rows.shape
+    near = dist[rows[:, :, None], rows[:, None, :]]
+    every = np.arange(count)
+    picks = np.empty((count, m), dtype=np.intp)
+    splits = np.empty((count, m - 1))
+    for step in range(m - 1):
+        rest = near.min(axis=2)
+        pick = rest.argmax(axis=1)
+        picks[:, step] = pick
+        splits[:, step] = rest[every, pick]
+        near[every, :, pick] = np.inf  # out of every live site's rest
+        near[every, pick, :] = -np.inf  # never picked again
+    # the last live position: the positions sum to m (m - 1) / 2
+    picks[:, -1] = m * (m - 1) // 2 - picks[:, :-1].sum(axis=1)
+    return np.take_along_axis(rows, picks, axis=1), splits
 
 
 def spread_optimal_enumeration(region: Region) -> tuple:
@@ -224,7 +250,10 @@ def spread_optimal_enumeration(region: Region) -> tuple:
     The returned order (y_1, ..., y_m) satisfies
     d(y_k, {y_{k+1}, ..., y_m}) = spread({y_k, ..., y_m}) for every k < m.
     """
-    return _spread_enum_cached(region.metric, region.sorted_sites())
+    sites = region.sorted_sites()
+    everything = np.arange(len(sites))[None, :]
+    orders, _ = _spread_orders(_distance_matrix(region.metric, sites), everything)
+    return tuple(sites[i] for i in orders[0].tolist())
 
 
 def ball_count(metric: Metric, r: float, support: Region | None = None) -> int:
@@ -297,7 +326,7 @@ def check_subset_enumeration(size: int, k: int) -> None:
 def count_subsets_with_spread(region: Region, k: int, r: float) -> int:
     """Number of k-subsets of the region whose spread is at most r.
 
-    The spreads of all k-subsets are enumerated once per (metric, sites,
+    The spreads of all k-subsets are computed once per (metric, sites,
     k) and cached, so each further radius is one vectorized comparison.
     """
     if k < 2:
@@ -314,13 +343,14 @@ def count_subsets_with_spread(region: Region, k: int, r: float) -> int:
 def _subset_spreads(metric: Metric, sites: tuple, k: int) -> np.ndarray:
     """Spreads of the k-subsets of ``sites``, shared by every radius.
 
-    Unsorted: one comparison per subset costs less than a sort, whose
-    vectorized kernels alone add 0.25 MB of resident code.
+    Each chunk of subset index rows C reduces its (C, k, k) block of the
+    distance matrix. Unsorted: one comparison per subset costs less than
+    a sort, whose vectorized kernels alone add 0.25 MB of resident code.
     """
-    spreads = np.fromiter(
-        (_set_spread(metric, sub) for sub in itertools.combinations(sites, k)),
-        dtype=float,
-        count=math.comb(len(sites), k),
-    )
+    dist = _distance_matrix(metric, sites)
+    rows = max(1, _SPREAD_ELEMENT_BUDGET // k**2)
+    spreads = np.empty(math.comb(len(sites), k))
+    for start, c in zip(itertools.count(0, rows), _index_chunks(len(sites), k, rows)):
+        spreads[start : start + len(c)] = dist[c[:, :, None], c[:, None, :]].min(axis=2).max(axis=1)
     spreads.flags.writeable = False
     return spreads

@@ -6,11 +6,16 @@ library engines are checked against genuinely independent arithmetic.
 """
 
 import itertools
+import math
 import os
 from functools import reduce
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
+
+from flab import chain_metric, explicit_metric, grid2d_metric
+from flab.combinatorics import integer_partitions_into_k, multinomial
 
 # CI sets HYPOTHESIS_PROFILE=ci so every run draws the same examples;
 # local runs keep hypothesis' default random search.
@@ -200,6 +205,82 @@ def brute_weight_sum(sites, n, distance):
             if all(counts[order[l]] > 1 for l in range(k - 1)):
                 d = min(distance(order[k - 1], order[j]) for j in range(k, m))
                 total += np.exp(-d)
+    return total
+
+
+@st.composite
+def metric_sites(draw):
+    """A metric and 1..10 distinct sites of it, in no particular order.
+
+    Chains get a scale other than 1 and scattered sites; grid2d sites lie
+    on a 5 x 5 patch; explicit tables take integer distances 1..3, so
+    ties are common, and list their sites in a shuffled key order.
+    """
+    kind = draw(st.sampled_from(["chain", "grid2d", "explicit"]))
+    count = draw(st.integers(min_value=1, max_value=10))
+    if kind == "chain":
+        scale = draw(st.floats(0.05, 4.0).filter(lambda s: s != 1.0))
+        sites = st.lists(st.integers(-30, 30), min_size=count, max_size=count, unique=True)
+        return chain_metric(scale), draw(sites)
+    if kind == "grid2d":
+        scale = draw(st.floats(0.05, 4.0))
+        cell = st.tuples(st.integers(0, 4), st.integers(0, 4))
+        cells = st.lists(cell, min_size=count, max_size=count, unique=True)
+        return grid2d_metric(scale), draw(cells)
+    names = draw(st.permutations([f"s{i}" for i in range(count)]))
+    table = [[0] * count for _ in range(count)]
+    for i, j in itertools.combinations(range(count), 2):
+        table[i][j] = table[j][i] = draw(st.integers(1, 3))
+    return explicit_metric(names, table), draw(st.permutations(names))
+
+
+def set_spread_loop(metric, sites):
+    """max over y of min over the other z of metric.distance(y, z)."""
+    return max(min(metric.distance(y, z) for z in sites if z != y) for y in sites)
+
+
+def spread_enum_loop(metric, sites):
+    """Farthest-point order by Python distance calls; ties to the smallest site key.
+
+    The scalar greedy that flab's batched ``_spread_orders`` replaced.
+    """
+    order = []
+    remaining = sorted(sites, key=metric.site_key)
+    while len(remaining) > 1:
+        best_site = None
+        best_d = -1.0
+        for y in remaining:
+            d = min(metric.distance(y, z) for z in remaining if z != y)
+            if d > best_d or (d == best_d and metric.site_key(y) < metric.site_key(best_site)):
+                best_d = d
+                best_site = y
+        order.append(best_site)
+        remaining.remove(best_site)
+    order.append(remaining[0])
+    return tuple(order)
+
+
+def b_n_loop(metric, sites, n):
+    """The weight sum B_n grouped by subset and composition, one float at a time.
+
+    The scalar loop that flab's ``b_n_quantity`` replaced by array
+    reductions: each split weight is math.exp of the split point's
+    distance to the rest of its spread-optimal order.
+    """
+    sites = sorted(sites, key=metric.site_key)
+    total = 0.0
+    for m in range(2, min(n, len(sites)) + 1):
+        comps = integer_partitions_into_k(n, m)
+        for sub in itertools.combinations(sites, m):
+            enum = spread_enum_loop(metric, sub)
+            weights = [
+                math.exp(-min(metric.distance(enum[k], z) for z in enum[k + 1 :]))
+                for k in range(m - 1)
+            ]
+            for comp in comps:
+                first_single = next((idx + 1 for idx, c in enumerate(comp) if c == 1), m + 1)
+                kmax = min(m - 1, first_single)
+                total += multinomial(comp) * sum(weights[:kmax])
     return total
 
 

@@ -673,6 +673,28 @@ def test_cluster_verify_guard_before_any_row(tmp_path, capsys, monkeypatch):
         assert calls == []
 
 
+def test_cluster_verify_checks_every_region_before_any_row(tmp_path, capsys, monkeypatch):
+    """A metric without a middle site of the largest region is ERR 2 before
+    the smaller sizes' rows run."""
+    calls = _refuse_work(monkeypatch, "decomposition_check")
+    state = {
+        **PRODUCT_TILTED,
+        "metric": {
+            "kind": "explicit",
+            "sites": [0, 1, 3],
+            "distances": [[0, 1, 3], [1, 0, 2], [3, 2, 0]],
+        },
+    }
+    doc = {"state": state, "sizes": [2, 4], "degrees": [2]}
+    code, out, err = run(["cluster-verify", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "ERR 2: region size 4 needs the sites 0..3 of the state's metric: "
+        "site 2 not in explicit metric\n"
+    )
+    assert calls == []
+
+
 def test_bounds_rejects_unknown_check(tmp_path, capsys):
     for bad in ("nonsense", ["counting"]):
         cfg = write_config(tmp_path, {"checks": ["counting", bad]})

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_gapped_transition
+from conftest import b_n_loop, metric_sites, random_gapped_transition, spread_enum_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flab import cluster
+from flab import cluster, lattice
 from flab import (
     Assignment,
     CircuitState,
@@ -31,11 +31,13 @@ from flab import (
     chain_metric,
     classify_tuple,
     cluster_expansion_check,
+    count_subsets_with_spread,
     covariance_from_state,
     decomposition_check,
     expect,
     explicit_metric,
     f_correction_moment,
+    grid2d_metric,
     induced_moment,
     n_hat_series,
     ordered_partitions,
@@ -224,6 +226,44 @@ def test_b_n_scaled_metric():
         assert grouped == pytest.approx(brute, abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    case=metric_sites(),
+    n=st.integers(1, 4),
+    budget=st.sampled_from([1, 20, lattice._SPREAD_ELEMENT_BUDGET]),
+)
+def test_b_n_matches_scalar_loop_bit_for_bit(case, n, budget):
+    """The array reductions equal the subset-by-subset float loop, in any chunking."""
+    metric, sites = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster, "_SPREAD_ELEMENT_BUDGET", budget)
+        got = b_n_quantity(Region(metric, sites), n)
+    assert got == b_n_loop(metric, sites, n)
+
+
+def test_b_n_weights_are_math_exp():
+    """Each split weight is math.exp's; numpy's vector exp misses it by an ulp at times."""
+    for scale in np.random.default_rng(3).uniform(0.05, 40.0, size=300).tolist():
+        assert b_n_quantity(Region(chain_metric(scale), (0, 1)), 2) == 2 * math.exp(-scale)
+
+
+def test_no_distance_matrix_below_degree_two(monkeypatch):
+    """Degree 1, a single site and k > |Y| do no pairwise work, at any region size."""
+
+    def build_nothing(*args):
+        raise AssertionError("distance matrix built where no subset loop runs")
+
+    for module in (cluster, lattice):
+        monkeypatch.setattr(module, "_distance_matrix", build_nothing)
+    region = Region(chain_metric(1.0), range(100_000))
+    mk = MarkovState(T_STD, alpha=0.4)
+    assert b_n_quantity(region, 1) == 0.0
+    assert b_n_quantity(Region(chain_metric(1.0), (0,)), 4) == 0.0
+    assert f_correction_moment(mk, region, (SZ,)) == 0.0
+    assert f_correction_moment(mk, Region(mk.metric, (3,)), (SZ, SZ)) == 0.0
+    assert count_subsets_with_spread(Region(chain_metric(1.0), range(5)), 6, 3.0) == 0
+
+
 def test_n_hat_series_closed_form():
     m = chain_metric(1.0)
     e = math.e
@@ -340,7 +380,7 @@ def _f_correction_loop(state, region, word):
     for m in range(2, min(n, size) + 1):
         parts = ordered_partitions(m, n)
         for sub in itertools.combinations(region.sorted_sites(), m):
-            enum = spread_optimal_enumeration(Region(region.metric, sub))
+            enum = spread_enum_loop(region.metric, sub)
             for part in parts:
                 ops = [ordered_product([word[i - 1] for i in block]) for block in part]
                 singles = [expect(omega, op) for op in ops]
@@ -365,14 +405,25 @@ def _swap_symmetric_gate(rng, d):
 
 
 def _correction_case(family, d, rng):
-    """A homogeneous state and a gapped (Markov) or plain site set, shuffled."""
+    """A homogeneous state and a gapped (Markov) or plain site set of its metric, shuffled."""
     if family == "markov":
         state = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
         gaps = rng.integers(1, 4, size=int(rng.integers(0, 6)))
-        sites = np.concatenate([[0], np.cumsum(gaps)]) + int(rng.integers(0, 3))
+        sites = (np.concatenate([[0], np.cumsum(gaps)]) + int(rng.integers(0, 3))).tolist()
     elif family == "product":
         state = ProductState(random_density(rng, d))
-        sites = rng.choice(9, size=int(rng.integers(1, 7)), replace=False)
+        sites = rng.choice(9, size=int(rng.integers(1, 7)), replace=False).tolist()
+    elif family == "grid2d":
+        state = ProductState(random_density(rng, d), grid2d_metric(rng.uniform(0.5, 2.0)))
+        cells = rng.choice(16, size=int(rng.integers(1, 7)), replace=False)
+        sites = [(int(c) // 4, int(c) % 4) for c in cells]
+    elif family == "explicit":
+        # integer distances 1..3, so split ties are common; key order is shuffled
+        names = [f"s{i}" for i in rng.permutation(7)]
+        table = np.triu(rng.integers(1, 4, size=(7, 7)), 1)
+        metric = explicit_metric(names, (table + table.T).tolist())
+        state = ProductState(random_density(rng, d), metric)
+        sites = rng.choice(names, size=int(rng.integers(1, 7)), replace=False).tolist()
     else:
         length = 6 if d == 2 else 4
         if family == "circuit-pure":
@@ -381,14 +432,16 @@ def _correction_case(family, d, rng):
             base = random_density(rng, d)
         # one brick layer from offset 0 on an even segment touches every site once
         state = CircuitState(base, length, [(0, _swap_symmetric_gate(rng, d))])
-        sites = rng.choice(length, size=int(rng.integers(1, length + 1)), replace=False)
-    region = Region(state.metric, rng.permutation([int(x) for x in sites]).tolist())
+        sites = rng.choice(length, size=int(rng.integers(1, length + 1)), replace=False).tolist()
+    region = Region(state.metric, [sites[i] for i in rng.permutation(len(sites))])
     return state, region
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    family=st.sampled_from(["markov", "product", "circuit-pure", "circuit-mixed"]),
+    family=st.sampled_from(
+        ["markov", "product", "grid2d", "explicit", "circuit-pure", "circuit-mixed"]
+    ),
     d=st.sampled_from([2, 3]),
     n=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**32 - 1),

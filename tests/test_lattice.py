@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import metric_sites, set_spread_loop, spread_enum_loop
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flab import (
     CostGuardError,
@@ -203,9 +206,48 @@ def test_count_subsets_guard_fires_before_enumeration(monkeypatch):
         raise AssertionError("subsets enumerated past the guard")
 
     monkeypatch.setattr(lattice, "_subset_spreads", enumerate_nothing)
-    monkeypatch.setattr(lattice, "_point_to_rest", enumerate_nothing)
+    monkeypatch.setattr(lattice, "_distance_matrix", enumerate_nothing)
     with pytest.raises(CostGuardError):
         count_subsets_with_spread(Region(chain_metric(1.0), range(60)), 5, 3.0)
+
+
+# =============================================================================
+# Reductions of the distance matrix against the scalar loops, bit for bit
+# =============================================================================
+
+@settings(max_examples=40, deadline=None)
+@given(case=metric_sites(), data=st.data())
+def test_spread_orders_match_scalar_greedy_bit_for_bit(case, data):
+    """Batched orders and split distances of every m-subset equal the scalar greedy's."""
+    metric, sites = case
+    assert spread_optimal_enumeration(Region(metric, sites)) == spread_enum_loop(metric, sites)
+    ordered = Region(metric, sites).sorted_sites()
+    m = data.draw(st.integers(1, len(sites)))
+    rows = np.array(list(itertools.combinations(range(len(sites)), m)), dtype=np.intp)
+    orders, splits = lattice._spread_orders(lattice._distance_matrix(metric, ordered), rows)
+    for order, split, row in zip(orders.tolist(), splits.tolist(), rows.tolist()):
+        enum = spread_enum_loop(metric, [ordered[i] for i in row])
+        assert tuple(ordered[i] for i in order) == enum
+        rests = [min(metric.distance(enum[k], z) for z in enum[k + 1 :]) for k in range(m - 1)]
+        assert split == rests
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=metric_sites(), data=st.data())
+def test_subset_spreads_match_scalar_loop_bit_for_bit(case, data):
+    """Each k-subset's spread and the count at every spread level, in any chunking."""
+    metric, sites = case
+    region = Region(metric, sites)
+    k = data.draw(st.integers(2, max(2, len(sites))))
+    subsets = itertools.combinations(region.sorted_sites(), k)
+    want = [set_spread_loop(metric, sub) for sub in subsets]
+    budget = data.draw(st.sampled_from([1, 20, lattice._SPREAD_ELEMENT_BUDGET]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_SPREAD_ELEMENT_BUDGET", budget)
+        got = lattice._subset_spreads.__wrapped__(metric, region.sorted_sites(), k)
+    assert got.tolist() == want
+    for r in set(want) | {-1.0, float("inf")}:
+        assert count_subsets_with_spread(region, k, r) == sum(s <= r for s in want)
 
 
 # =============================================================================
