@@ -416,108 +416,130 @@ def _eval_many(functional, words: list[tuple]) -> np.ndarray:
 
 
 class _Candidates:
-    """Candidate values for one search, and the count of engine words sent.
+    """Candidate values for a stack of searches, and each item's count of engine words sent.
 
-    Without a probe, every candidate word goes to the functional. With
-    one, the functional evaluates the probe-basis tensor M = F(probe^n)
-    once, and a candidate value is the contraction of M with each slot's
-    Hilbert-Schmidt coefficients: F is linear in every slot, so
-    F(a_1, ..., a_n) = sum M[i_1, ..., i_n] c_1[i_1] ... c_n[i_n]. A
-    centered probe is center(h) for h != I; since center(I) = 0, a
-    centered operator a = sum_h c_h h equals sum_{h != I} c_h center(h)
-    exactly, so its identity coefficient is dropped. A ``tensor`` built
-    beforehand (a row of a size table) stands in for that evaluation and
-    counts the same words.
+    The items share n, the probe and the direction set; each has its own
+    functional. Without a probe, every candidate word goes to its item's
+    functional. With one, each functional evaluates its probe-basis
+    tensor M = F(probe^n) once, and a candidate value is the contraction
+    of M with each slot's Hilbert-Schmidt coefficients: F is linear in
+    every slot, so F(a_1, ..., a_n) = sum M[i_1, ..., i_n] c_1[i_1] ...
+    c_n[i_n]. A centered probe is center(h) for h != I; since
+    center(I) = 0, a centered operator a = sum_h c_h h equals
+    sum_{h != I} c_h center(h) exactly, so its identity coefficient is
+    dropped. A tensor built beforehand (a row of a size table) stands in
+    for that evaluation and counts the same words. The contractions of
+    all items run as one matmul/einsum chain with a leading item axis,
+    which gives each item the bits of its own chain.
     """
 
-    def __init__(
-        self,
-        functional,
-        n: int,
-        probe: list | None,
-        centered: bool,
-        tensor: np.ndarray | None = None,
-    ):
-        self.functional = functional
-        self.evaluations = 0
-        self.tensor = None
+    def __init__(self, functionals: list, n: int, probe: list | None, centered: bool, tensors):
+        self.functionals = functionals
+        self.evaluations = [0] * len(functionals)
+        self.tensors = None
         self.skip = int(centered)
         if probe is not None:
-            if tensor is None:
-                tensor = self._send(list(itertools.product(probe, repeat=n)))
-            else:
-                self.evaluations += tensor.size
-            self.tensor = tensor.reshape((len(probe),) * n)
+            basis = None
+            rows = []
+            for k, tensor in enumerate(tensors):
+                if tensor is None:
+                    basis = basis or list(itertools.product(probe, repeat=n))
+                    tensor = self.send(k, basis)
+                else:
+                    self.evaluations[k] += tensor.size
+                rows.append(tensor.reshape((len(probe),) * n))
+            self.tensors = np.array(rows)
 
-    def _send(self, words: list[tuple]) -> np.ndarray:
-        self.evaluations += len(words)
-        return _eval_many(self.functional, words)
+    def send(self, k: int, words: list[tuple]) -> np.ndarray:
+        """F of each word, from item k's functional."""
+        self.evaluations[k] += len(words)
+        return _eval_many(self.functionals[k], words)
 
     def _coefficients(self, mats: np.ndarray) -> np.ndarray:
         return _hs_coefficient_stack(mats)[..., self.skip :]
 
-    def values(self, words: list[tuple]) -> np.ndarray:
-        """F of each word: sent, or contracted from one stacked coefficient array."""
-        if self.tensor is None or not words:
-            return self._send(words)
-        return self._contract(self._coefficients(np.array([[a.mat for a in w] for w in words])))
+    def values(self, items: list[int], words: list[list[tuple]]) -> np.ndarray:
+        """F of ``words[i]``, item ``items[i]``'s equally many words, one row per item.
+
+        Sent, or contracted from one stacked coefficient array; items
+        that pass one list object (one seed's random words) share its
+        coefficients.
+        """
+        if self.tensors is None:
+            return np.array([self.send(k, ws) for k, ws in zip(items, words)])
+        lists = {id(ws): ws for ws in words}
+        mats = np.array([[[a.mat for a in w] for w in ws] for ws in lists.values()])
+        coeffs = self._coefficients(mats)
+        if len(lists) < len(words):
+            row = {key: i for i, key in enumerate(lists)}
+            coeffs = coeffs[[row[id(ws)] for ws in words]]
+        return self._contract(self.tensors[items], coeffs)
 
     def head(self, dirs: Sequence[SiteOperator], n: int) -> np.ndarray:
-        """F of every n-tuple of ``dirs``, in ``itertools.product`` order.
+        """F of every n-tuple of ``dirs``, in ``itertools.product`` order, one row per item.
 
         On the tensor these are n mode products: each contracts the
-        leading axis of M with the directions' coefficient matrix and
-        rotates the new axis to the back, so after n of them the axes
-        are back in slot order and the C-order ravel is product order.
+        leading slot axis of M with the directions' coefficient matrix
+        and rotates the new axis to the back, so after n of them the
+        axes are back in slot order and the C-order ravel is product
+        order.
         """
-        if self.tensor is None:
-            return self._send(list(itertools.product(dirs, repeat=n)))
+        if self.tensors is None:
+            words = list(itertools.product(dirs, repeat=n))
+            return np.array([self.send(k, words) for k in range(len(self.functionals))])
         coeffs = self._coefficients(np.array([a.mat for a in dirs]))
-        out = self.tensor
+        out = self.tensors
         for _ in range(n):
-            out = (coeffs @ out.reshape(coeffs.shape[1], -1)).T
-        return out.reshape(-1)
+            out = np.swapaxes(coeffs @ out.reshape(len(out), coeffs.shape[1], -1), -1, -2)
+        return out.reshape(len(out), -1)
 
-    def _contract(self, coeffs: np.ndarray) -> np.ndarray:
-        p = self.tensor.shape[0]
-        out = coeffs[:, 0] @ self.tensor.reshape(p, -1)
-        for k in range(1, coeffs.shape[1]):
-            out = np.einsum("wi,wir->wr", coeffs[:, k], out.reshape(len(coeffs), p, -1))
-        return out[:, 0]
+    @staticmethod
+    def _contract(tensors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Item i's tensor contracted with ``coeffs[i, w, slot]`` in every slot, per word w."""
+        count, width, p = len(tensors), coeffs.shape[1], tensors.shape[1]
+        out = coeffs[:, :, 0] @ tensors.reshape(count, p, -1)
+        for k in range(1, coeffs.shape[2]):
+            out = np.einsum("kwi,kwir->kwr", coeffs[:, :, k], out.reshape(count, width, p, -1))
+        return out[:, :, 0]
 
-    def argmax(self, values: np.ndarray, word_at, floor: float) -> tuple[float, tuple]:
-        """|F| and the first word of largest |F|, from direct values.
+    def argmax(self, values: np.ndarray, word_at, floors: list[float]) -> list[tuple]:
+        """Per item k: |F| and the first word of largest |F|, from direct values.
 
-        ``values`` are F of the words ``word_at(0)``, ``word_at(1)``, ...
-        Contractions differ from direct values by rounding, and reversed or
-        symmetric words tie exactly, so every word whose contraction lies
-        within TIE_TOL of the top is built and evaluated directly; the
-        first maximum is then the one a direct evaluation of all words
-        would pick. When no contraction can reach ``floor``, nothing is
-        evaluated.
+        ``values[k]`` are F of the words ``word_at(k, 0)``, ``word_at(k, 1)``,
+        ... Contractions differ from direct values by rounding, and
+        reversed or symmetric words tie exactly, so every word whose
+        contraction lies within TIE_TOL of the top is built and
+        evaluated directly; the first maximum is then the one a direct
+        evaluation of all words would pick. When no contraction can
+        reach ``floors[k]``, nothing is evaluated.
         """
         mags = np.abs(values)
-        top = float(np.max(mags))
-        if self.tensor is None:
-            return top, word_at(int(np.argmax(mags)))
-        slack = TIE_TOL * max(top, 1.0)
-        if top < floor - slack:
-            return -1.0, ()
-        near = [word_at(i) for i in np.flatnonzero(mags >= top - slack)]
-        direct = np.abs(self._send(near))
-        pick = int(np.argmax(direct))
-        return float(direct[pick]), near[pick]
+        tops = mags.max(axis=1)
+        out = []
+        for k, (top, floor) in enumerate(zip(tops.tolist(), floors)):
+            if self.tensors is None:
+                out.append((top, word_at(k, int(np.argmax(mags[k])))))
+                continue
+            slack = TIE_TOL * max(top, 1.0)
+            if top < floor - slack:
+                out.append((-1.0, ()))
+                continue
+            near = [word_at(k, i) for i in np.flatnonzero(mags[k] >= top - slack)]
+            direct = np.abs(self.send(k, near))
+            pick = int(np.argmax(direct))
+            out.append((float(direct[pick]), near[pick]))
+        return out
 
-    def value(self, word: tuple) -> float:
-        """|F(word)|: its contraction on the tensor, else one direct evaluation."""
-        if self.tensor is not None:
-            return float(abs(self.values([word])[0]))
-        return self.direct(word)
+    def value(self, items: list[int], words: list[tuple]) -> list[float]:
+        """|F| of one word per item: its contraction on the tensor, else one direct evaluation."""
+        if self.tensors is None:
+            return [self.direct(k, word) for k, word in zip(items, words)]
+        return [float(abs(row[0])) for row in self.values(items, [[w] for w in words])]
 
-    def direct(self, word: tuple) -> float:
-        """|F(word)| from one direct evaluation."""
-        self.evaluations += 1
-        return float(abs(complex(self.functional(word))))
+    def direct(self, k: int, word: tuple) -> float:
+        """|F(word)| from one direct evaluation by item k's functional."""
+        self.evaluations[k] += 1
+        return float(abs(complex(self.functionals[k](word))))
 
 
 def _search_words(
@@ -574,6 +596,13 @@ def _tensor_probe(n: int, probe: list, dirs: tuple, rand_words: list) -> list | 
     return probe if len(probe) ** n <= direct_words else None
 
 
+def _stack_chunk_items(search_budget: int, n: int, dirs: tuple) -> int:
+    """Items per stack chunk: as many as fit in SEARCH_DRAW_GUARD candidate
+    words (each item's random draws and head words), at least one, so a
+    chunk holds no more than the largest single search inside the guard."""
+    return max(1, SEARCH_DRAW_GUARD // max(1, search_budget * n + len(dirs) ** n))
+
+
 def _search(
     functional,
     n: int,
@@ -581,69 +610,140 @@ def _search(
     search_budget: int,
     omega: SiteState | None,
     seed: int,
-    words: tuple | None = None,
-    tensor: np.ndarray | None = None,
 ) -> SeminormEstimate:
-    """One seminorm search. A size table passes the ``_search_words``
-    triple it built once, and on the tensor side this functional's
-    basis tensor; either is then the one the search would build.
+    """One seminorm search: ``_search_stack`` on a stack of one.
+
+    An array ``np.abs`` and a scalar ``abs()`` of one complex value can
+    differ in the last bit, so each |F| has one fixed form: ``np.abs``
+    on arrays when ranking words and near-ties, scalar ``abs`` on each
+    ascent value and each direct evaluation. A stack keeps these forms,
+    which is what makes its items equal to their searches alone.
     """
+    return _search_stack([functional], n, dim, search_budget, omega, [seed])[0]
+
+
+def _search_stack(
+    functionals: Sequence,
+    n: int,
+    dim: int,
+    search_budget: int,
+    omega: SiteState | None,
+    seeds: Sequence[int],
+    tensors: Sequence[np.ndarray | None] | None = None,
+    words: tuple | None = None,
+) -> list[SeminormEstimate]:
+    """Seminorm searches that share n, dim, search_budget and centering.
+
+    Item k searches ``functionals[k]`` with ``seeds[k]`` (and, on the
+    tensor side, ``tensors[k]`` when given), and equals the search of
+    that item alone bit for bit, evaluations included. The items share
+    the probe, the head directions and the tensor/direct switch; items
+    of one seed share one ``_search_words`` draw, and ``words``, when
+    given, is the triple of ``seeds[0]``. The head ranking, the random
+    word ranking and every ascent step run once over a chunk of items
+    (``_stack_chunk_items``) as batched contractions, one ``eigh`` and
+    one 2-norm; near-tie words, ascent values on the direct side and
+    the final witness go through each item's own functional. Every |F|
+    takes the form ``_search`` states.
+    """
+    functionals = list(functionals)
+    if not functionals:
+        return []
+    if tensors is None:
+        tensors = [None] * len(functionals)
     if n == 0:
-        return SeminormEstimate(abs(complex(functional(()))), (), 1)
-
+        return [SeminormEstimate(abs(complex(f(()))), (), 1) for f in functionals]
     if words is None:
-        words = _search_words(n, dim, search_budget, omega, seed)
-    probe, dirs, rand_words = words
-    tensor_probe = _tensor_probe(n, probe, dirs, rand_words)
-    cands = _Candidates(functional, n, tensor_probe, omega is not None, tensor)
+        words = _search_words(n, dim, search_budget, omega, seeds[0])
+    probe, dirs, _ = words
+    tensor_probe = _tensor_probe(n, *words)
+    per_chunk = _stack_chunk_items(search_budget, n, dirs)
+    # the first chunk holds item 0, so the first draw is released after it
+    pending = {seeds[0]: words[2]}
+    words = None
+    out: list[SeminormEstimate] = []
+    for start in range(0, len(functionals), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        drawn, pending = pending, {}
+        for seed in seeds[chunk]:
+            if seed not in drawn:
+                drawn[seed] = _search_words(n, dim, search_budget, omega, seed)[2]
+        cands = _Candidates(functionals[chunk], n, tensor_probe, omega is not None, tensors[chunk])
+        out += _search_chunk(cands, n, probe, dirs, [drawn[seed] for seed in seeds[chunk]])
+    return out
 
-    def head_word(i: int) -> tuple:
-        return tuple(dirs[k] for k in np.unravel_index(i, (len(dirs),) * n))
 
-    best_val = -1.0
-    best_word: tuple = ()
+def _search_chunk(
+    cands: _Candidates, n: int, probe: list, dirs: tuple, rand_words: list[list]
+) -> list[SeminormEstimate]:
+    """Rank, ascend and certify every item of ``cands``; ``rand_words[k]`` are item k's."""
+    count = len(cands.functionals)
+    best = [(-1.0, ())] * count
     if dirs:
-        best_val, best_word = cands.argmax(cands.head(dirs, n), head_word, best_val)
-    if rand_words:
-        val, word = cands.argmax(cands.values(rand_words), rand_words.__getitem__, best_val)
-        if val > best_val:
-            best_val, best_word = val, word
+        shape = (len(dirs),) * n
 
-    if not best_word:
-        return SeminormEstimate(0.0, (), cands.evaluations)
+        def head_word(k: int, i: int) -> tuple:
+            return tuple(dirs[j] for j in np.unravel_index(i, shape))
+
+        best = cands.argmax(cands.head(dirs, n), head_word, [-1.0] * count)
+    if rand_words[0]:
+        values = cands.values(list(range(count)), rand_words)
+        found = cands.argmax(values, lambda k, i: rand_words[k][i], [v for v, _ in best])
+        best = [new if new[0] > old[0] else old for new, old in zip(found, best)]
 
     # coordinate ascent (the higher-order power method): each slot is a
     # linear direction, so probe the basis, take the top eigenvector of
     # the quadratic response, and keep the renormalized candidate only
     # if its value improves. On the tensor, trials and candidates are
     # contractions, and the word they end at is evaluated directly once
-    start_val = best_val
-    word = list(best_word)
-    for _pass in range(2):
+    live = [k for k in range(count) if best[k][1]]
+    vals = {k: best[k][0] for k in live}
+    word = {k: list(best[k][1]) for k in live}
+    for _pass in range(2 if live else 0):
         for slot in range(n):
             trials = [
-                tuple(word[:slot]) + (h,) + tuple(word[slot + 1 :]) for h in probe
+                [tuple(word[k][:slot]) + (h,) + tuple(word[k][slot + 1 :]) for h in probe]
+                for k in live
             ]
-            resp = cands.values(trials)
-            m = np.outer(resp.real, resp.real) + np.outer(resp.imag, resp.imag)
-            vec = np.linalg.eigh(m)[1][:, -1]
-            cand_mat = sum(float(cv) * h.mat for cv, h in zip(vec, probe))
-            nrm = float(np.linalg.norm(cand_mat, 2))
-            if nrm < 1e-12:
+            resp = cands.values(live, trials)
+            re, im = resp.real, resp.imag
+            m = re[:, :, None] * re[:, None, :] + im[:, :, None] * im[:, None, :]
+            vecs = np.linalg.eigh(m)[1][:, :, -1]
+            cand_mats = 0
+            for j, h in enumerate(probe):
+                cand_mats = cand_mats + vecs[:, j, None, None] * h.mat
+            nrms = np.linalg.norm(cand_mats, 2, axis=(-2, -1)).tolist()
+            moved = [i for i, nrm in enumerate(nrms) if not nrm < 1e-12]
+            if not moved:
                 continue
-            cand_op = SiteOperator(cand_mat / nrm)
-            val = cands.value(tuple(word[:slot]) + (cand_op,) + tuple(word[slot + 1 :]))
-            if val > best_val + 1e-15:
-                best_val = val
-                word[slot] = cand_op
-    witness = tuple(word)
-    if cands.tensor is not None and witness != best_word:
-        # the reported value is a direct evaluation of the reported word;
-        # should rounding have ranked a worse word higher, keep the start
-        best_val = cands.direct(witness)
-        if best_val < start_val:
-            return SeminormEstimate(start_val, best_word, cands.evaluations)
-    return SeminormEstimate(best_val, witness, cands.evaluations)
+            items = [live[i] for i in moved]
+            ops = [SiteOperator(cand_mats[i] / nrms[i]) for i in moved]
+            cand_words = [
+                tuple(word[k][:slot]) + (op,) + tuple(word[k][slot + 1 :])
+                for k, op in zip(items, ops)
+            ]
+            for k, op, val in zip(items, ops, cands.value(items, cand_words)):
+                if val > vals[k] + 1e-15:
+                    vals[k] = val
+                    word[k][slot] = op
+
+    out = []
+    for k in range(count):
+        start_val, start_word = best[k]
+        if not start_word:
+            out.append(SeminormEstimate(0.0, (), cands.evaluations[k]))
+            continue
+        witness = tuple(word[k])
+        val = vals[k]
+        if cands.tensors is not None and witness != start_word:
+            # the reported value is a direct evaluation of the reported word;
+            # should rounding have ranked a worse word higher, keep the start
+            val = cands.direct(k, witness)
+            if val < start_val:
+                out.append(SeminormEstimate(start_val, start_word, cands.evaluations[k]))
+                continue
+        out.append(SeminormEstimate(val, witness, cands.evaluations[k]))
+    return out
 
 
 def _search_table(
@@ -659,9 +759,9 @@ def _search_table(
 
     Row i equals ``seminorm_nu_omega_estimate`` on those sites against
     ``omegas[i]`` bit for bit, evaluations included. Each run of sizes
-    whose omegas are bit-equal builds the search words once and, on the
-    tensor side, reads every size's basis tensor from one size table
-    (one Markov sweep); then each size ranks and ascends on its own.
+    whose omegas are bit-equal is one search stack on one draw of the
+    search words and, on the tensor side, reads every size's basis
+    tensor from one size table (one Markov sweep).
     """
     out: list[SeminormEstimate] = []
     runs = itertools.groupby(zip(sizes, omegas), key=lambda row: row[1].rho.tobytes())
@@ -670,17 +770,17 @@ def _search_table(
         omega = group_omegas[0]
         words = _search_words(n, state.site_dim, search_budget, omega, seed)
         probe = _tensor_probe(n, *words)
-        tensors = [None] * len(group)
+        tensors = None
         if probe is not None:
             basis = list(itertools.product(probe, repeat=n))
             tensors = list(_moments_of(state, region, basis, group))
-        for size, tensor in zip(group, tensors):
-            functional = InducedMomentFunctional(state, _prefix_region(region, size))
-            out.append(
-                _search(
-                    functional, n, state.site_dim, search_budget, omega, seed, words, tensor
-                )
-            )
+        functionals = [
+            InducedMomentFunctional(state, _prefix_region(region, size)) for size in group
+        ]
+        seeds = [seed] * len(group)
+        out += _search_stack(
+            functionals, n, state.site_dim, search_budget, omega, seeds, tensors, words
+        )
     return out
 
 

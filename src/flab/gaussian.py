@@ -28,7 +28,12 @@ from .algebra import (
 )
 from .combinatorics import pair_partitions
 from .errors import CostGuardError, KahanSum
-from .fluctuations import SeminormEstimate, check_search_draws, seminorm_nu_estimate
+from .fluctuations import (
+    SeminormEstimate,
+    _search_stack,
+    check_search_draws,
+    seminorm_nu_estimate,
+)
 
 WICK_MAX_DEGREE = 12
 SHIFTED_MAX_DEGREE = 10
@@ -193,17 +198,18 @@ class WickDifferenceCheck:
 
 
 def wick_difference_bound_table(
-    cov1: Covariance,
-    cov2: Covariance,
+    pairs: Sequence[tuple[Covariance, Covariance, int]],
     words: Sequence[Sequence[SiteOperator]],
     search_budget: int = 64,
-    seed: int = 0,
-) -> list[WickDifferenceCheck]:
-    """``wick_difference_bound_check`` per word, on one covariance pair.
+) -> list[list[WickDifferenceCheck]]:
+    """``wick_difference_bound_check`` per (W, W', seed) pair and word.
 
-    Every word and the search budget are checked, and the Wick moments
-    taken, before any search; the three norms ||W||, ||W'|| and ||W - W'|| are then searched once
-    (seeds seed, seed + 1 and seed + 2) and shared by every row.
+    Every word, every pair's dimensions and the search budget are
+    checked, and every Wick moment taken, before any search. A pair's
+    three norms ||W||, ||W'|| and ||W - W'|| are searched once (seeds
+    seed, seed + 1 and seed + 2) and shared by its rows. The words fix
+    one local dimension, so the 3K norms of the table run as one search
+    stack.
     """
     words = [tuple(word) for word in words]
     for word in words:
@@ -214,47 +220,59 @@ def wick_difference_bound_table(
             raise CostGuardError(
                 "wick difference degree", f"degree {n} exceeds {DIFFERENCE_MAX_DEGREE}"
             )
-    if cov1.dim != cov2.dim:
-        raise ValueError("covariances act on different dimensions")
+    for cov1, cov2, _ in pairs:
+        if cov1.dim != cov2.dim:
+            raise ValueError("covariances act on different dimensions")
     if not words:
-        return []
+        return [[] for _ in pairs]
     check_covariance_norm_budget(search_budget)
-    lhs_values = []
+    normed = []
     for word in words:
         norms = [op_norm(a) for a in word]
         if min(norms) < 1e-14:
             raise ValueError("cannot normalize a zero operator")
-        normed = tuple(SiteOperator(a.mat / nrm) for a, nrm in zip(word, norms))
-        lhs_values.append(abs(wick_moment(cov1, normed) - wick_moment(cov2, normed)))
-    diff = Covariance(cov1.dim, cov1.matrix - cov2.matrix)
-    n1 = covariance_norm_estimate(cov1, search_budget, seed).value
-    n2 = covariance_norm_estimate(cov2, search_budget, seed + 1).value
-    nd = covariance_norm_estimate(diff, search_budget, seed + 2).value
+        normed.append(tuple(SiteOperator(a.mat / nrm) for a, nrm in zip(word, norms)))
+    lhs_rows = [
+        [abs(wick_moment(cov1, w) - wick_moment(cov2, w)) for w in normed]
+        for cov1, cov2, _ in pairs
+    ]
+
+    # wick_moment matched every pair to the words' dimension: one stack of 3K norms
+    covs, seeds = [], []
+    for cov1, cov2, seed in pairs:
+        covs += [cov1, cov2, Covariance(cov1.dim, cov1.matrix - cov2.matrix)]
+        seeds += [seed, seed + 1, seed + 2]
+    functionals = [_CovariancePairFunctional(cov) for cov in covs]
+    ests = _search_stack(functionals, 2, words[0][0].dim, search_budget, None, seeds)
 
     def poly(a: float, b: float, half: int) -> float:
         return sum(a ** (k - 1) * b ** (half - k) for k in range(1, half + 1))
 
     pad = WICK_NORM_PAD
     out = []
-    for word, lhs in zip(words, lhs_values):
-        half = len(word) // 2
-        count = len(pair_partitions(len(word)))
-        rhs = nd * count * poly(n1, n2, half)
-        rhs_padded = (nd * pad) * count * poly(n1 * pad, n2 * pad, half)
-        passed = lhs <= rhs_padded + WICK_BOUND_SLACK
-        pad_decisive = passed and not (lhs <= rhs + WICK_BOUND_SLACK)
-        out.append(
-            WickDifferenceCheck(
-                lhs=float(lhs),
-                rhs=float(rhs),
-                rhs_padded=float(rhs_padded),
-                passed=passed,
-                pad_decisive=pad_decisive,
-                norm_first=n1,
-                norm_second=n2,
-                norm_difference=nd,
+    for i, lhs_values in enumerate(lhs_rows):
+        n1, n2, nd = (est.value for est in ests[3 * i : 3 * i + 3])
+        checks = []
+        for word, lhs in zip(words, lhs_values):
+            half = len(word) // 2
+            count = len(pair_partitions(len(word)))
+            rhs = nd * count * poly(n1, n2, half)
+            rhs_padded = (nd * pad) * count * poly(n1 * pad, n2 * pad, half)
+            passed = lhs <= rhs_padded + WICK_BOUND_SLACK
+            pad_decisive = passed and not (lhs <= rhs + WICK_BOUND_SLACK)
+            checks.append(
+                WickDifferenceCheck(
+                    lhs=float(lhs),
+                    rhs=float(rhs),
+                    rhs_padded=float(rhs_padded),
+                    passed=passed,
+                    pad_decisive=pad_decisive,
+                    norm_first=n1,
+                    norm_second=n2,
+                    norm_difference=nd,
+                )
             )
-        )
+        out.append(checks)
     return out
 
 
@@ -275,7 +293,7 @@ def wick_difference_bound_check(
     form passed. Both sides compare with WICK_BOUND_SLACK. This is
     ``wick_difference_bound_table`` at the one word.
     """
-    return wick_difference_bound_table(cov1, cov2, [word], search_budget, seed)[0]
+    return wick_difference_bound_table([(cov1, cov2, seed)], [word], search_budget)[0][0]
 
 
 @dataclass

@@ -298,9 +298,11 @@ class CircuitState(GlobalState):
     Each layer is (offset, gate): the d^2 x d^2 unitary acts on every
     neighbor pair (i, i+1) with i matching the offset parity. The state
     is evolved once at construction and cached as one statevector. A
-    mixed base sum_k p_k |k><k| is purified first, to sum_k sqrt(p_k)
-    |k>|k> with an ancilla per site, and the gates act on the system
-    axes only; every expectation is then <psi|A|psi>. Correlations vanish
+    mixed base is purified first, to sum_k F|k> |k> with an ancilla per
+    site, where F F^dagger = rho (the Cholesky factor of a positive
+    definite base, else sqrt(p_k) |k> from its eigenvectors), and the
+    gates act on the system axes only; every expectation is then
+    <psi|A|psi>. Correlations vanish
     identically beyond graph distance 2 * depth, since disjoint light
     cones factorize.
     """
@@ -345,11 +347,17 @@ class CircuitState(GlobalState):
                     "circuit density-matrix size",
                     f"d^2L = {dim_total * dim_total} exceeds {DENSITY_MAX_DIM}",
                 )
-            # purification: column k is sqrt(p_k) |k>, its ancilla index k.
-            # SiteState admits eigenvalues down to -1e-12; clipped alone they
-            # would lift the norm by up to L * 1e-12, past the trace check
-            p = np.clip(probs, 0.0, None)
-            start = vecs * np.sqrt(p / p.sum())
+            # purification: column k of a factor F with F F^dagger = rho, its
+            # ancilla index k. A positive definite rho takes its Cholesky
+            # factor, whose reconstruction error is below eigh's; a rank-
+            # deficient one takes sqrt(p_k) |k>. SiteState admits eigenvalues
+            # down to -1e-12; clipped alone they would lift the norm by up to
+            # L * 1e-12, past the trace check
+            if probs[0] > 1e-12:
+                start = np.linalg.cholesky(base.rho) / np.sqrt(np.trace(base.rho).real)
+            else:
+                p = np.clip(probs, 0.0, None)
+                start = vecs * np.sqrt(p / p.sum())
         tensor = start.copy()
         for _ in range(length - 1):
             tensor = np.kron(tensor, start)

@@ -14,8 +14,10 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from flab import chain_metric, explicit_metric, grid2d_metric
+from flab import SiteOperator, chain_metric, explicit_metric, grid2d_metric
+from flab.algebra import _hs_coefficient_stack
 from flab.combinatorics import integer_partitions_into_k, multinomial
+from flab.fluctuations import TIE_TOL, SeminormEstimate, _search_words
 
 # CI sets HYPOTHESIS_PROFILE=ci so every run draws the same examples;
 # local runs keep hypothesis' default random search.
@@ -297,3 +299,128 @@ def wick_recursive(pair_value, items):
         rest = items[1:j] + items[j + 1 :]
         total += pair_value(first, items[j]) * wick_recursive(pair_value, rest)
     return total
+
+
+# =============================================================================
+# Scalar seminorm search
+# =============================================================================
+
+def search_loop(functional, n, dim, budget, omega, seed, tensor=None):
+    """One seminorm search at a time: the search as it stood before it ran
+    in stacks, kept as the oracle of the stacked engine.
+
+    It takes its probe, directions and random words from
+    ``_search_words`` (the draws have their own tests) and ranks on the
+    basis tensor by the same switch. Every |F| has its own form: array
+    ``np.abs`` when ranking words and near-ties, scalar ``abs`` on each
+    ascent value and each direct evaluation.
+    """
+    if n == 0:
+        return SeminormEstimate(abs(complex(functional(()))), (), 1)
+    probe, dirs, rand_words = _search_words(n, dim, budget, omega, seed)
+    skip = int(omega is not None)
+    evaluations = 0
+
+    def send(words):
+        nonlocal evaluations
+        evaluations += len(words)
+        if not words:
+            return np.zeros(0, dtype=complex)
+        if hasattr(functional, "batch"):
+            return np.asarray(functional.batch(words), dtype=complex)
+        return np.array([complex(functional(w)) for w in words])
+
+    def coefficients(mats):
+        return _hs_coefficient_stack(mats)[..., skip:]
+
+    def contract(coeffs):
+        p = tensor.shape[0]
+        out = coeffs[:, 0] @ tensor.reshape(p, -1)
+        for k in range(1, coeffs.shape[1]):
+            out = np.einsum("wi,wir->wr", coeffs[:, k], out.reshape(len(coeffs), p, -1))
+        return out[:, 0]
+
+    def values(words):
+        if tensor is None or not words:
+            return send(words)
+        return contract(coefficients(np.array([[a.mat for a in w] for w in words])))
+
+    def head():
+        if tensor is None:
+            return send(list(itertools.product(dirs, repeat=n)))
+        coeffs = coefficients(np.array([a.mat for a in dirs]))
+        out = tensor
+        for _ in range(n):
+            out = (coeffs @ out.reshape(coeffs.shape[1], -1)).T
+        return out.reshape(-1)
+
+    def argmax(vals, word_at, floor):
+        mags = np.abs(vals)
+        top = float(np.max(mags))
+        if tensor is None:
+            return top, word_at(int(np.argmax(mags)))
+        slack = TIE_TOL * max(top, 1.0)
+        if top < floor - slack:
+            return -1.0, ()
+        near = [word_at(i) for i in np.flatnonzero(mags >= top - slack)]
+        direct_vals = np.abs(send(near))
+        pick = int(np.argmax(direct_vals))
+        return float(direct_vals[pick]), near[pick]
+
+    def direct(word):
+        nonlocal evaluations
+        evaluations += 1
+        return float(abs(complex(functional(word))))
+
+    def value(word):
+        if tensor is not None:
+            return float(abs(values([word])[0]))
+        return direct(word)
+
+    direct_words = len(dirs) ** n + len(rand_words) + 2 * n * (len(probe) + 1)
+    on_tensor = len(probe) ** n <= direct_words
+    if on_tensor:
+        if tensor is None:
+            tensor = send(list(itertools.product(probe, repeat=n)))
+        else:
+            evaluations += tensor.size
+        tensor = tensor.reshape((len(probe),) * n)
+    else:
+        tensor = None
+
+    def head_word(i):
+        return tuple(dirs[k] for k in np.unravel_index(i, (len(dirs),) * n))
+
+    best_val, best_word = -1.0, ()
+    if dirs:
+        best_val, best_word = argmax(head(), head_word, best_val)
+    if rand_words:
+        val, word = argmax(values(rand_words), rand_words.__getitem__, best_val)
+        if val > best_val:
+            best_val, best_word = val, word
+    if not best_word:
+        return SeminormEstimate(0.0, (), evaluations)
+
+    start_val = best_val
+    word = list(best_word)
+    for _pass in range(2):
+        for slot in range(n):
+            trials = [tuple(word[:slot]) + (h,) + tuple(word[slot + 1 :]) for h in probe]
+            resp = values(trials)
+            m = np.outer(resp.real, resp.real) + np.outer(resp.imag, resp.imag)
+            vec = np.linalg.eigh(m)[1][:, -1]
+            cand_mat = sum(float(cv) * h.mat for cv, h in zip(vec, probe))
+            nrm = float(np.linalg.norm(cand_mat, 2))
+            if nrm < 1e-12:
+                continue
+            cand_op = SiteOperator(cand_mat / nrm)
+            val = value(tuple(word[:slot]) + (cand_op,) + tuple(word[slot + 1 :]))
+            if val > best_val + 1e-15:
+                best_val = val
+                word[slot] = cand_op
+    witness = tuple(word)
+    if tensor is not None and witness != best_word:
+        best_val = direct(witness)
+        if best_val < start_val:
+            return SeminormEstimate(start_val, best_word, evaluations)
+    return SeminormEstimate(best_val, witness, evaluations)

@@ -409,25 +409,65 @@ def test_bounds_report_bytes_pinned(tmp_path, capsys, seed):
     assert out == pinned.read_text()
 
 
+CCR_DECAY_PINNED = {
+    # centered d = 2 at degree 4: four sizes stack on the basis tensor
+    "d2": {
+        "state": {"kind": "markov", "T": [[0.7, 0.4], [0.3, 0.6]], "alpha": 0.4},
+        "prefix": ["Z", "X"],
+        "pair": ["X", "Y"],
+        "suffix": ["Y"],
+        "sizes": [3, 6, 9, 12],
+        "search_budget": 6,
+    },
+    # centered d = 3 at degree 3: three sizes stack on direct evaluations
+    "d3": {
+        "state": {
+            "kind": "markov",
+            "T": [[0.6, 0.2, 0.3], [0.3, 0.5, 0.3], [0.1, 0.3, 0.4]],
+            "alpha": 0.4,
+        },
+        "prefix": [[[1, 0, 0], [0, -1, 0], [0, 0, 0]]],
+        "pair": [[[1, 1, 0], [1, 0, 0], [0, 0, -1]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]],
+        "suffix": [[[0, 1, 0], [1, 1, 0], [0, 0, 0]]],
+        "sizes": [2, 4, 6],
+        "search_budget": 4,
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("case", sorted(CCR_DECAY_PINNED))
+def test_ccr_decay_report_bytes_pinned(tmp_path, capsys, case, seed):
+    """Two Markov ccr-decay reports whose sizes share one search stack,
+    byte for byte as recorded while each size still searched alone."""
+    cfg = write_config(tmp_path, {**CCR_DECAY_PINNED[case], "seed": seed})
+    code, out, err = run(["ccr-decay", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    pinned = Path(__file__).resolve().parent / "data" / f"ccr_decay_{case}_seed{seed}.csv"
+    assert out == pinned.read_text()
+
+
 def _record_searches(monkeypatch):
-    """Wrap fluctuations._search; each call appends its (functional, n,
-    budget, omega bytes, seed) key. A covariance functional is keyed by its
-    matrix (each norm estimate builds a new one), a moment functional by
-    identity (the list keeps it alive, so no id is reused)."""
-    from flab import fluctuations
+    """Wrap the stacked search engine; each item of each stack appends its
+    (functional, n, budget, omega bytes, seed) key. A covariance functional
+    is keyed by its matrix (each norm search builds a new one), a moment
+    functional by identity (the list keeps it alive, so no id is reused)."""
+    from flab import fluctuations, gaussian
 
     keys, alive = [], []
-    real = fluctuations._search
+    real = fluctuations._search_stack
 
-    def record(functional, n, dim, budget, omega, seed, *rest):
-        cov = getattr(functional, "cov", None)
-        alive.append(functional)
-        who = ("covariance", cov.matrix.tobytes()) if cov is not None else id(functional)
+    def record(functionals, n, dim, budget, omega, seeds, *rest):
         omega_bytes = None if omega is None else omega.rho.tobytes()
-        keys.append((who, n, budget, omega_bytes, seed))
-        return real(functional, n, dim, budget, omega, seed, *rest)
+        for functional, seed in zip(functionals, seeds):
+            cov = getattr(functional, "cov", None)
+            alive.append(functional)
+            who = ("covariance", cov.matrix.tobytes()) if cov is not None else id(functional)
+            keys.append((who, n, budget, omega_bytes, seed))
+        return real(functionals, n, dim, budget, omega, seeds, *rest)
 
-    monkeypatch.setattr(fluctuations, "_search", record)
+    monkeypatch.setattr(fluctuations, "_search_stack", record)
+    monkeypatch.setattr(gaussian, "_search_stack", record)
     return keys
 
 
@@ -946,7 +986,7 @@ def test_ccr_decay_guard_before_search(tmp_path, capsys, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("seminorm search ran before the cost guard")
 
-    monkeypatch.setattr("flab.fluctuations._search", no_search)
+    monkeypatch.setattr("flab.fluctuations._search_stack", no_search)
     cfg = write_config(
         tmp_path,
         {
@@ -972,7 +1012,7 @@ def test_ccr_decay_markov_dp_guard_before_search(tmp_path, capsys, monkeypatch):
         raise AssertionError("seminorm search ran before the Markov DP guard")
 
     monkeypatch.setattr("flab.fluctuations.MARKOV_DP_GUARD", 32)
-    monkeypatch.setattr("flab.fluctuations._search", no_search)
+    monkeypatch.setattr("flab.fluctuations._search_stack", no_search)
     cfg = write_config(
         tmp_path,
         {

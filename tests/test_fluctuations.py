@@ -17,6 +17,7 @@ from conftest import (
     markov_site_mean,
     product_density,
     random_gapped_transition,
+    search_loop,
 )
 
 from flab import (
@@ -62,6 +63,7 @@ from flab.fluctuations import (
     _eval_many,
     _moments_of,
     _search,
+    _search_stack,
     _search_table,
     _search_words,
     ccr_decay_table,
@@ -605,13 +607,13 @@ def test_seminorm_comparison_table_rows_equal_per_degree_checks(kind, degrees, b
 def test_seminorm_comparison_table_searches_each_degree_once(monkeypatch):
     """nu_n once per degree, then nu_k^omega once per k <= max degree."""
     calls = []
-    real = fluctuations._search
+    real = fluctuations._search_stack
 
-    def record(functional, n, dim, budget, omega, seed, *rest):
-        calls.append((n, omega is None, seed))
-        return real(functional, n, dim, budget, omega, seed, *rest)
+    def record(functionals, n, dim, budget, omega, seeds, *rest):
+        calls.extend((n, omega is None, seed) for seed in seeds)
+        return real(functionals, n, dim, budget, omega, seeds, *rest)
 
-    monkeypatch.setattr(fluctuations, "_search", record)
+    monkeypatch.setattr(fluctuations, "_search_stack", record)
     rho = SiteState(np.diag([0.75, 0.25]))
     ps = ProductState(rho)
     F = InducedMomentFunctional(ps, Region(ps.metric, range(6)))
@@ -665,11 +667,11 @@ def test_basis_tensor_contractions_match_batch(kind, d, n, centered, seed):
     F, omega = _search_case(kind, d, rng)
     omega = omega if centered else None
     probe, dirs, rand_words = _search_words(n, d, 6, omega, seed)
-    cands = _Candidates(F, n, probe, centered=centered)
+    cands = _Candidates([F], n, probe, centered, [None])
     # the mode-product head is in itertools.product order
     head = list(itertools.product(dirs, repeat=n))
     picks = np.arange(0, len(head), max(1, len(head) // 400))
-    got = np.concatenate([cands.head(dirs, n)[picks], cands.values(rand_words)])
+    got = np.concatenate([cands.head(dirs, n)[0][picks], cands.values([0], [rand_words])[0]])
     want = F.batch([head[i] for i in picks] + rand_words)
     assert np.max(np.abs(got - want)) <= 1e-12
     est = _search(F, n, d, 6, omega, seed)
@@ -790,9 +792,10 @@ def test_search_matches_reference_search_bit_for_bit(kind, d, n, centered, seed)
     made = []
     value = _Candidates.value
 
-    def recorded(self, word):
-        made.append((word, value(self, word)))
-        return made[-1][1]
+    def recorded(self, items, words):
+        vals = value(self, items, words)
+        made.extend(zip(words, vals))
+        return vals
 
     with mock.patch.object(_Candidates, "value", recorded):
         got = _search(F, n, d, 6, omega, seed)
@@ -811,6 +814,131 @@ def test_search_matches_reference_search_bit_for_bit(kind, d, n, centered, seed)
     else:
         raise AssertionError("the searches differ without parting at a step")
     assert abs(got.value - want.value) <= 1e-12 * max(1.0, want.value)
+
+
+# =============================================================================
+# Search stacks against the scalar search
+# =============================================================================
+
+def _stack_case(d, n, centered, count, seed):
+    """``count`` functionals of mixed kinds, one omega, seeds with repeats,
+    and each item's basis tensor or None (small tensors only)."""
+    rng = np.random.default_rng(seed)
+    kinds = ["product", "markov", "covariance"] if n == 2 else ["product", "markov"]
+    cases = [_search_case(kinds[int(rng.integers(len(kinds)))], d, rng) for _ in range(count)]
+    functionals = [F for F, _ in cases]
+    omega = cases[0][1] if centered else None
+    seeds = [int(s) for s in seed % 1000 + rng.integers(0, 3, size=count)]
+    probe, _, _ = _search_words(n, d, 0, omega, 0)
+    tensors = [None] * count
+    if len(probe) ** n <= 256:
+        basis = list(itertools.product(probe, repeat=n))
+        tensors = [F.batch(basis) if rng.random() < 0.5 else None for F in functionals]
+    return functionals, omega, seeds, tensors
+
+
+def _same_estimates(got, want):
+    return all(
+        (g.value, g.evaluations) == (w.value, w.evaluations)
+        and _same_words([g.witness], [w.witness])
+        for g, w in zip(got, want, strict=True)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=4),
+    centered=st.booleans(),
+    count=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(d=2, n=2, centered=False, count=6, seed=3)  # tensor side
+@example(d=3, n=3, centered=True, count=4, seed=8)  # direct side
+def test_search_stack_matches_scalar_search_bit_for_bit(d, n, centered, count, seed):
+    """Every item of a stack is the scalar search of that item alone: the
+    same value, witness bytes and evaluations, on both sides of the
+    tensor/direct switch, with equal and distinct seeds."""
+    functionals, omega, seeds, tensors = _stack_case(d, n, centered, count, seed)
+    got = _search_stack(functionals, n, d, 6, omega, seeds, tensors)
+    want = [
+        search_loop(F, n, d, 6, omega, s, t) for F, s, t in zip(functionals, seeds, tensors)
+    ]
+    assert _same_estimates(got, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=3),
+    centered=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_search_stack_does_not_depend_on_chunk_size(d, n, centered, seed):
+    """Chunks of 1 item, of 7 items and the default chunk give the same bits."""
+    functionals, omega, seeds, tensors = _stack_case(d, n, centered, 9, seed)
+    got, chunks = [], []
+    real_chunk = fluctuations._search_chunk
+
+    def chunk(cands, *args):
+        chunks[-1].append(len(cands.functionals))
+        return real_chunk(cands, *args)
+
+    for items in (1, 7, None):
+        chunks.append([])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fluctuations, "_search_chunk", chunk)
+            if items is not None:
+                mp.setattr(fluctuations, "_stack_chunk_items", lambda *args: items)
+            got.append(_search_stack(functionals, n, d, 6, omega, seeds, tensors))
+    assert chunks == [[1] * 9, [7, 2], [9]]
+    assert _same_estimates(got[0], got[2]) and _same_estimates(got[1], got[2])
+
+
+def test_ascent_values_take_scalar_abs():
+    """On the tensor side an ascent value is the scalar ``abs()`` of its
+    contraction, as in the one-item search. Only a step at the 1e-15 bar
+    would show it in a search result, so it is pinned here: the array
+    ``np.abs`` differs in the last bit on about a third of complex values."""
+    rng = np.random.default_rng(11)
+    functionals = [_search_case("markov", 2, rng)[0] for _ in range(4)]
+    probe, _, words = _search_words(3, 2, 40, None, 3)
+    cands = _Candidates(functionals, 3, probe, False, [None] * 4)
+    items = [k % 4 for k in range(40)]
+    contracted = cands.values(items, [[w] for w in words])[:, 0]
+    want = [abs(complex(v)) for v in contracted]
+    assert cands.value(items, words) == want
+    assert np.abs(contracted).tolist() != want
+
+
+def test_search_stack_draws_stay_within_the_guard(monkeypatch):
+    """Three items of SEARCH_DRAW_GUARD / 2 draws each run one chunk at a
+    time: no draw call and no chunk's live draws pass the guard."""
+    budget, n = SEARCH_DRAW_GUARD // 4, 2
+    draws, live = [], []
+    real_draw, real_chunk = fluctuations.random_hermitian_units, fluctuations._search_chunk
+
+    def draw(rng, dim, count):
+        draws.append(count)
+        return real_draw(rng, dim, count)
+
+    def chunk(cands, n, probe, dirs, rand_words):
+        live.append(n * sum(len(ws) for ws in {id(ws): ws for ws in rand_words}.values()))
+        return real_chunk(cands, n, probe, dirs, rand_words)
+
+    monkeypatch.setattr(fluctuations, "random_hermitian_units", draw)
+    monkeypatch.setattr(fluctuations, "_search_chunk", chunk)
+    rng = np.random.default_rng(4)
+    covs = [
+        _CovariancePairFunctional(covariance_from_state(random_density(rng, 2)))
+        for _ in range(3)
+    ]
+    got = _search_stack(covs, n, 2, budget, None, [0, 1, 2])
+    assert sum(draws) > SEARCH_DRAW_GUARD
+    assert max(draws) <= SEARCH_DRAW_GUARD
+    assert live == [budget * n] * 3
+    want = [search_loop(F, n, 2, budget, None, s) for F, s in zip(covs, [0, 1, 2])]
+    assert _same_estimates(got, want)
 
 
 class _CountingFunctional(InducedMomentFunctional):

@@ -34,7 +34,7 @@ from flab import (
     wick_difference_bound_check,
     wick_moment,
 )
-from flab import fluctuations
+from flab import fluctuations, gaussian
 from flab.gaussian import wick_difference_bound_table
 
 RNG = np.random.default_rng(1618)
@@ -262,20 +262,28 @@ def test_difference_bound_random_pairs():
     budget=st.integers(min_value=0, max_value=8),
 )
 def test_difference_table_rows_equal_per_word_checks(seed, budget):
-    """Each row of the table equals the one-word check field for field."""
+    """Each row of the table equals the one-word check of its pair field
+    for field, with 1 to 4 pairs whose base seeds overlap."""
     rng = np.random.default_rng(seed)
-    ca = covariance_from_state(random_density(rng, 2))
-    cb = covariance_from_state(random_density(rng, 2))
+    pairs = [
+        (
+            covariance_from_state(random_density(rng, 2)),
+            covariance_from_state(random_density(rng, 2)),
+            seed % 1000 + int(rng.integers(0, 4)),
+        )
+        for _ in range(int(rng.integers(1, 5)))
+    ]
     words = [
         tuple(random_hermitian_unit(rng, 2) for _ in range(n)) for n in (2, 4, 2)
     ]
-    search_seed = seed % 1000
-    rows = wick_difference_bound_table(ca, cb, words, search_budget=budget, seed=search_seed)
-    assert len(rows) == len(words)
-    for word, row in zip(words, rows):
-        assert row == wick_difference_bound_check(
-            ca, cb, word, search_budget=budget, seed=search_seed
-        )
+    tables = wick_difference_bound_table(pairs, words, search_budget=budget)
+    assert len(tables) == len(pairs)
+    for (ca, cb, search_seed), rows in zip(pairs, tables):
+        assert len(rows) == len(words)
+        for word, row in zip(words, rows):
+            assert row == wick_difference_bound_check(
+                ca, cb, word, search_budget=budget, seed=search_seed
+            )
 
 
 def test_difference_table_validates_every_word_before_searching(monkeypatch):
@@ -284,7 +292,8 @@ def test_difference_table_validates_every_word_before_searching(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("searched before validating the words")
 
-    monkeypatch.setattr(fluctuations, "_search", no_search)
+    monkeypatch.setattr(fluctuations, "_search_stack", no_search)
+    monkeypatch.setattr(gaussian, "_search_stack", no_search)
     cov = covariance_from_state(random_density(RNG, 2))
     cases = [
         ([(SX, SY), (SX,) * 3], ValueError, "even positive degree"),
@@ -293,8 +302,8 @@ def test_difference_table_validates_every_word_before_searching(monkeypatch):
     ]
     for words, exc, match in cases:
         with pytest.raises(exc, match=match):
-            wick_difference_bound_table(cov, cov, words)
-    assert wick_difference_bound_table(cov, cov, []) == []
+            wick_difference_bound_table([(cov, cov, 0), (cov, cov, 1)], words)
+    assert wick_difference_bound_table([(cov, cov, 0)], []) == [[]]
 
 
 def test_difference_bound_vanishes_on_equal_covariances():
