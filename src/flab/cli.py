@@ -68,6 +68,9 @@ _NAMED_OPS = {"I": None, "X": SX, "Y": SY, "Z": SZ}
 RANDOM_PAIRS_GUARD = 1000
 # the counting check takes every radius 0..counting_max_r
 COUNTING_RADIUS_GUARD = 1000
+# a region holds every site as a Python object, about 90 MB per 10^6 sites, and the
+# m**n guards admit 10^7 sites or more at degree 1; 10^4 is the m**n guard's edge at n = 2
+REGION_SIZE_GUARD = 10**4
 
 
 def _err(code: int, message: str) -> None:
@@ -160,7 +163,13 @@ def _load_state(cfg: dict) -> GlobalState:
         raise ConfigError(f"bad state spec: {exc}") from exc
 
 
+def _check_region_size(size: int) -> None:
+    if size > REGION_SIZE_GUARD:
+        raise CostGuardError("region size", f"region size {size} exceeds {REGION_SIZE_GUARD}")
+
+
 def _segment(state: GlobalState, size: int) -> Region:
+    _check_region_size(size)
     try:
         return Region(state.metric, range(size))
     except ValueError as exc:
@@ -326,6 +335,8 @@ def _weight_sum(cfg: dict, seed: int):
         check_correction_tuples(size, n, "weight-sum enumeration")
     for n in degrees:
         check_partition_degree(n, "weight-majorant degree")
+    for size in sizes:
+        _check_region_size(size)
 
     def records() -> list[dict]:
         metric = chain_metric(1.0)

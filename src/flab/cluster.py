@@ -56,8 +56,10 @@ from .states import Assignment, GlobalState, correlator
 
 PRODUCT_PART_MAX_DEGREE = 8
 CORRECTION_TUPLE_GUARD = 10**7
-# (subset, partition) rows per expect_rows call; the guard admits millions of rows
-_CORRECTION_ROW_BUDGET = 256
+# (subset, partition) cells per expect_rows grid; the guard admits millions of them.
+# A grid holds d values per cell and one d x d power per subset (P >= 2 cells each),
+# no more than the 256 rows of the row-list form did, each with its operators' copy
+_CORRECTION_ROW_BUDGET = 1024
 CENTERED_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-9
 EXPANSION_TOL = 1e-10
@@ -142,10 +144,12 @@ def f_correction_moment(
     up to rounding.
 
     The subsets of each block count m stream in chunks of at most
-    _CORRECTION_ROW_BUDGET (subset, partition) rows, and each tail of a
-    chunk is one ``expect_rows`` call. The terms are summed in the order
-    (m, subset, partition, split point), their complex products taken
-    as real float operations, so every bit equals the scalar loop's.
+    _CORRECTION_ROW_BUDGET (subset, partition) cells, and each tail of a
+    chunk is one ``expect_rows`` grid: the chunk's spread orders are its
+    index rows into the sorted sites, the partitions' operator stack its
+    cells. The terms are summed in the order (m, subset, partition, split
+    point), their complex products taken as real float operations, so
+    every bit equals the scalar loop's.
     """
     word = tuple(word)
     n = len(word)
@@ -156,7 +160,6 @@ def f_correction_moment(
     omega = state.single_site_restriction()
     _require_centered(omega, word)
     sites = region.sorted_sites()
-    d = state.site_dim
     dist = _distance_matrix(region.metric, sites) if min(n, size) > 1 else None
     blocks = {}  # block of word slots -> (its operator matrix, its single-site expectation)
     acc = KahanSum()
@@ -175,32 +178,29 @@ def f_correction_moment(
         per_chunk = max(1, _CORRECTION_ROW_BUDGET // len(parts))
         for chunk in _index_chunks(size, m, per_chunk):
             orders, _ = _spread_orders(dist, chunk)
-            enums = [tuple(sites[i] for i in order) for order in orders.tolist()]
-            shape = (len(enums), len(parts))
-            tails = []  # tails[k - 1]: the tail from position k on, (subset, partition)
-            for k in range(1, m + 1):
-                rows = [tail for tail in (enum[k - 1 :] for enum in enums) for _ in parts]
-                mats = np.broadcast_to(stack[:, k - 1 :], shape + (m - k + 1, d, d))
-                tails.append(state.expect_rows(rows, mats.reshape((-1, m - k + 1, d, d))))
-            acc.add_terms(*_telescoped_terms(tails, shape, singles, prefixes))
+            # tails[k - 1]: the tail from position k on, on the (subset, partition) grid
+            tails = [
+                state.expect_rows(sites, orders[:, k - 1 :], stack[None, :, k - 1 :])
+                for k in range(1, m + 1)
+            ]
+            acc.add_terms(*_telescoped_terms(tails, singles, prefixes))
     return acc.value * float(size) ** (-n / 2.0)
 
 
-def _telescoped_terms(tails: list, shape: tuple, singles, prefixes) -> tuple:
+def _telescoped_terms(tails: list, singles, prefixes) -> tuple:
     """The terms prefix * (tail_k - single * tail_{k+1}) in (subset, partition, k) order.
 
     Every complex product is taken as real float operations, so each term
     rounds as Python complex arithmetic does. The real and imaginary
-    parts come back as memoryviews, which yield one float at a time: a
-    list of every term's float objects would lift the peak resident set.
+    parts come back as two flat float arrays.
     """
-    tails = np.stack(tails, axis=-1).reshape(shape + (len(tails),))
+    tails = np.stack(tails, axis=-1)
     tr, ti = tails.real, tails.imag
     sr, si = singles.real, singles.imag
     yr = tr[..., :-1] - (sr * tr[..., 1:] - si * ti[..., 1:])
     yi = ti[..., :-1] - (sr * ti[..., 1:] + si * tr[..., 1:])
     pr, pi = prefixes.real, prefixes.imag
-    return memoryview((pr * yr - pi * yi).ravel()), memoryview((pr * yi + pi * yr).ravel())
+    return (pr * yr - pi * yi).ravel(), (pr * yi + pi * yr).ravel()
 
 
 class CorrectionFunctional:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numbers
 
+import numpy as np
+
 
 class CostGuardError(RuntimeError):
     """Raised when a computation would exceed a declared cost guard.
@@ -59,12 +61,15 @@ class KahanSum:
         self._ci = 0.0
 
     def add(self, z: complex) -> None:
-        self.add_terms((z.real,), (z.imag,))
+        """Add one term, by Neumaier's step on Python floats (arrays cost more for one)."""
+        self._sr, self._cr = _neumaier_step(self._sr, self._cr, z.real)
+        self._si, self._ci = _neumaier_step(self._si, self._ci, z.imag)
 
     def add_terms(self, reals, imags) -> None:
-        """Add the terms reals[i] + 1j * imags[i] in index order, as ``add`` would.
+        """Add the terms reals[i] + 1j * imags[i] in index order, bit for bit as ``add`` would.
 
-        ``reals`` and ``imags`` are iterables of floats of one length.
+        ``reals`` and ``imags`` are float arrays of one length; each part
+        is summed by ``_neumaier``'s two cumsums.
         """
         self._sr, self._cr = _neumaier(self._sr, self._cr, reals)
         self._si, self._ci = _neumaier(self._si, self._ci, imags)
@@ -74,13 +79,24 @@ class KahanSum:
         return complex(self._sr + self._cr, self._si + self._ci)
 
 
+def _neumaier_step(total: float, comp: float, z: float) -> tuple:
+    """Neumaier's step: the running sum and compensation after adding ``z``."""
+    t = total + z
+    if abs(total) >= abs(z):
+        return t, comp + ((total - t) + z)
+    return t, comp + ((z - t) + total)
+
+
 def _neumaier(total: float, comp: float, terms) -> tuple:
-    """Neumaier's step over ``terms`` from the running sum and compensation."""
-    for z in terms:
-        t = total + z
-        if abs(total) >= abs(z):
-            comp += (total - t) + z
-        else:
-            comp += (z - t) + total
-        total = t
-    return total, comp
+    """``_neumaier_step`` over every term in order, as two sequential cumsums.
+
+    ``np.cumsum`` adds in sequence, so one pass from ``total`` gives each
+    step's running sum t_i, and a second pass from ``comp`` adds each
+    step's error, ``(t_{i-1} - t_i) + z_i`` or ``(z_i - t_i) + t_{i-1}``,
+    in the steps' order: every bit is the step loop's.
+    """
+    terms = np.asarray(terms, dtype=float)
+    sums = np.cumsum(np.concatenate(([total], terms)))
+    prev, t = sums[:-1], sums[1:]
+    errors = np.where(np.abs(prev) >= np.abs(terms), (prev - t) + terms, (terms - t) + prev)
+    return float(sums[-1]), float(np.cumsum(np.concatenate(([comp], errors)))[-1])

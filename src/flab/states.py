@@ -11,8 +11,10 @@ Three state families, sharing one query interface:
 
 An expectation query takes a map from sites to single-site operators and
 returns the expectation of the corresponding tensor product. Each family
-implements only ``expect_rows``, which answers N such queries at once,
-each row over its own sites; ``expect`` is a batch of one row.
+implements only ``expect_rows``, which answers a grid of such queries at
+once: S rows, each naming its sites as positions in one list of sites,
+by P cells, each placing its own operators on its row's sites.
+``expect`` is a grid of one row and one cell.
 Truncated pair correlations are exposed through ``correlator`` with the
 distance reweighting e^{+d} applied, and ``estimate_G0`` reports a
 certified lower bound on the decay constant sup over separated pairs.
@@ -78,15 +80,21 @@ class GlobalState:
     metric: Metric
 
     def expect(self, ops: Dict) -> complex:
-        """Expectation of one tensor product: a batch of one row."""
-        self._check_query(list(ops), [op.dim for op in ops.values()])
-        return complex(self.expect_rows([tuple(ops)], [[op.mat for op in ops.values()]])[0])
+        """Expectation of one tensor product: a grid of one row and one cell."""
+        sites = list(ops)
+        self._check_query(sites, [op.dim for op in ops.values()])
+        d = self.site_dim
+        mats = np.reshape([op.mat for op in ops.values()], (1, 1, len(sites), d, d))
+        return complex(self.expect_rows(sites, np.arange(len(sites))[None], mats)[0, 0])
 
-    def expect_rows(self, rows: Sequence[tuple], mats) -> np.ndarray:
-        """Expectations of N tensor products, each over its own sites.
+    def expect_rows(self, sites: Sequence, index, mats) -> np.ndarray:
+        """Expectations of an (S, P) grid of tensor products.
 
-        ``mats`` has shape (N, L, d, d); row i assigns mats[i, j] to
-        rows[i][j], so rows may differ in their sites and in their order.
+        Row s of the integer array ``index``, of shape (S, w), names its w
+        sites as positions in ``sites``. ``mats`` has shape (S, P, w, d, d),
+        or (1, P, w, d, d) for one stack that every row shares: cell (s, p)
+        assigns mats[s, p, j] to sites[index[s, j]]. Rows may differ in
+        their sites and their order.
         """
         raise NotImplementedError
 
@@ -101,8 +109,6 @@ class GlobalState:
         raise NotImplementedError
 
     def _check_query(self, sites, dims) -> None:
-        if not sites:
-            raise ValueError("expectation query needs at least one site")
         for x, dim in zip(sites, dims):
             if not self.contains_site(x):
                 raise ValueError(f"site {x!r} outside the state's domain")
@@ -111,25 +117,36 @@ class GlobalState:
                     f"operator dimension {dim} does not match site dimension {self.site_dim}"
                 )
 
-    def _check_rows(self, rows: Sequence, mats) -> tuple:
-        """``mats`` as a complex array, the distinct rows, and each row's place among them.
+    def _check_grid(self, sites: Sequence, index, mats) -> tuple:
+        """The sites the rows use, ``index`` into them, and ``mats`` as a complex array.
 
-        Each distinct row is checked once, as a query of its own.
+        Each used site is checked once, as a query; a row's sites must be
+        distinct, which is checked on the index array.
         """
+        index = np.asarray(index)
         mats = np.asarray(mats, dtype=complex)
-        place = {row: None for row in map(tuple, rows)}
-        if mats.ndim != 4 or mats.shape[0] != len(rows) or mats.shape[2] != mats.shape[3] or any(
-            len(row) != mats.shape[1] for row in place
+        count, width = index.shape if index.ndim == 2 else (-1, -1)
+        if (
+            index.dtype.kind not in "iu"
+            or mats.ndim != 5
+            or mats.shape[0] not in (1, count)
+            or mats.shape[2:] != (width, mats.shape[-1], mats.shape[-1])
         ):
             raise ValueError(
-                f"operator stack of shape {mats.shape} does not fit {len(rows)} rows of sites"
+                f"operator stack of shape {mats.shape} does not fit index rows of shape {index.shape}"
             )
-        for k, row in enumerate(place):
-            self._check_query(row, [mats.shape[-1] for _ in row])
-            if len(set(row)) != len(row):
-                raise ValueError("expectation sites must be distinct")
-            place[row] = k
-        return mats, list(place), [place[row] for row in map(tuple, rows)]
+        if not width:
+            raise ValueError("expectation query needs at least one site")
+        used, index = np.unique(index, return_inverse=True)
+        if used.size and (used[0] < 0 or used[-1] >= len(sites)):
+            raise ValueError(f"index rows name positions outside the {len(sites)} sites")
+        sites = [sites[i] for i in used.tolist()]
+        self._check_query(sites, [mats.shape[-1]] * len(sites))
+        index = index.reshape(count, width)
+        ordered = np.sort(index, axis=1)
+        if len(set(sites)) != len(sites) or (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise ValueError("expectation sites must be distinct")
+        return sites, index, mats
 
 
 class _HomogeneousState(GlobalState):
@@ -159,23 +176,26 @@ class ProductState(_HomogeneousState):
         self.site_dim = site.dim
         self.metric = metric if metric is not None else chain_metric(1.0)
 
-    def expect_rows(self, rows: Sequence[tuple], mats) -> np.ndarray:
-        """Per row, the product of the site traces in the row's metric site order.
+    def expect_rows(self, sites: Sequence, index, mats) -> np.ndarray:
+        """Per cell, the product of its site traces in the metric's site order.
 
-        The product is Python complex multiplication, row by row: numpy's
-        vectorized complex multiply can differ from it in the last bit.
+        Each product is taken as real float operations, the ones Python's
+        complex multiplication rounds: numpy's vectorized complex multiply
+        can differ from it in the last bit.
         """
-        mats, distinct, pick = self._check_rows(rows, mats)
+        sites, index, mats = self._check_grid(sites, index, mats)
         key = self.metric.site_key
-        orders = [sorted(range(len(row)), key=lambda j: key(row[j])) for row in distinct]
-        traces = np.trace(self.site.rho @ mats, axis1=-2, axis2=-1).tolist()
-        out = []
-        for k, values in zip(pick, traces):
-            value = complex(1.0, 0.0)
-            for j in orders[k]:
-                value *= values[j]
-            out.append(value)
-        return np.array(out, dtype=complex)
+        rank = np.empty(len(sites), dtype=np.intp)
+        rank[sorted(range(len(sites)), key=lambda i: key(sites[i]))] = np.arange(len(sites))
+        traces = np.trace(self.site.rho @ mats, axis1=-2, axis2=-1)
+        traces = np.broadcast_to(traces, (len(index),) + traces.shape[1:])
+        traces = np.take_along_axis(traces, np.argsort(rank[index])[:, None], axis=2)
+        real, imag = np.ones(traces.shape[:2]), np.zeros(traces.shape[:2])
+        for t in np.moveaxis(traces, 2, 0):
+            real, imag = real * t.real - imag * t.imag, real * t.imag + imag * t.real
+        out = np.empty(traces.shape[:2], dtype=complex)
+        out.real, out.imag = real, imag
+        return out
 
 
 class MarkovState(_HomogeneousState):
@@ -249,35 +269,33 @@ class MarkovState(_HomogeneousState):
                 self._powers[k] = power
         return power
 
-    def expect_rows(self, rows: Sequence[tuple], mats) -> np.ndarray:
-        """One transfer sweep for all N rows, each over its own sorted sites.
+    def expect_rows(self, sites: Sequence, index, mats) -> np.ndarray:
+        """One transfer sweep over the grid, each row along its own sorted sites.
 
-        Row i steps from one of its sites to the next by the gap's power,
-        gathered from a stack of T^g over the distinct gaps only, as
-        (T^g @ v[..., None])[..., 0], which is bit-identical to the
-        one-vector T^g @ v; T^g @ V.T is not. Each distinct row's order
-        and gaps are taken once, in Python.
+        Row s steps from one of its sites to the next by the gap's power,
+        gathered from a stack of T^g over the distinct gaps only, and every
+        cell of the row takes the step as (G[:, None] @ v[..., None])[..., 0],
+        which is bit-identical to the one-vector T^g @ v; T^g @ V.T is not.
         """
-        mats, distinct, pick = self._check_rows(rows, mats)
-        orders, gaps = [], []
-        for row in distinct:
-            order = sorted(range(len(row)), key=row.__getitem__)
-            orders.append(order)
-            gaps.append([row[b] - row[a] for a, b in zip(order, order[1:])])
-        slot = {g: k for k, g in enumerate({g for row_gaps in gaps for g in row_gaps})}
-        d, width = self.site_dim, mats.shape[1]
-        powers = np.array([self.transition_power(g) for g in slot]).reshape(-1, d, d)
-        order = np.array(orders, dtype=np.intp).reshape(len(distinct), width)[pick]
-        step = [[slot[g] for g in row_gaps] for row_gaps in gaps]
-        step = np.array(step, dtype=np.intp).reshape(len(distinct), max(width - 1, 0))[pick]
-        diagonals = np.diagonal(mats, axis1=-2, axis2=-1)
-        every = np.arange(len(pick))
-        v = np.broadcast_to(self.pi.astype(complex), (len(pick), d))
+        sites, index, mats = self._check_grid(sites, index, mats)
+        count, width = index.shape
+        d, cells = self.site_dim, mats.shape[1]
+        points = np.array(sites, dtype=np.int64)[index]
+        order = np.argsort(points, axis=1)
+        gaps = np.diff(np.sort(points, axis=1), axis=1)
+        distinct, step = np.unique(gaps, return_inverse=True)
+        powers = np.array([self.transition_power(g) for g in distinct.tolist()]).reshape(-1, d, d)
+        step = step.reshape(gaps.shape)
+        diagonals = np.broadcast_to(
+            np.diagonal(mats, axis1=-2, axis2=-1), (count, cells, width, d)
+        )
+        every = np.arange(count)
+        v = np.broadcast_to(self.pi.astype(complex), (count, cells, d))
         for j in range(width):
             if j:
-                v = (powers[step[:, j - 1]] @ v[..., None])[..., 0]
-            v = diagonals[every, order[:, j]] * v
-        return v.sum(axis=1)
+                v = (powers[step[:, j - 1]][:, None] @ v[..., None])[..., 0]
+            v = diagonals[every, :, order[:, j]] * v
+        return v.sum(axis=-1)
 
 
 def _apply_site(tensor: np.ndarray, mat: np.ndarray, x: int) -> np.ndarray:
@@ -375,16 +393,18 @@ class CircuitState(GlobalState):
         """omega(A) from phi = A applied to ``tensor``: <psi|phi>."""
         return complex(np.vdot(self.tensor.reshape(-1), phi.reshape(-1)))
 
-    def expect_rows(self, rows: Sequence[tuple], mats) -> np.ndarray:
-        """Per row, the row's site operators applied to ``tensor`` in the given order."""
-        mats, distinct, pick = self._check_rows(rows, mats)
-        out = []
-        for k, row in zip(pick, mats):
-            phi = self.tensor
-            for x, a in zip(distinct[k], row):
-                phi = _apply_site(phi, a, x)
-            out.append(self.close(phi))
-        return np.array(out, dtype=complex)
+    def expect_rows(self, sites: Sequence, index, mats) -> np.ndarray:
+        """Per cell, its site operators applied to ``tensor`` in the row's order."""
+        sites, index, mats = self._check_grid(sites, index, mats)
+        mats = np.broadcast_to(mats, (len(index),) + mats.shape[1:])
+        out = np.empty(mats.shape[:2], dtype=complex)
+        for s, row in enumerate(index.tolist()):
+            for p, cell in enumerate(mats[s]):
+                phi = self.tensor
+                for x, a in zip(row, cell):
+                    phi = _apply_site(phi, a, sites[x])
+                out[s, p] = self.close(phi)
+        return out
 
     def site_restriction(self, x) -> SiteState:
         if not self.contains_site(x):

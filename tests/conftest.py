@@ -424,3 +424,33 @@ def search_loop(functional, n, dim, budget, omega, seed, tensor=None):
         if best_val < start_val:
             return SeminormEstimate(start_val, best_word, evaluations)
     return SeminormEstimate(best_val, witness, evaluations)
+
+
+# =============================================================================
+# Expectation grids and compensated sums
+# =============================================================================
+
+
+def rows_grid(rows, mats):
+    """``expect_rows`` arguments for N rows, each over its own sites, one cell each.
+
+    ``mats`` has shape (N, w, d, d); the sites are listed in order of
+    first appearance, and the result of the call has shape (N, 1).
+    """
+    mats = np.asarray(mats)
+    sites = list(dict.fromkeys(x for row in rows for x in row))
+    place = {x: k for k, x in enumerate(sites)}
+    index = np.array([[place[x] for x in row] for row in rows], dtype=np.intp)
+    return sites, index.reshape(len(rows), mats.shape[1]), mats[:, None]
+
+
+def neumaier_loop(total, comp, terms):
+    """Neumaier's compensated sum, one Python float step per term."""
+    for z in terms:
+        t = total + z
+        if abs(total) >= abs(z):
+            comp += (total - t) + z
+        else:
+            comp += (z - t) + total
+        total = t
+    return total, comp

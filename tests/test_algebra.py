@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import neumaier_loop
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flab import (
     KahanSum,
@@ -21,6 +24,7 @@ from flab import (
     ordered_product,
     pure_state,
 )
+from flab.errors import _neumaier
 
 RNG = np.random.default_rng(20260821)
 
@@ -168,3 +172,47 @@ def test_kahan_sum_matches_fsum():
     # naive summation loses every 1e-16 increment against the leading 1.0
     assert abs(naive - exact) > 1e-13
     assert abs(acc.value.real - exact) < abs(naive - exact)
+
+
+# a term: a mantissa in [1, 10] at a decade from 1e-20 to 1e20, either sign, or one
+# of the values that make exact ties, exact cancellations at 1e16 and signed zeros
+_TERM = st.one_of(
+    st.builds(
+        lambda mantissa, decade, sign: sign * mantissa * 10.0**decade,
+        st.floats(min_value=1.0, max_value=10.0),
+        st.integers(min_value=-20, max_value=20),
+        st.sampled_from([1.0, -1.0]),
+    ),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16]),
+)
+
+
+def _bits(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.tuples(_TERM, _TERM), terms=st.lists(_TERM, max_size=400))
+def test_neumaier_cumsums_equal_the_scalar_loop(start, terms):
+    """The two-cumsum Neumaier sum equals the scalar loop bit for bit,
+    from any carried running sum and compensation, signed zeros included."""
+    got = _neumaier(*start, np.array(terms, dtype=float))
+    assert _bits(got) == _bits(neumaier_loop(*start, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.lists(st.tuples(_TERM, _TERM), max_size=400), cut=st.integers(0, 400))
+def test_kahan_add_terms_equals_add(terms, cut):
+    """A run of ``add`` calls and ``add_terms`` on the same terms, in two
+    arrays split anywhere, leave the same sums and compensations."""
+    one, batched = KahanSum(), KahanSum()
+    for re, im in terms:
+        one.add(complex(re, im))
+    reals = np.array([re for re, _ in terms], dtype=float)
+    imags = np.array([im for _, im in terms], dtype=float)
+    batched.add_terms(reals[:cut], imags[:cut])
+    batched.add_terms(reals[cut:], imags[cut:])
+    state = [one._sr, one._cr, one._si, one._ci]
+    assert _bits([batched._sr, batched._cr, batched._si, batched._ci]) == _bits(state)
+    want = neumaier_loop(0.0, 0.0, reals.tolist()) + neumaier_loop(0.0, 0.0, imags.tolist())
+    assert _bits(state) == _bits(want)

@@ -1,6 +1,7 @@
 """Experiment driver: configs, CSV/JSON output, exit codes, determinism."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import re
@@ -19,7 +20,7 @@ from conftest import (
 )
 
 from flab import SX, SY, SZ, random_density
-from flab.cli import COUNTING_RADIUS_GUARD, RANDOM_PAIRS_GUARD, main
+from flab.cli import COUNTING_RADIUS_GUARD, RANDOM_PAIRS_GUARD, REGION_SIZE_GUARD, main
 
 PRODUCT_GROUND = {"kind": "product", "rho": [[1.0, 0.0], [0.0, 0.0]]}
 PRODUCT_TILTED = {"kind": "product", "rho": [[0.75, 0.0], [0.0, 0.25]]}
@@ -447,6 +448,31 @@ def test_ccr_decay_report_bytes_pinned(tmp_path, capsys, case, seed):
     assert out == pinned.read_text()
 
 
+def _bench_workloads():
+    """``bench/workloads.py``, loaded by path and only read."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_bound_checks_cluster_verify_bytes_pinned(tmp_path, capsys, seed):
+    """The cluster-verify report of the bound-checks benchmark workload,
+    byte for byte as recorded while the correction swept one row per
+    (subset, partition) and summed its terms one at a time."""
+    (cfg,) = [
+        cfg
+        for experiment, _, cfg in _bench_workloads().experiments("bound-checks", seed)
+        if experiment == "cluster-verify"
+    ]
+    code, out, err = run(["cluster-verify", "--config", write_config(tmp_path, cfg)], capsys)
+    assert (code, err) == (0, "")
+    pinned = Path(__file__).resolve().parent / "data" / f"cluster_verify_seed{seed}.csv"
+    assert out == pinned.read_text()
+
+
 def _record_searches(monkeypatch):
     """Wrap the stacked search engine; each item of each stack appends its
     (functional, n, budget, omega bytes, seed) key. A covariance functional
@@ -711,6 +737,43 @@ def test_cluster_verify_guard_before_any_row(tmp_path, capsys, monkeypatch):
             "|X|^n = 1000000000^2 exceeds 10000000\n"
         )
         assert calls == []
+
+
+LOW_DEGREE_HUGE_REGIONS = [
+    ("cluster-verify", {"state": MARKOV_STD, "sizes": [2, 10**7], "degrees": [1]}, 10**7),
+    ("moments", {"state": PRODUCT_TILTED, "word": ["Z"], "sizes": [2, 10**6]}, 10**6),
+    *[
+        (
+            "bounds",
+            {**BOUNDS_ALL_CHECKS, "seminorm_size": 10**8, "seminorm_degrees": [degree]},
+            10**8,
+        )
+        for degree in (0, 1)
+    ],
+    ("bounds", {**BOUNDS_ALL_CHECKS, "weight_sizes": [4, 10**7], "weight_degrees": [1]}, 10**7),
+]
+
+
+@pytest.mark.parametrize("experiment, doc, size", LOW_DEGREE_HUGE_REGIONS)
+def test_low_degree_region_size_guard(tmp_path, capsys, monkeypatch, experiment, doc, size):
+    """At degree 0 or 1 the m**n guards admit millions of sites; the region
+    guard refuses such a size before any Region is constructed."""
+    calls = _refuse_work(
+        monkeypatch, "Region", "decomposition_check", "induced_moment_table", "b_n_quantity"
+    )
+    code, out, err = run([experiment, "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out, calls) == (3, "", [])
+    assert err == (
+        f"ERR 3: cost guard 'region size': region size {size} exceeds {REGION_SIZE_GUARD}\n"
+    )
+
+
+def test_region_size_guard_edge(tmp_path, capsys):
+    """REGION_SIZE_GUARD sites are admitted, one more is refused."""
+    for size, want in ((REGION_SIZE_GUARD, 0), (REGION_SIZE_GUARD + 1, 3)):
+        doc = {"state": PRODUCT_TILTED, "word": ["Z"], "sizes": [size]}
+        code, out, err = run(["moments", "--config", write_config(tmp_path, doc)], capsys)
+        assert code == want, err
 
 
 def test_cluster_verify_checks_every_region_before_any_row(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from conftest import (
     markov_config_expect,
     product_density,
     random_gapped_transition,
+    rows_grid,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,7 +187,7 @@ def test_markov_expect_batch_matches_rows(d, count, rows, seed):
     mk = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
     sites = rng.permutation(rng.choice(7, size=count, replace=False)).tolist()
     mats = rng.normal(size=(rows, count, d, d)) + 1j * rng.normal(size=(rows, count, d, d))
-    got = mk.expect_rows([tuple(sites)] * rows, mats)
+    got = mk.expect_rows(*rows_grid([tuple(sites)] * rows, mats))[:, 0]
     oracle = markov_config_expect(mk.transition, mk.pi, list(range(7)))
     for row, value in zip(mats, got):
         ops = dict(zip(sites, row))
@@ -202,10 +203,10 @@ def test_expect_batch_default_matches_rows():
     for state in (ProductState(random_density(RNG, 2)), circ):
         sites = [2, 0, 3]
         mats = RNG.normal(size=(5, 3, 2, 2)) + 1j * RNG.normal(size=(5, 3, 2, 2))
-        got = state.expect_rows([tuple(sites)] * len(mats), mats)
+        got = state.expect_rows(*rows_grid([tuple(sites)] * len(mats), mats))[:, 0]
         want = [state.expect({x: SiteOperator(a) for x, a in zip(sites, row)}) for row in mats]
         assert got.tolist() == want
-        assert state.expect_rows([], mats[:0]).shape == (0,)
+        assert state.expect_rows(*rows_grid([], mats[:0])).shape == (0, 1)
 
 
 def _product_expect_loop(ps, ops):
@@ -250,7 +251,7 @@ def test_product_expect_batch_matches_scalar_loop(kind, d, count, rows, seed):
     ps = ProductState(random_density(rng, d), metric)
     sites = [pool[i] for i in rng.permutation(len(pool))[:count]]
     mats = rng.normal(size=(rows, count, d, d)) + 1j * rng.normal(size=(rows, count, d, d))
-    got = ps.expect_rows([tuple(sites)] * rows, mats)
+    got = ps.expect_rows(*rows_grid([tuple(sites)] * rows, mats))[:, 0]
     assert got.shape == (rows,)
     for row, value in zip(mats, got):
         ops = {x: SiteOperator(a) for x, a in zip(sites, row)}
@@ -277,7 +278,7 @@ def test_circuit_expect_batch_matches_scalar_loop(pure, length, depth, count, ro
     mats = rng.normal(size=(rows, len(sites), 2, 2)) + 1j * rng.normal(
         size=(rows, len(sites), 2, 2)
     )
-    got = circ.expect_rows([tuple(sites)] * rows, mats)
+    got = circ.expect_rows(*rows_grid([tuple(sites)] * rows, mats))[:, 0]
     assert got.shape == (rows,)
     for row, value in zip(mats, got):
         ops = {x: SiteOperator(a) for x, a in zip(sites, row)}
@@ -298,12 +299,12 @@ def test_expect_batch_raises_expect_errors():
             with pytest.raises(ValueError) as scalar:
                 state.expect(ops)
             with pytest.raises(ValueError) as batch:
-                state.expect_rows([tuple(sites)] * len(mats), mats)
+                state.expect_rows(*rows_grid([tuple(sites)] * len(mats), mats))
             assert str(batch.value) == str(scalar.value)
     with pytest.raises(ValueError, match="distinct"):
-        mk.expect_rows([(0, 0)], np.zeros((1, 2, 2, 2)))
+        mk.expect_rows(*rows_grid([(0, 0)], np.zeros((1, 2, 2, 2))))
     with pytest.raises(ValueError, match="does not fit"):
-        mk.expect_rows([(0, 1)], np.zeros((1, 3, 2, 2)))
+        mk.expect_rows([0, 1], [[0, 1]], np.zeros((1, 1, 3, 2, 2)))
 
 
 def _row_state(family, d, rng):
@@ -312,11 +313,13 @@ def _row_state(family, d, rng):
         mk = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
         pool = (np.cumsum(rng.integers(1, 5, size=7)) - int(rng.integers(0, 4))).tolist()
         return mk, pool, lambda ops: _markov_expect_loop(mk, ops)
-    if family in ("product-chain", "product-grid"):
+    if family.startswith("product"):
         if family == "product-chain":
             metric, pool = chain_metric(1.0), list(range(-4, 8))
-        else:
+        elif family == "product-grid":
             metric, pool = grid2d_metric(1.0), [(i, j) for i in range(-1, 3) for j in range(3)]
+        else:
+            metric, pool = _shuffled_explicit_metric(rng, 9)
         ps = ProductState(random_density(rng, d), metric)
         return ps, pool, lambda ops: _product_expect_loop(
             ps, {x: SiteOperator(a) for x, a in ops.items()}
@@ -349,12 +352,48 @@ def test_expect_rows_equal_row_by_row(family, d, width, count, seed):
     state, pool, reference = _row_state(family, d, rng)
     rows = [tuple(pool[i] for i in rng.permutation(len(pool))[:width]) for _ in range(count)]
     mats = rng.normal(size=(count, width, d, d)) + 1j * rng.normal(size=(count, width, d, d))
-    got = state.expect_rows(rows, mats)
+    got = state.expect_rows(*rows_grid(rows, mats))[:, 0]
     assert got.shape == (count,)
     for row, row_mats, value in zip(rows, mats, got):
         ops = dict(zip(row, row_mats))
         assert value == state.expect({x: SiteOperator(a) for x, a in ops.items()})
         assert value == reference(ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(
+        ["markov", "product-chain", "product-grid", "product-explicit", "circuit-pure",
+         "circuit-mixed"]
+    ),
+    d=st.sampled_from([2, 3]),
+    width=st.integers(min_value=1, max_value=3),
+    count=st.integers(min_value=0, max_value=6),
+    cells=st.integers(min_value=1, max_value=5),
+    shared=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_expect_rows_grid_equals_expanded_rows(family, d, width, count, cells, shared, seed):
+    """An (S, P) grid equals the same engine on its S * P cells as rows of
+    their own, bit for bit, whether the operator stack is one for every
+    row (broadcast, as the correction sends it) or one per row; and each
+    cell equals the family's scalar reference."""
+    rng = np.random.default_rng(seed)
+    state, pool, reference = _row_state(family, d, rng)
+    sites = [pool[i] for i in rng.permutation(len(pool))]
+    index = np.array(
+        [rng.permutation(len(sites))[:width] for _ in range(count)], dtype=np.intp
+    ).reshape(count, width)
+    shape = (1 if shared else count, cells, width, d, d)
+    mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = state.expect_rows(sites, index, mats)
+    assert got.shape == (count, cells)
+    expanded = np.broadcast_to(mats, (count,) + shape[1:]).reshape(count * cells, 1, width, d, d)
+    want = state.expect_rows(sites, np.repeat(index, cells, axis=0), expanded)
+    assert got.tobytes() == want.tobytes()
+    for row, row_mats, values in zip(index, np.broadcast_to(mats, (count,) + shape[1:]), got):
+        for cell, value in zip(row_mats, values):
+            assert value == reference({sites[i]: a for i, a in zip(row, cell)})
 
 
 def test_markov_rows_stack_only_their_gaps(monkeypatch):
@@ -365,7 +404,7 @@ def test_markov_rows_stack_only_their_gaps(monkeypatch):
     monkeypatch.setattr(mk, "transition_power", lambda g: asked.append(g) or power(g))
     rows = [(0, 3, 10**5), (10**5, 0, 3), (3, 10**5, 0)]
     mats = np.stack([np.stack([SZ.mat, SX.mat + SZ.mat, SI.mat])] * 3)
-    got = mk.expect_rows(rows, mats)
+    got = mk.expect_rows(*rows_grid(rows, mats))[:, 0]
     assert sorted(asked) == [3, 10**5 - 3]
     for row, row_mats, value in zip(rows, mats, got):
         assert value == _markov_expect_loop(mk, dict(zip(row, row_mats)))
@@ -373,15 +412,29 @@ def test_markov_rows_stack_only_their_gaps(monkeypatch):
 
 def test_expect_rows_checks_every_row():
     mk = MarkovState(T_STD, alpha=0.4)
-    mats = np.zeros((2, 2, 2, 2))
-    with pytest.raises(ValueError, match="distinct"):
-        mk.expect_rows([(0, 1), (2, 2)], mats)
+    sites, mats = [0, 1, 2, 1.5], np.zeros((2, 1, 2, 2, 2))
+    with pytest.raises(ValueError, match="distinct"):  # a repeated site in a row
+        mk.expect_rows(sites, [[0, 1], [2, 2]], mats)
+    with pytest.raises(ValueError, match="distinct"):  # one site at two list positions
+        mk.expect_rows([0, 1, 0], [[0, 1], [1, 2]], mats)
     with pytest.raises(ValueError, match="outside the state's domain"):
-        mk.expect_rows([(0, 1), (2, 1.5)], mats)
+        mk.expect_rows(sites, [[0, 1], [2, 3]], mats)
+    with pytest.raises(ValueError, match="outside the 4 sites"):
+        mk.expect_rows(sites, [[0, 1], [2, 4]], mats)
+    with pytest.raises(ValueError, match="outside the 4 sites"):
+        mk.expect_rows(sites, [[0, 1], [2, -1]], mats)
+    # mismatched stack shapes: rows wider than the stack, fewer rows than
+    # the stack, a stack without its cell axis, and a non-integer index
     with pytest.raises(ValueError, match="does not fit"):
-        mk.expect_rows([(0, 1), (2, 3, 4)], mats)
+        mk.expect_rows(sites, [[0, 1, 2], [2, 1, 0]], mats)
     with pytest.raises(ValueError, match="does not fit"):
-        mk.expect_rows([(0, 1)], mats)
+        mk.expect_rows(sites, [[0, 1]], mats)
+    with pytest.raises(ValueError, match="does not fit"):
+        mk.expect_rows(sites, [[0, 1], [1, 2]], mats[:, 0])
+    with pytest.raises(ValueError, match="does not fit"):
+        mk.expect_rows(sites, [[0.0, 1.0], [1.0, 2.0]], mats)
+    with pytest.raises(ValueError, match="at least one site"):
+        mk.expect_rows(sites, np.zeros((2, 0), dtype=np.intp), mats[:, :, :0])
 
 
 # =============================================================================
