@@ -6,7 +6,8 @@ operators F(a) = |X|^{-1/2} sum_x (a_x - omega_x(a)):
 
 * a closed form for product states: site tuples grouped by block
   structure give falling-factorial multiplicities times products of
-  single-site traces of block products
+  single-site traces of block products. The block traces serve every
+  size, and one accumulate along the partitions sums a whole size table
 * a subset-lattice transfer recursion for Markov states: sites are
   processed left to right, the DP state tracks which word slots have
   been placed plus the chain-state vector, so the full |X|^n tuple sum
@@ -21,10 +22,11 @@ operators F(a) = |X|^{-1/2} sum_x (a_x - omega_x(a)):
 
 Product and Markov states evaluate many words of one degree at once over
 the leading numpy axis; the seminorm searches depend on that throughput.
-The circuit engine takes the same batches (a search sends its basis
-words as one) but loops over the words, one statevector pass each. A
-scalar call is a batch of one. The product closed form adds its
-partition terms with a plain sum: over 3000 random cases (d in {2, 3},
+Product and Markov tables are one pass; circuits run per size. The
+circuit engine takes the same batches (a search sends its basis words
+as one) but loops over the words, one statevector pass each. A scalar
+call is a batch of one. The product closed form adds its partition
+terms with a plain sequential sum: over 3000 random cases (d in {2, 3},
 n = 1..7, |X| = 1..199) it differed from a compensated (Kahan) sum by
 at most 3e-15 in absolute value. The independent oracles for all three
 engines are the dense and brute-force helpers of the test suite.
@@ -32,6 +34,7 @@ engines are the dense and brute-force helpers of the test suite.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -51,44 +54,96 @@ def center_against(rho: np.ndarray, words: np.ndarray) -> np.ndarray:
     return words - exps[:, :, None, None] * np.eye(d)
 
 
-def product_moment_batch(rho: np.ndarray, size: int, words: np.ndarray) -> np.ndarray:
-    """Induced moments of a word stack for the product state rho^X.
+# entries of one chunk's (partition, size, word) terms and (partition, slot, word)
+# block traces; the partition guard admits B(12) ~ 4.2M partitions
+_PRODUCT_CHUNK_BUDGET = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _partition_blocks(n: int) -> tuple:
+    """The partitions of set_partitions(n) as arrays, in its order.
+
+    Returns the blocks in lexicographic order, so each block's prefix
+    comes before it; each partition's block count less one; its blocks
+    as positions in that list, padded with 0 after the k-th; and per
+    slot j the first partition with more than j blocks (the enumeration
+    is sorted by block count).
+    """
+    parts = set_partitions(n)
+    blocks = sorted({b for part in parts for b in part})
+    where = {b: i for i, b in enumerate(blocks)}
+    counts = np.array([len(part) for part in parts])
+    index = np.zeros((len(parts), n), dtype=np.int16)
+    for p, part in enumerate(parts):
+        index[p, : len(part)] = [where[b] for b in part]
+    starts = np.searchsorted(counts, np.arange(n), side="right").tolist()
+    return tuple(blocks), counts - 1, index, starts
+
+
+def product_moment_batch(
+    rho: np.ndarray, sizes: Sequence[int], words: np.ndarray
+) -> np.ndarray:
+    """Induced moments of a word stack for the product state rho^X, per size.
 
     ``words`` has shape (N, n, d, d); operators are centered here, so
-    callers pass them raw. Tuples are grouped by their block partition;
-    a partition with k blocks occurs with multiplicity |X|(|X|-1)...
+    callers pass them raw. ``sizes`` ascend, and the result has shape
+    (len(sizes), N). Tuples are grouped by their block partition; a
+    partition with k blocks occurs with multiplicity |X|(|X|-1)...
     (|X|-k+1) and contributes the product over blocks of tr(rho *
     ordered block product).
+
+    The block traces are taken once for every size, each block's product
+    stepped from its prefix's. The partitions form their terms on one
+    (partition, size, word) array, chunked under _PRODUCT_CHUNK_BUDGET:
+    the multiplicity times each block trace left to right, and a
+    sequential accumulate along the partitions carries every size's
+    total. A size below k has multiplicity 0; its term is -0, which adds
+    nothing to any float. Each row therefore adds the same terms in the
+    same order as a loop over the partitions at that size alone, bit for
+    bit.
     """
     nwords, n, d, _ = words.shape
     c = center_against(rho, words)
-    cache: dict[tuple, np.ndarray] = {}
+    blocks, kidx, index, starts = _partition_blocks(n)
+    traces = np.empty((len(blocks), 1, nwords), dtype=complex)
+    prefix = [None] * (n + 1)
+    for j, block in enumerate(blocks):
+        m = c[:, block[-1] - 1]
+        if len(block) > 1:
+            m = prefix[len(block) - 1] @ m
+        prefix[len(block)] = m
+        traces[j, 0] = np.einsum("ij,wji->w", rho, m)
 
-    def block_vec(block: tuple) -> np.ndarray:
-        v = cache.get(block)
-        if v is None:
-            m = c[:, block[0] - 1]
-            for i in block[1:]:
-                m = m @ c[:, i - 1]
-            v = np.einsum("ij,wji->w", rho, m)
-            cache[block] = v
-        return v
-
-    total = np.zeros(nwords, dtype=complex)
-    for part in set_partitions(n):
-        ff = falling_factorial(size, len(part))
-        if ff == 0:
-            continue
-        term = np.full(nwords, complex(ff))
-        for b in part:
-            term = term * block_vec(b)
-        total += term
-    return total * float(size) ** (-n / 2.0)
+    # the multiplicity of k blocks at each size, in row k - 1
+    ff = np.array([complex(falling_factorial(s, k)) for k in range(1, n + 1) for s in sizes])
+    ff = ff.reshape(n, len(sizes))
+    below = np.array(sizes) if sizes[0] < n else None
+    total = 0.0
+    step = max(1, _PRODUCT_CHUNK_BUDGET // max(1, (len(sizes) + n) * nwords))
+    for lo in range(0, len(kidx), step):
+        chunk = slice(lo, lo + step)
+        factors = traces[index[chunk]]
+        terms = ff[kidx[chunk], :, None] * factors[:, 0]
+        for j in range(1, n):
+            first = max(starts[j] - lo, 0)
+            if first >= len(terms):
+                break
+            # not in place: numpy takes a one-entry in-place product for a
+            # reduction and rounds it without the fused multiply-add
+            terms[first:] = terms[first:] * factors[first:, j]
+        if below is not None:
+            terms[kidx[chunk, None] >= below] = complex(-0.0, -0.0)
+        # the carried total; on the first chunk the loop's 0 + first term
+        terms[0] += total
+        np.add.accumulate(terms, axis=0, out=terms)
+        total = terms[-1]
+    scales = np.array([float(s) ** (-n / 2.0) for s in sizes])
+    return total * scales[:, None]
 
 
 def product_moment(rho: np.ndarray, size: int, word_mats: Sequence[np.ndarray]) -> complex:
-    """Product closed form of one word: a batch of one."""
-    return complex(product_moment_batch(rho, size, np.array([word_mats], dtype=complex))[0])
+    """Product closed form of one word at one size: a table of one."""
+    return complex(product_moment_batch(rho, [size], np.array([word_mats], dtype=complex))[0, 0])
 
 
 # ---------------------------------------------------------------------------

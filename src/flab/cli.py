@@ -41,6 +41,7 @@ from .fluctuations import (
     ccr_decay_check,  # no caller here; bench/tracing.py wraps this name
     ccr_decay_table,
     check_comparison_table,
+    check_moment_table,
     check_tuple_sum,
     induced_moment,  # no caller here; bench/tracing.py wraps this name
     induced_moment_table,
@@ -211,6 +212,7 @@ def _state_word_sizes(cfg: dict) -> tuple:
 
 def run_moments(cfg: dict, seed: int) -> tuple:
     state, word, sizes = _state_word_sizes(cfg)
+    check_moment_table(state, sizes, len(word))
     vals = induced_moment_table(state, _segment(state, sizes[-1]), word, sizes)
     rows = [[size, len(word), val.real, val.imag] for size, val in zip(sizes, vals)]
     return _format_csv(["region_size", "degree", "moment_re", "moment_im"], rows), None
@@ -220,6 +222,7 @@ def run_converge(cfg: dict, seed: int) -> tuple:
     state, word, sizes = _state_word_sizes(cfg)
     omega = _homogeneous_restriction(state)
     wick = wick_moment(covariance_from_state(omega), word)
+    check_moment_table(state, sizes, len(word))
     vals = induced_moment_table(state, _segment(state, sizes[-1]), word, sizes)
     rows = [
         [size, len(word), val.real, val.imag, wick.real, wick.imag, abs(val - wick)]
@@ -238,6 +241,8 @@ def run_ccr_decay(cfg: dict, seed: int) -> tuple:
     suffix = _parse_word(cfg, "suffix", state.site_dim, required=False)
     sizes = _parse_sizes(cfg, state)
     budget = _config_int(cfg, "search_budget", 8, 0)
+    # the defect words have the largest degree of the table's moments
+    check_moment_table(state, sizes, len(prefix) + 2 + len(suffix))
     checks = ccr_decay_table(
         state,
         _segment(state, sizes[-1]),

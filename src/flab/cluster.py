@@ -116,7 +116,7 @@ class ProductPartFunctional:
         if len(words[0]) == 0:
             return np.ones(len(words), dtype=complex)
         stack = np.array([[a.mat for a in w] for w in words])
-        return product_moment_batch(self.omega.rho, self.size, stack)
+        return product_moment_batch(self.omega.rho, [self.size], stack)[0]
 
 
 def check_partition_degree(n: int, guard: str = "product-part partition sum") -> None:

@@ -78,6 +78,24 @@ def check_tuple_sum(size: int, n: int) -> None:
         )
 
 
+def check_moment_table(state: GlobalState, sizes: Sequence[int], n: int) -> None:
+    """Refuse a size table of degree-n induced moments above a cost guard.
+
+    Every size passes the |X|^n guard, in order, and a Markov state its
+    sweep's subset-DP guard. Nothing here needs the region, so callers
+    run it before one is built.
+    """
+    for size in sizes:
+        check_tuple_sum(size, n)
+    # the Markov sweep keeps a d x d matrix per slot subset and word
+    d = state.site_dim
+    if isinstance(state, MarkovState) and (1 << n) * d * d > MARKOV_DP_GUARD:
+        raise CostGuardError(
+            "Markov subset DP",
+            f"2^n d^2 = 2^{n} * {d}^2 exceeds {MARKOV_DP_GUARD}",
+        )
+
+
 def check_search_draws(search_budget: int, n: int) -> None:
     """Refuse a search whose random words draw more than SEARCH_DRAW_GUARD operators."""
     if search_budget * n > SEARCH_DRAW_GUARD:
@@ -97,8 +115,8 @@ def _moments_of(
 
     Every engine gets the region's sites in sorted order. ``sizes`` are
     strictly ascending lengths k of those sorted sites, and the result
-    has one row per k: the moments on the first k sites. Every k passes
-    the |X|^n guard, in ascending order, before any engine work.
+    has one row per k: the moments on the first k sites. The table passes
+    ``check_moment_table`` before any engine work.
     """
     sizes = list(sizes)
     if not (
@@ -123,20 +141,12 @@ def _moments_of(
         for x in region.sites:
             if not state.contains_site(x):
                 raise ValueError(f"region site {x!r} outside the state's domain")
-        for size in sizes:
-            check_tuple_sum(size, n)
-        # the Markov sweep keeps a d x d matrix per slot subset and word
-        d = state.site_dim
-        if isinstance(state, MarkovState) and (1 << n) * d * d > MARKOV_DP_GUARD:
-            raise CostGuardError(
-                "Markov subset DP",
-                f"2^n d^2 = 2^{n} * {d}^2 exceeds {MARKOV_DP_GUARD}",
-            )
+        check_moment_table(state, sizes, n)
         sites = region.sorted_sites()[: sizes[-1]]
         stack = np.array([[a.mat for a in w] for w in words])
-        # one Markov sweep serves every size; the other engines run per size
+        # product and Markov tables are one pass; circuits run per size
         if isinstance(state, ProductState):
-            out = np.array([product_moment_batch(state.site.rho, k, stack) for k in sizes])
+            out = product_moment_batch(state.site.rho, sizes, stack)
         elif isinstance(state, MarkovState):
             out = markov_moment_batch(state, sites, stack, sizes)
         elif isinstance(state, CircuitState):

@@ -33,7 +33,11 @@ from .lattice import Metric, Region, chain_metric, metric_from_json, region_dist
 
 STATEVEC_MAX_DIM = 2**14
 DENSITY_MAX_DIM = 2**20  # squared Hilbert space dimension
-POWER_CACHE_SIZE = 1024  # cached Markov transition powers T^0..T^1023
+# cached Markov transition powers T^0..T^9999: every gap of a region of up to
+# cli.REGION_SIZE_GUARD = 10^4 chain sites, 3.2 MB at d = MAX_LOCAL_DIM = 4 with the
+# array headers; the cap keeps a library region with one huge gap from holding every
+# power below it
+POWER_CACHE_SIZE = 10**4
 
 UNITARY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-12

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from flab import SiteOperator, chain_metric, explicit_metric, grid2d_metric
 from flab.algebra import _hs_coefficient_stack
-from flab.combinatorics import integer_partitions_into_k, multinomial
+from flab.combinatorics import (
+    falling_factorial,
+    integer_partitions_into_k,
+    multinomial,
+    set_partitions,
+)
 from flab.fluctuations import TIE_TOL, SeminormEstimate, _search_words
 
 # CI sets HYPOTHESIS_PROFILE=ci so every run draws the same examples;
@@ -454,3 +459,41 @@ def neumaier_loop(total, comp, terms):
             comp += (z - t) + total
         total = t
     return total, comp
+
+
+# =============================================================================
+# Product closed form
+# =============================================================================
+
+
+def product_moment_loop(rho, size, words):
+    """The product closed form at one size, one partition at a time.
+
+    Block traces are cached per block; each partition's term is its
+    multiplicity times the block traces left to right, added to a running
+    total from zero; partitions with multiplicity 0 are skipped.
+    """
+    nwords, n, d, _ = words.shape
+    exps = np.einsum("ij,wkji->wk", rho, words)
+    c = words - exps[:, :, None, None] * np.eye(d)
+    cache = {}
+
+    def block_vec(block):
+        v = cache.get(block)
+        if v is None:
+            m = c[:, block[0] - 1]
+            for i in block[1:]:
+                m = m @ c[:, i - 1]
+            v = cache[block] = np.einsum("ij,wji->w", rho, m)
+        return v
+
+    total = np.zeros(nwords, dtype=complex)
+    for part in set_partitions(n):
+        ff = falling_factorial(size, len(part))
+        if ff == 0:
+            continue
+        term = np.full(nwords, complex(ff))
+        for b in part:
+            term = term * block_vec(b)
+        total += term
+    return total * float(size) ** (-n / 2.0)

@@ -473,6 +473,23 @@ def test_bound_checks_cluster_verify_bytes_pinned(tmp_path, capsys, seed):
     assert out == pinned.read_text()
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_moment_tables_product_converge_bytes_pinned(tmp_path, capsys, seed):
+    """The product X^6 converge table of the moment-tables benchmark
+    workload (sizes 1..21), byte for byte as recorded while the product
+    closed form ran once per size. X^2 = 1, so the table does not depend
+    on the seed's diagonal density, and both seeds share one file."""
+    (cfg,) = [
+        cfg
+        for _, name, cfg in _bench_workloads().experiments("moment-tables", seed)
+        if name == "product_x6"
+    ]
+    code, out, err = run(["converge", "--config", write_config(tmp_path, cfg)], capsys)
+    assert (code, err) == (0, "")
+    pinned = Path(__file__).resolve().parent / "data" / "converge_product_x6.csv"
+    assert out == pinned.read_text()
+
+
 def _record_searches(monkeypatch):
     """Wrap the stacked search engine; each item of each stack appends its
     (functional, n, budget, omega bytes, seed) key. A covariance functional
@@ -765,6 +782,29 @@ def test_low_degree_region_size_guard(tmp_path, capsys, monkeypatch, experiment,
     assert (code, out, calls) == (3, "", [])
     assert err == (
         f"ERR 3: cost guard 'region size': region size {size} exceeds {REGION_SIZE_GUARD}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "experiment, doc",
+    [
+        ("moments", {"state": MARKOV_STD, "word": ["Z"] * 3, "sizes": [2, 10**4]}),
+        ("converge", {"state": PRODUCT_TILTED, "word": ["X"] * 3, "sizes": [10**4]}),
+        (
+            "ccr-decay",
+            {"state": MARKOV_STD, "pair": ["Z", "X"], "suffix": ["Y"], "sizes": [10**4]},
+        ),
+    ],
+)
+def test_moment_tables_guard_before_region(tmp_path, capsys, monkeypatch, experiment, doc):
+    """A degree-3 table at the region guard's edge, 10^4 sites, trips the
+    |X|^n guard before any Region is built; for ccr-decay the degree is
+    that of the defect word."""
+    calls = _refuse_work(monkeypatch, "Region", "_segment")
+    code, out, err = run([experiment, "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out, calls) == (3, "", [])
+    assert err == (
+        "ERR 3: cost guard 'induced-moment tuple sum': |X|^n = 10000^3 exceeds 100000000\n"
     )
 
 

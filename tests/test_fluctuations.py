@@ -16,6 +16,7 @@ from conftest import (
     markov_config_expect,
     markov_site_mean,
     product_density,
+    product_moment_loop,
     random_gapped_transition,
     search_loop,
 )
@@ -1093,6 +1094,79 @@ def test_prefix_readouts_equal_per_size_calls(kind):
         assert val == induced_moment(state, Region(state.metric, ordered[:size]), words[0])
     # an unsorted whole region is summed in sorted order as well
     assert induced_moment(state, region, words[0]) == table[-1]
+
+
+def _product_words(rng, d, n, count):
+    """Complex Gaussian word stacks with zeros of either sign in about a
+    third of the entries, so traces and terms meet signed zeros."""
+    words = rng.normal(size=(count, n, d, d)) + 1j * rng.normal(size=(count, n, d, d))
+    zero = rng.random(words.shape) < 0.35
+    signs = rng.choice([-0.0, 0.0], size=(2,) + words.shape)
+    words[zero] = (signs[0] + 1j * signs[1])[zero]
+    return words
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    n=st.integers(min_value=1, max_value=7),
+    count=st.integers(min_value=1, max_value=5),
+    sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8, unique=True),
+    budget=st.sampled_from([None, 1, 40]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(d=2, n=7, count=2, sizes=[1, 2, 6, 7, 8], budget=None, seed=0)
+@example(d=4, n=5, count=3, sizes=[1, 3, 4, 5, 9, 30], budget=1, seed=1)
+def test_product_table_equals_per_size_loop(d, n, count, sizes, budget, seed):
+    """Each row of the product table is the one-size partition loop, bit
+    for bit: sizes below n and size 1, partition chunks of every width
+    (budget 1 puts each partition in its own chunk), and the table of one
+    behind ``product_moment``. The second example's chunks of one entry
+    catch a block product taken in place, which numpy rounds as a
+    reduction, without the fused multiply-add of its other loops."""
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, d).rho
+    words = _product_words(rng, d, n, count)
+    sizes = sorted(sizes)
+    budget = _moments._PRODUCT_CHUNK_BUDGET if budget is None else budget
+    with mock.patch.object(_moments, "_PRODUCT_CHUNK_BUDGET", budget):
+        got = _moments.product_moment_batch(rho, sizes, words)
+        one = _moments.product_moment(rho, sizes[-1], words[0])
+    want = np.array([product_moment_loop(rho, size, words) for size in sizes])
+    assert got.shape == (len(sizes), count)
+    assert got.tobytes() == want.tobytes()
+    assert np.array(one).tobytes() == want[-1, 0].tobytes()
+
+
+def test_product_table_skips_partitions_above_each_size():
+    """A size below a partition's block count takes no term, as the loop
+    skips it. Here the block (2, 3) overflows while the left-to-right full
+    product c1 c2 c3 stays finite, so at size 1 a zero multiplicity times
+    that trace would turn the finite moment into nan."""
+    rng = np.random.default_rng(0)
+    rho = np.diag([0.3, 0.7]).astype(complex)
+    a, b = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    words = np.array([[1e-200 * a, 1e200 * b, 1e200 * a.T]])
+    sizes = [1, 2, 5]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _moments.product_moment_batch(rho, sizes, words)
+        want = np.array([product_moment_loop(rho, size, words) for size in sizes])
+    assert np.isfinite(got[0, 0])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_product_table_crosses_partition_chunks():
+    """Degree 9 at six sizes fills B(9) = 21147 partitions into 15 chunks
+    of the default budget, each carrying the totals to the next."""
+    rng = np.random.default_rng(9)
+    rho = random_density(rng, 2).rho
+    words = _product_words(rng, 2, 9, 3)
+    sizes = [1, 3, 8, 9, 10, 20]
+    per_chunk = _moments._PRODUCT_CHUNK_BUDGET // ((len(sizes) + 9) * len(words))
+    assert -(-21147 // per_chunk) == 15
+    got = _moments.product_moment_batch(rho, sizes, words)
+    want = np.array([product_moment_loop(rho, size, words) for size in sizes])
+    assert got.tobytes() == want.tobytes()
 
 
 def _table_case(kind, d, rng):

@@ -39,7 +39,7 @@ from flab import (
     state_from_json,
 )
 from flab.lattice import explicit_metric, grid2d_metric
-from flab.states import _apply_site
+from flab.states import POWER_CACHE_SIZE, _apply_site
 
 RNG = np.random.default_rng(314159)
 
@@ -121,6 +121,22 @@ def test_markov_spectral_facts():
     for m in range(1, 7):
         val = mk.expect({0: SZ, m: SZ})
         assert val == pytest.approx(0.6**m, abs=1e-12)
+
+
+def test_transition_powers_above_a_thousand_are_kept():
+    """T^3000 is the stepped chain T @ T^(g-1) bit for bit; a second call
+    adds no cache entry, and powers stop being kept at POWER_CACHE_SIZE."""
+    mk = MarkovState(random_gapped_transition(np.random.default_rng(3), 3), alpha=0.4)
+    chain = mk.transition
+    for _ in range(2999):
+        chain = mk.transition @ chain
+    assert mk.transition_power(3000).tobytes() == chain.tobytes()
+    kept = len(mk._powers)
+    assert kept == 3001
+    assert mk.transition_power(3000).tobytes() == chain.tobytes()
+    assert len(mk._powers) == kept
+    mk.transition_power(POWER_CACHE_SIZE + 5)
+    assert len(mk._powers) == POWER_CACHE_SIZE
 
 
 def test_markov_matches_config_enumeration():
