@@ -42,6 +42,7 @@ from .fluctuations import (
     ccr_decay_table,
     check_comparison_table,
     check_moment_table,
+    check_search_draws,
     check_tuple_sum,
     induced_moment,  # no caller here; bench/tracing.py wraps this name
     induced_moment_table,
@@ -241,8 +242,9 @@ def run_ccr_decay(cfg: dict, seed: int) -> tuple:
     suffix = _parse_word(cfg, "suffix", state.site_dim, required=False)
     sizes = _parse_sizes(cfg, state)
     budget = _config_int(cfg, "search_budget", 8, 0)
-    # the defect words have the largest degree of the table's moments
+    # the defect words have the largest degree of the table's moments, the searches one less
     check_moment_table(state, sizes, len(prefix) + 2 + len(suffix))
+    check_search_draws(budget, len(prefix) + 1 + len(suffix))
     checks = ccr_decay_table(
         state,
         _segment(state, sizes[-1]),
@@ -365,8 +367,8 @@ def _seminorm_comparison(cfg: dict, seed: int):
     budget = _config_int(cfg, "search_budget", 8, 0)
     omega = _homogeneous_restriction(state)
     _check_domain(state, size)
-    functional = InducedMomentFunctional(state, _segment(state, size))
     check_comparison_table(degrees, budget)
+    functional = InducedMomentFunctional(state, _segment(state, size))
 
     def records() -> list[dict]:
         checks = seminorm_comparison_table(functional, degrees, omega, budget, seed)

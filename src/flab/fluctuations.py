@@ -440,13 +440,16 @@ class _Candidates:
     dropped. A tensor built beforehand (a row of a size table) stands in
     for that evaluation and counts the same words. The contractions of
     all items run as one matmul/einsum chain with a leading item axis,
-    which gives each item the bits of its own chain.
+    which gives each item the bits of its own chain. ``table``, set by
+    ``_search_stack``, is the region of a product or Markov size table
+    whose prefixes the items' functionals are on (``joint``).
     """
 
     def __init__(self, functionals: list, n: int, probe: list | None, centered: bool, tensors):
         self.functionals = functionals
         self.evaluations = [0] * len(functionals)
         self.tensors = None
+        self.table: Region | None = None
         self.skip = int(centered)
         if probe is not None:
             basis = None
@@ -464,6 +467,26 @@ class _Candidates:
         """F of each word, from item k's functional."""
         self.evaluations[k] += len(words)
         return _eval_many(self.functionals[k], words)
+
+    def joint(self, words: dict[int, list[tuple]]) -> dict[int, np.ndarray] | None:
+        """F of ``words[k]`` per item k (ascending): one sweep or pass of the
+        size table, read out at each item's size; None without a table or
+        with fewer than two items. Equal lists (the same operator objects
+        in the same order) are sent once. A word's row does not depend on
+        the others in its batch, so each row is the item's own ``send``."""
+        if self.table is None or len(words) < 2:
+            return None
+        cols, reads, flat = {}, {}, []
+        for k, ws in words.items():
+            self.evaluations[k] += len(ws)
+            key = tuple(id(a) for w in ws for a in w)
+            if key not in cols:
+                cols[key] = slice(len(flat), len(flat) + len(ws))
+                flat += ws
+            reads[k] = cols[key]
+        sizes = [len(self.functionals[k].region) for k in words]
+        rows = _moments_of(self.functionals[0].state, self.table, flat, sizes)
+        return {k: row[reads[k]] for k, row in zip(words, rows)}
 
     def _coefficients(self, mats: np.ndarray) -> np.ndarray:
         return _hs_coefficient_stack(mats)[..., self.skip :]
@@ -521,23 +544,27 @@ class _Candidates:
         contraction lies within TIE_TOL of the top is built and
         evaluated directly; the first maximum is then the one a direct
         evaluation of all words would pick. When no contraction can
-        reach ``floors[k]``, nothing is evaluated.
+        reach ``floors[k]``, nothing is evaluated. Every item's near
+        list is built before any is sent, so a table sends them jointly.
         """
         mags = np.abs(values)
-        tops = mags.max(axis=1)
-        out = []
-        for k, (top, floor) in enumerate(zip(tops.tolist(), floors)):
-            if self.tensors is None:
-                out.append((top, word_at(k, int(np.argmax(mags[k])))))
-                continue
+        tops = mags.max(axis=1).tolist()
+        if self.tensors is None:
+            return [(top, word_at(k, int(np.argmax(mags[k])))) for k, top in enumerate(tops)]
+        near = {}
+        for k, (top, floor) in enumerate(zip(tops, floors)):
             slack = TIE_TOL * max(top, 1.0)
-            if top < floor - slack:
+            if not top < floor - slack:
+                near[k] = [word_at(k, i) for i in np.flatnonzero(mags[k] >= top - slack)]
+        rows = self.joint(near) or {k: self.send(k, ws) for k, ws in near.items()}
+        out = []
+        for k in range(len(tops)):
+            if k not in near:
                 out.append((-1.0, ()))
                 continue
-            near = [word_at(k, i) for i in np.flatnonzero(mags[k] >= top - slack)]
-            direct = np.abs(self.send(k, near))
+            direct = np.abs(rows[k])
             pick = int(np.argmax(direct))
-            out.append((float(direct[pick]), near[pick]))
+            out.append((float(direct[pick]), near[k][pick]))
         return out
 
     def value(self, items: list[int], words: list[tuple]) -> list[float]:
@@ -641,6 +668,7 @@ def _search_stack(
     seeds: Sequence[int],
     tensors: Sequence[np.ndarray | None] | None = None,
     words: tuple | None = None,
+    table: Region | None = None,
 ) -> list[SeminormEstimate]:
     """Seminorm searches that share n, dim, search_budget and centering.
 
@@ -653,8 +681,10 @@ def _search_stack(
     word ranking and every ascent step run once over a chunk of items
     (``_stack_chunk_items``) as batched contractions, one ``eigh`` and
     one 2-norm; near-tie words, ascent values on the direct side and
-    the final witness go through each item's own functional. Every |F|
-    takes the form ``_search`` states.
+    the final witness go through each item's own functional, or, on a
+    ``table`` region whose prefixes the functionals are on, are one
+    call per chunk (``_Candidates.joint``). Every |F| takes the form
+    ``_search`` states.
     """
     functionals = list(functionals)
     if not functionals:
@@ -679,6 +709,7 @@ def _search_stack(
             if seed not in drawn:
                 drawn[seed] = _search_words(n, dim, search_budget, omega, seed)[2]
         cands = _Candidates(functionals[chunk], n, tensor_probe, omega is not None, tensors[chunk])
+        cands.table = table
         out += _search_chunk(cands, n, probe, dirs, [drawn[seed] for seed in seeds[chunk]])
     return out
 
@@ -737,6 +768,11 @@ def _search_chunk(
                     vals[k] = val
                     word[k][slot] = op
 
+    # the reported value is a direct evaluation of the reported word;
+    # should rounding have ranked a worse word higher, keep the start
+    tensor = cands.tensors is not None
+    finals = {k: [tuple(word[k])] for k in live if tensor and tuple(word[k]) != best[k][1]}
+    rows = cands.joint(finals) or {}
     out = []
     for k in range(count):
         start_val, start_word = best[k]
@@ -745,10 +781,8 @@ def _search_chunk(
             continue
         witness = tuple(word[k])
         val = vals[k]
-        if cands.tensors is not None and witness != start_word:
-            # the reported value is a direct evaluation of the reported word;
-            # should rounding have ranked a worse word higher, keep the start
-            val = cands.direct(k, witness)
+        if k in finals:
+            val = float(abs(complex(rows[k][0]))) if rows else cands.direct(k, witness)
             if val < start_val:
                 out.append(SeminormEstimate(start_val, start_word, cands.evaluations[k]))
                 continue
@@ -771,7 +805,9 @@ def _search_table(
     ``omegas[i]`` bit for bit, evaluations included. Each run of sizes
     whose omegas are bit-equal is one search stack on one draw of the
     search words and, on the tensor side, reads every size's basis
-    tensor from one size table (one Markov sweep).
+    tensor from one size table (one Markov sweep); on product and Markov
+    states its tie-break words and its final witnesses are one table
+    each as well.
     """
     out: list[SeminormEstimate] = []
     runs = itertools.groupby(zip(sizes, omegas), key=lambda row: row[1].rho.tobytes())
@@ -788,8 +824,10 @@ def _search_table(
             InducedMomentFunctional(state, _prefix_region(region, size)) for size in group
         ]
         seeds = [seed] * len(group)
+        # a product or Markov table is one pass; circuits run per size
+        table = region if isinstance(state, (ProductState, MarkovState)) else None
         out += _search_stack(
-            functionals, n, state.site_dim, search_budget, omega, seeds, tensors, words
+            functionals, n, state.site_dim, search_budget, omega, seeds, tensors, words, table
         )
     return out
 

@@ -148,6 +148,40 @@ def markov_site_mean(pi):
 
 
 # =============================================================================
+# The classical limit of a Markov chain
+# =============================================================================
+
+def kemeny_snell_variance(transition, a):
+    """The asymptotic variance of sum_x a(X_x) / sqrt(|X|) on the stationary
+    chain: 2 <f, Z f>_pi - <f, f>_pi, with f = a - pi(a) and the
+    fundamental matrix Z = (I - P + 1 pi^T)^{-1} of the row-stochastic P = T^T
+    (Kemeny and Snell, Finite Markov Chains, 1960)."""
+    T = np.asarray(transition, dtype=float)
+    d = len(T)
+    # pi solves T pi = pi with sum 1, by least squares
+    pi = np.linalg.lstsq(np.vstack([T - np.eye(d), np.ones(d)]), np.eye(d + 1)[d], rcond=None)[0]
+    f = np.asarray(a, dtype=float) - pi @ a
+    fundamental = np.linalg.inv(np.eye(d) - T.T + np.outer(np.ones(d), pi))
+    return 2.0 * pi @ (f * (fundamental @ f)) - pi @ (f * f)
+
+
+def perron_log_derivative(transition, a, order):
+    """The order-th derivative at 0 of Lambda(theta) = log of the Perron
+    root of T diag(e^{theta a}), by the Cauchy integral on a circle: the
+    FFT of Lambda at 64 points of radius 0.1. Off the real axis the
+    Perron root is the eigenvalue nearest 1, as it is at theta = 0."""
+    T = np.asarray(transition, dtype=float)
+    radius, points = 0.1, 64
+    thetas = radius * np.exp(2j * np.pi * np.arange(points) / points)
+    logs = []
+    for theta in thetas:
+        roots = np.linalg.eigvals(T @ np.diag(np.exp(theta * np.asarray(a))))
+        logs.append(np.log(roots[np.argmin(np.abs(roots - 1.0))]))
+    coeff = np.fft.fft(logs)[order] / points
+    return float(coeff.real) * math.factorial(order) / radius**order
+
+
+# =============================================================================
 # The tuple-sum oracle
 # =============================================================================
 

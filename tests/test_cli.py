@@ -1069,9 +1069,11 @@ def test_cost_guard_exit_three(tmp_path, capsys):
         ("bounds", {"checks": ["seminorm-comparison"], "seminorm_degrees": [2]}),
     ],
 )
-def test_search_draw_guard_exits_three(tmp_path, capsys, experiment, keys):
+def test_search_draw_guard_exits_three(tmp_path, capsys, monkeypatch, experiment, keys):
     """Both searches have degree 2, so a budget of 2^15 + 1 draws one operator
-    more than SEARCH_DRAW_GUARD allows: ERR 3, and no output is written."""
+    more than SEARCH_DRAW_GUARD allows: ERR 3 before any region is built, and
+    no output is written."""
+    calls = _refuse_work(monkeypatch, "_segment", "Region")
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {"state": MARKOV_STD, "search_budget": 2**15 + 1, **keys})
     code, stdout, err = run([experiment, "--config", cfg, "--out", str(out)], capsys)
@@ -1081,6 +1083,7 @@ def test_search_draw_guard_exits_three(tmp_path, capsys, experiment, keys):
     )
     assert stdout == ""
     assert not out.exists()
+    assert calls == []
 
 
 def test_ccr_decay_guard_before_search(tmp_path, capsys, monkeypatch):

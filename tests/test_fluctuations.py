@@ -13,8 +13,10 @@ from conftest import (
     circuit_dense_density,
     dense_expect,
     dense_site_mean,
+    kemeny_snell_variance,
     markov_config_expect,
     markov_site_mean,
+    perron_log_derivative,
     product_density,
     product_moment_loop,
     random_gapped_transition,
@@ -1195,10 +1197,16 @@ def _table_case(kind, d, rng):
 )
 @example(kind="markov", d=2, n=4, seed=1)  # tensor side
 @example(kind="markov", d=3, n=3, seed=2)  # direct side
+@example(kind="markov", d=2, n=3, seed=14)  # two items' near lists differ
+@example(kind="product", d=2, n=4, seed=26)  # near lists and witnesses differ
+@example(kind="markov", d=3, n=2, seed=93)  # one item's witness alone: its own call
 def test_size_tables_match_per_size_calls(kind, d, n, seed):
     """Each ``_search_table`` row is the per-size centered search (value,
     witness bytes, evaluations), and each ``ccr_decay_table`` row is the
-    per-size ``ccr_decay_check`` with the table's C."""
+    per-size ``ccr_decay_check`` with the table's C. On product and Markov
+    tables the items' near-tie words and final witnesses are joint sends;
+    the examples cover lists that differ between items, and a lone item's
+    own call."""
     rng = np.random.default_rng(seed)
     state, region = _table_case(kind, d, rng)
     ordered = region.sorted_sites()
@@ -1227,6 +1235,56 @@ def test_size_tables_match_per_size_calls(kind, d, n, seed):
         assert check.c_constant == c_value
         want = ccr_decay_check(state, part, a, b, prefix, suffix, c_estimate=c_value)
         assert check == want
+
+
+def test_ccr_decay_table_sends_tie_break_words_in_one_sweep(monkeypatch):
+    """Seed 0 on the README chain at 8 sizes: the search's near-tie words
+    are one Markov sweep over the largest region, read out at every size,
+    where one sweep per size ran before."""
+    calls = []
+    real = fluctuations.markov_moment_batch
+
+    def sweep(state, positions, words, sizes):
+        calls.append((len(words), len(positions), list(sizes)))
+        return real(state, positions, words, sizes)
+
+    monkeypatch.setattr(fluctuations, "markov_moment_batch", sweep)
+    mk = MarkovState(T_STD, alpha=0.4)
+    sizes = list(range(8, 65, 8))
+    ccr_decay_table(
+        mk, Region(mk.metric, range(64)), SZ, SY, sizes, (SZ,), (SX,), search_budget=8, seed=0
+    )
+    # the defect, rest and commutator tables, the basis tensor, the near-tie words
+    assert [count for count, _, _ in calls] == [2, 1, 1, 27, 12]
+    assert all((sites, table) == (64, sizes) for _, sites, table in calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["product", "markov"]),
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=5),
+    count=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_rows_equal_batches_of_one(kind, d, n, count, seed):
+    """Each word's row of a product or Markov table equals that word's
+    batch of one, bit for bit, so a joint send of different words gives
+    every item the bits of its own send."""
+    rng = np.random.default_rng(seed)
+    sites = sorted(int(x) for x in rng.choice(40, size=int(rng.integers(1, 13)), replace=False))
+    sizes = sorted({int(k) for k in rng.integers(1, len(sites) + 1, size=3)})
+    if kind == "product":
+        rho = random_density(rng, d).rho
+        words = _product_words(rng, d, n, count)
+        table = lambda ws: _moments.product_moment_batch(rho, sizes, ws)
+    else:
+        mk = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
+        words = np.array([[a.mat for a in _random_word(rng, d, n)] for _ in range(count)])
+        table = lambda ws: _moments.markov_moment_batch(mk, sites, ws, sizes)
+    rows = table(words)
+    for j in range(count):
+        assert rows[:, j].tobytes() == table(words[j : j + 1])[:, 0].tobytes()
 
 
 def test_prefix_lengths_checked():
@@ -1440,3 +1498,51 @@ def test_markov_degree_two_closed_form_at_large_sizes(size):
     mk = MarkovState(T_STD, alpha=0.4)
     got = induced_moment(mk, Region(mk.metric, range(size)), (SZ, SZ))
     assert abs(got - (4.0 - 7.5 * (1.0 - 0.6**size) / size)) <= 1e-13
+
+
+# =============================================================================
+# The paper's limit: the variance of a classical chain (Goderis, Verbeure
+# and Vets, Commun. Math. Phys. 128, 1990)
+# =============================================================================
+
+def test_markov_variance_approaches_the_perron_limit():
+    """On the README chain with Z, Lambda''(0) = 4 both by the fundamental
+    matrix and by the contour FFT, and m2 approaches it as 4 - 7.5 / |X|
+    up to 0.6^|X|: |X| (4 - m2) is one constant to 1e-6 from |X| = 32 on."""
+    a = np.array([1.0, -1.0])
+    limit = kemeny_snell_variance(T_STD, a)
+    assert abs(limit - 4.0) <= 1e-12
+    assert abs(perron_log_derivative(T_STD, a, 2) - limit) <= 1e-12
+    mk = MarkovState(T_STD, alpha=0.4)
+    sizes = [32, 64, 100]
+    m2 = induced_moment_table(mk, Region(mk.metric, range(100)), (SZ, SZ), sizes)
+    gaps = [size * (limit - m.real) for size, m in zip(sizes, m2)]
+    assert max(gaps) - min(gaps) <= 1e-6
+    assert abs(gaps[-1] - 7.5) <= 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_markov_variance_envelope_on_random_chains(d, seed):
+    """A random gapped chain and a random diagonal operator: the two
+    oracles agree on Lambda''(0), and m2 is Lambda''(0) - c / |X| up to
+    |lambda_2|^|X| <= 0.6^50. The limit and c are fitted at |X| = 50 and
+    75; the fitted limit is the oracle's, and the envelope holds at 100."""
+    rng = np.random.default_rng(seed)
+    T = random_gapped_transition(rng, d)
+    a = rng.uniform(-1.0, 1.0, size=d)
+    limit = kemeny_snell_variance(T, a)
+    scale = max(1.0, abs(limit))
+    assert abs(perron_log_derivative(T, a, 2) - limit) <= 1e-12 * scale
+    mk = MarkovState(T, alpha=0.4)
+    op = SiteOperator(np.diag(a))
+    sizes = [50, 75, 100]
+    m2 = induced_moment_table(mk, Region(mk.metric, range(100)), (op, op), sizes)
+    m50, m75, m100 = [m.real for m in m2]
+    fit = (75 * m75 - 50 * m50) / 25
+    c = 50 * (fit - m50)
+    assert abs(fit - limit) <= 1e-12 * scale
+    assert abs(m100 - (fit - c / 100)) <= 1e-13 * scale
