@@ -67,9 +67,10 @@ def _partition_blocks(n: int) -> tuple:
     comes before it; each partition's block count less one; its blocks
     as positions in that list, padded with 0 after the k-th; and per
     slot j the first partition with more than j blocks (the enumeration
-    is sorted by block count).
+    is sorted by block count). The tuples are enumerated past the cache
+    of ``set_partitions`` and dropped: B(11) of them hold about 300 MB.
     """
-    parts = set_partitions(n)
+    parts = set_partitions.__wrapped__(n)
     blocks = sorted({b for part in parts for b in part})
     where = {b: i for i, b in enumerate(blocks)}
     counts = np.array([len(part) for part in parts])

@@ -104,14 +104,13 @@ def stirling2(k: int, n: int) -> int:
     return stirling2(k - 1, n - 1) + k * stirling2(k, n - 1)
 
 
+@lru_cache(maxsize=None)
 def set_partitions(n: int) -> tuple[Blocks, ...]:
     """All set partitions of {1..n} in canonical block order.
 
     Enumerated via restricted growth strings, so the result is already
     sorted by (block count pattern) in a fixed order; we re-sort by
-    (number of blocks, blocks) to make grouping by k trivial. Not
-    cached: B(11) partitions hold about 300 MB as tuples, and the
-    product engine keeps its own arrays of them.
+    (number of blocks, blocks) to make grouping by k trivial.
     """
     if n < 1:
         raise ValueError("set partitions need n >= 1")

@@ -238,8 +238,11 @@ class InducedMomentFunctional:
             return complex(1.0)
         return induced_moment(self.state, self.region, tuple(word))
 
-    def batch(self, words: Sequence[Sequence[SiteOperator]]) -> np.ndarray:
-        return _moments_of(self.state, self.region, words, [len(self.region)])[0]
+    def batch(self, words: Sequence[Sequence[SiteOperator]], sizes=None) -> np.ndarray:
+        """F of each word; with ``sizes``, its table of prefix lengths k."""
+        if sizes is None:
+            return _moments_of(self.state, self.region, words, [len(self.region)])[0]
+        return _moments_of(self.state, self.region, words, sizes)
 
 
 def gamma_form(omega: SiteState, a: SiteOperator, b: SiteOperator) -> complex:
@@ -440,16 +443,18 @@ class _Candidates:
     dropped. A tensor built beforehand (a row of a size table) stands in
     for that evaluation and counts the same words. The contractions of
     all items run as one matmul/einsum chain with a leading item axis,
-    which gives each item the bits of its own chain. ``table``, set by
-    ``_search_stack``, is the region of a product or Markov size table
-    whose prefixes the items' functionals are on (``joint``).
+    which gives each item the bits of its own chain. With ``table``, the
+    items' functionals are on ascending prefixes of one Markov region
+    (``joint``).
     """
 
-    def __init__(self, functionals: list, n: int, probe: list | None, centered: bool, tensors):
+    def __init__(
+        self, functionals: list, n: int, probe: list | None, centered: bool, tensors, table=False
+    ):
         self.functionals = functionals
         self.evaluations = [0] * len(functionals)
         self.tensors = None
-        self.table: Region | None = None
+        self.table = table
         self.skip = int(centered)
         if probe is not None:
             basis = None
@@ -469,13 +474,15 @@ class _Candidates:
         return _eval_many(self.functionals[k], words)
 
     def joint(self, words: dict[int, list[tuple]]) -> dict[int, np.ndarray] | None:
-        """F of ``words[k]`` per item k (ascending): one sweep or pass of the
-        size table, read out at each item's size; None without a table or
-        with fewer than two items. Equal lists (the same operator objects
-        in the same order) are sent once. A word's row does not depend on
-        the others in its batch, so each row is the item's own ``send``."""
-        if self.table is None or len(words) < 2:
+        """F of ``words[k]`` per item k (ascending), None without a table: one
+        batch of the last item's functional, read out at each item's size
+        (one Markov sweep). Equal lists (the same operator objects in the
+        same order) are sent once. A word's row does not depend on the
+        others in its batch, so each row is the item's own ``send``."""
+        if not self.table:
             return None
+        if not words:
+            return {}
         cols, reads, flat = {}, {}, []
         for k, ws in words.items():
             self.evaluations[k] += len(ws)
@@ -485,7 +492,7 @@ class _Candidates:
                 flat += ws
             reads[k] = cols[key]
         sizes = [len(self.functionals[k].region) for k in words]
-        rows = _moments_of(self.functionals[0].state, self.table, flat, sizes)
+        rows = self.functionals[max(words)].batch(flat, sizes)
         return {k: row[reads[k]] for k, row in zip(words, rows)}
 
     def _coefficients(self, mats: np.ndarray) -> np.ndarray:
@@ -556,7 +563,9 @@ class _Candidates:
             slack = TIE_TOL * max(top, 1.0)
             if not top < floor - slack:
                 near[k] = [word_at(k, i) for i in np.flatnonzero(mags[k] >= top - slack)]
-        rows = self.joint(near) or {k: self.send(k, ws) for k, ws in near.items()}
+        rows = self.joint(near)
+        if rows is None:
+            rows = {k: self.send(k, ws) for k, ws in near.items()}
         out = []
         for k in range(len(tops)):
             if k not in near:
@@ -668,7 +677,7 @@ def _search_stack(
     seeds: Sequence[int],
     tensors: Sequence[np.ndarray | None] | None = None,
     words: tuple | None = None,
-    table: Region | None = None,
+    table: bool = False,
 ) -> list[SeminormEstimate]:
     """Seminorm searches that share n, dim, search_budget and centering.
 
@@ -681,10 +690,10 @@ def _search_stack(
     word ranking and every ascent step run once over a chunk of items
     (``_stack_chunk_items``) as batched contractions, one ``eigh`` and
     one 2-norm; near-tie words, ascent values on the direct side and
-    the final witness go through each item's own functional, or, on a
-    ``table`` region whose prefixes the functionals are on, are one
-    call per chunk (``_Candidates.joint``). Every |F| takes the form
-    ``_search`` states.
+    the final witness go through each item's own functional or, when
+    the functionals are on ascending prefixes of one Markov region
+    (``table``), are one sweep per chunk (``_Candidates.joint``). Every
+    |F| takes the form ``_search`` states.
     """
     functionals = list(functionals)
     if not functionals:
@@ -708,8 +717,9 @@ def _search_stack(
         for seed in seeds[chunk]:
             if seed not in drawn:
                 drawn[seed] = _search_words(n, dim, search_budget, omega, seed)[2]
-        cands = _Candidates(functionals[chunk], n, tensor_probe, omega is not None, tensors[chunk])
-        cands.table = table
+        cands = _Candidates(
+            functionals[chunk], n, tensor_probe, omega is not None, tensors[chunk], table
+        )
         out += _search_chunk(cands, n, probe, dirs, [drawn[seed] for seed in seeds[chunk]])
     return out
 
@@ -772,7 +782,7 @@ def _search_chunk(
     # should rounding have ranked a worse word higher, keep the start
     tensor = cands.tensors is not None
     finals = {k: [tuple(word[k])] for k in live if tensor and tuple(word[k]) != best[k][1]}
-    rows = cands.joint(finals) or {}
+    rows = cands.joint(finals)
     out = []
     for k in range(count):
         start_val, start_word = best[k]
@@ -782,7 +792,7 @@ def _search_chunk(
         witness = tuple(word[k])
         val = vals[k]
         if k in finals:
-            val = float(abs(complex(rows[k][0]))) if rows else cands.direct(k, witness)
+            val = cands.direct(k, witness) if rows is None else float(abs(complex(rows[k][0])))
             if val < start_val:
                 out.append(SeminormEstimate(start_val, start_word, cands.evaluations[k]))
                 continue
@@ -805,9 +815,8 @@ def _search_table(
     ``omegas[i]`` bit for bit, evaluations included. Each run of sizes
     whose omegas are bit-equal is one search stack on one draw of the
     search words and, on the tensor side, reads every size's basis
-    tensor from one size table (one Markov sweep); on product and Markov
-    states its tie-break words and its final witnesses are one table
-    each as well.
+    tensor from one size table (one Markov sweep); on a Markov state its
+    tie-break words and its final witnesses are one sweep each as well.
     """
     out: list[SeminormEstimate] = []
     runs = itertools.groupby(zip(sizes, omegas), key=lambda row: row[1].rho.tobytes())
@@ -824,10 +833,10 @@ def _search_table(
             InducedMomentFunctional(state, _prefix_region(region, size)) for size in group
         ]
         seeds = [seed] * len(group)
-        # a product or Markov table is one pass; circuits run per size
-        table = region if isinstance(state, (ProductState, MarkovState)) else None
+        # a joint send is one Markov sweep; elsewhere it costs per size
+        markov = isinstance(state, MarkovState)
         out += _search_stack(
-            functionals, n, state.site_dim, search_budget, omega, seeds, tensors, words, table
+            functionals, n, state.site_dim, search_budget, omega, seeds, tensors, words, markov
         )
     return out
 

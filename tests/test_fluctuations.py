@@ -1198,15 +1198,16 @@ def _table_case(kind, d, rng):
 @example(kind="markov", d=2, n=4, seed=1)  # tensor side
 @example(kind="markov", d=3, n=3, seed=2)  # direct side
 @example(kind="markov", d=2, n=3, seed=14)  # two items' near lists differ
-@example(kind="product", d=2, n=4, seed=26)  # near lists and witnesses differ
-@example(kind="markov", d=3, n=2, seed=93)  # one item's witness alone: its own call
+@example(kind="markov", d=3, n=2, seed=50)  # two items' witnesses differ
+@example(kind="markov", d=3, n=2, seed=93)  # a lone item's witness: a joint send of one
+@example(kind="product", d=2, n=4, seed=26)  # per-item sends; near lists and witnesses differ
 def test_size_tables_match_per_size_calls(kind, d, n, seed):
     """Each ``_search_table`` row is the per-size centered search (value,
     witness bytes, evaluations), and each ``ccr_decay_table`` row is the
-    per-size ``ccr_decay_check`` with the table's C. On product and Markov
-    tables the items' near-tie words and final witnesses are joint sends;
-    the examples cover lists that differ between items, and a lone item's
-    own call."""
+    per-size ``ccr_decay_check`` with the table's C. On Markov tables the
+    items' near-tie words and final witnesses are joint sends; the
+    examples cover lists that differ between items and a joint send of
+    one, and product and circuit tables keep each item's own sends."""
     rng = np.random.default_rng(seed)
     state, region = _table_case(kind, d, rng)
     ordered = region.sorted_sites()
@@ -1240,15 +1241,22 @@ def test_size_tables_match_per_size_calls(kind, d, n, seed):
 def test_ccr_decay_table_sends_tie_break_words_in_one_sweep(monkeypatch):
     """Seed 0 on the README chain at 8 sizes: the search's near-tie words
     are one Markov sweep over the largest region, read out at every size,
-    where one sweep per size ran before."""
-    calls = []
+    where one sweep per size ran before. The sweep is a table of
+    ``InducedMomentFunctional.batch``, the name the layer tracer counts."""
+    calls, batches = [], []
     real = fluctuations.markov_moment_batch
+    real_batch = fluctuations.InducedMomentFunctional.batch
 
     def sweep(state, positions, words, sizes):
         calls.append((len(words), len(positions), list(sizes)))
         return real(state, positions, words, sizes)
 
+    def batch(self, words, sizes=None):
+        batches.append((len(words), sizes))
+        return real_batch(self, words, sizes)
+
     monkeypatch.setattr(fluctuations, "markov_moment_batch", sweep)
+    monkeypatch.setattr(fluctuations.InducedMomentFunctional, "batch", batch)
     mk = MarkovState(T_STD, alpha=0.4)
     sizes = list(range(8, 65, 8))
     ccr_decay_table(
@@ -1257,6 +1265,7 @@ def test_ccr_decay_table_sends_tie_break_words_in_one_sweep(monkeypatch):
     # the defect, rest and commutator tables, the basis tensor, the near-tie words
     assert [count for count, _, _ in calls] == [2, 1, 1, 27, 12]
     assert all((sites, table) == (64, sizes) for _, sites, table in calls)
+    assert batches == [(12, sizes)]
 
 
 @settings(max_examples=60, deadline=None)
