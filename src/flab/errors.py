@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import sys
 
 import numpy as np
 
@@ -35,11 +36,14 @@ def json_int(key: str, value, minimum: int | None = None) -> int:
 
 
 def json_number(what: str, value) -> float:
-    """``value`` as a float if it is a JSON number, else ConfigError.
+    """``value`` as a float if it is a finite JSON number, else ConfigError.
 
-    Strings and bools are refused: float() would take "0.4" and true.
+    Strings and bools are refused: float() would take "0.4" and true. So
+    are NaN (it fails both comparisons), the infinities and integers past
+    the float range: Python's json reads ``NaN``, ``Infinity`` and ``1e400``.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    big = sys.float_info.max
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not -big <= value <= big:
         raise ConfigError(f"{what} must be a number, got {value!r}")
     return float(value)
 

@@ -432,73 +432,60 @@ class _Candidates:
     """Candidate values for a stack of searches, and each item's count of engine words sent.
 
     The items share n, the probe and the direction set; each has its own
-    functional. Without a probe, every candidate word goes to its item's
-    functional. With one, each functional evaluates its probe-basis
-    tensor M = F(probe^n) once, and a candidate value is the contraction
-    of M with each slot's Hilbert-Schmidt coefficients: F is linear in
-    every slot, so F(a_1, ..., a_n) = sum M[i_1, ..., i_n] c_1[i_1] ...
-    c_n[i_n]. A centered probe is center(h) for h != I; since
-    center(I) = 0, a centered operator a = sum_h c_h h equals
-    sum_{h != I} c_h center(h) exactly, so its identity coefficient is
-    dropped. A tensor built beforehand (a row of a size table) stands in
-    for that evaluation and counts the same words. The contractions of
+    functional, and every word any of them evaluates goes through
+    ``send``. Without a probe, every candidate word is sent. With one,
+    each item sends its probe-basis tensor M = F(probe^n) once, and a
+    candidate value is the contraction of M with each slot's
+    Hilbert-Schmidt coefficients: F is linear in every slot, so
+    F(a_1, ..., a_n) = sum M[i_1, ..., i_n] c_1[i_1] ... c_n[i_n]. A
+    centered probe is center(h) for h != I; since center(I) = 0, a
+    centered operator a = sum_h c_h h equals sum_{h != I} c_h center(h)
+    exactly, so its identity coefficient is dropped. The contractions of
     all items run as one matmul/einsum chain with a leading item axis,
     which gives each item the bits of its own chain. With ``table``, the
-    items' functionals are on ascending prefixes of one Markov region
-    (``joint``).
+    items' functionals are on strictly ascending prefixes of one region.
     """
 
-    def __init__(
-        self, functionals: list, n: int, probe: list | None, centered: bool, tensors, table=False
-    ):
+    def __init__(self, functionals: list, n: int, probe: list | None, centered: bool, table=False):
         self.functionals = functionals
         self.evaluations = [0] * len(functionals)
-        self.tensors = None
         self.table = table
         self.skip = int(centered)
+        self.tensors = None
         if probe is not None:
-            basis = None
-            rows = []
-            for k, tensor in enumerate(tensors):
-                if tensor is None:
-                    basis = basis or list(itertools.product(probe, repeat=n))
-                    tensor = self.send(k, basis)
-                else:
-                    self.evaluations[k] += tensor.size
-                rows.append(tensor.reshape((len(probe),) * n))
-            self.tensors = np.array(rows)
+            basis = list(itertools.product(probe, repeat=n))
+            rows = self.values(range(len(functionals)), [basis] * len(functionals))
+            self.tensors = rows.reshape((len(functionals),) + (len(probe),) * n)
 
-    def send(self, k: int, words: list[tuple]) -> np.ndarray:
-        """F of each word, from item k's functional."""
-        self.evaluations[k] += len(words)
-        return _eval_many(self.functionals[k], words)
+    def send(self, words: dict[int, list[tuple]]) -> dict[int, np.ndarray]:
+        """F of ``words[k]`` per item k (ascending), each item's own evaluation.
 
-    def joint(self, words: dict[int, list[tuple]]) -> dict[int, np.ndarray] | None:
-        """F of ``words[k]`` per item k (ascending), None without a table: one
-        batch of the last item's functional, read out at each item's size
-        (one Markov sweep). Equal lists (the same operator objects in the
-        same order) are sent once. A word's row does not depend on the
-        others in its batch, so each row is the item's own ``send``."""
-        if not self.table:
-            return None
-        if not words:
-            return {}
-        cols, reads, flat = {}, {}, []
+        Outside a table each item sends its list to its functional. In a
+        table, items whose lists are equal (the same operator objects in
+        the same order) share one ``batch`` of the largest of them, read
+        out at each item's size: one Markov sweep or product pass. A row
+        of a size table is the per-size call bit for bit, so sharing
+        changes no value. Distinct lists are sent apart: a product pass
+        would evaluate a concatenation at every size, and a Markov table
+        whose sizes end at different witnesses pays one sweep per list.
+        """
         for k, ws in words.items():
             self.evaluations[k] += len(ws)
-            key = tuple(id(a) for w in ws for a in w)
-            if key not in cols:
-                cols[key] = slice(len(flat), len(flat) + len(ws))
-                flat += ws
-            reads[k] = cols[key]
-        sizes = [len(self.functionals[k].region) for k in words]
-        rows = self.functionals[max(words)].batch(flat, sizes)
-        return {k: row[reads[k]] for k, row in zip(words, rows)}
+        if not self.table:
+            return {k: _eval_many(self.functionals[k], ws) for k, ws in words.items()}
+        shared: dict = {}
+        for k, ws in words.items():
+            shared.setdefault(tuple(id(a) for w in ws for a in w), []).append(k)
+        out = {}
+        for items in shared.values():
+            sizes = [len(self.functionals[k].region) for k in items]
+            out.update(zip(items, self.functionals[items[-1]].batch(words[items[0]], sizes)))
+        return out
 
     def _coefficients(self, mats: np.ndarray) -> np.ndarray:
         return _hs_coefficient_stack(mats)[..., self.skip :]
 
-    def values(self, items: list[int], words: list[list[tuple]]) -> np.ndarray:
+    def values(self, items: Sequence[int], words: list[list[tuple]]) -> np.ndarray:
         """F of ``words[i]``, item ``items[i]``'s equally many words, one row per item.
 
         Sent, or contracted from one stacked coefficient array; items
@@ -506,7 +493,8 @@ class _Candidates:
         coefficients.
         """
         if self.tensors is None:
-            return np.array([self.send(k, ws) for k, ws in zip(items, words)])
+            rows = self.send(dict(zip(items, words)))
+            return np.array([rows[k] for k in items])
         lists = {id(ws): ws for ws in words}
         mats = np.array([[[a.mat for a in w] for w in ws] for ws in lists.values()])
         coeffs = self._coefficients(mats)
@@ -524,14 +512,14 @@ class _Candidates:
         axes are back in slot order and the C-order ravel is product
         order.
         """
+        count = len(self.functionals)
         if self.tensors is None:
-            words = list(itertools.product(dirs, repeat=n))
-            return np.array([self.send(k, words) for k in range(len(self.functionals))])
+            return self.values(range(count), [list(itertools.product(dirs, repeat=n))] * count)
         coeffs = self._coefficients(np.array([a.mat for a in dirs]))
         out = self.tensors
         for _ in range(n):
-            out = np.swapaxes(coeffs @ out.reshape(len(out), coeffs.shape[1], -1), -1, -2)
-        return out.reshape(len(out), -1)
+            out = np.swapaxes(coeffs @ out.reshape(count, coeffs.shape[1], -1), -1, -2)
+        return out.reshape(count, -1)
 
     @staticmethod
     def _contract(tensors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -548,11 +536,11 @@ class _Candidates:
         ``values[k]`` are F of the words ``word_at(k, 0)``, ``word_at(k, 1)``,
         ... Contractions differ from direct values by rounding, and
         reversed or symmetric words tie exactly, so every word whose
-        contraction lies within TIE_TOL of the top is built and
-        evaluated directly; the first maximum is then the one a direct
-        evaluation of all words would pick. When no contraction can
-        reach ``floors[k]``, nothing is evaluated. Every item's near
-        list is built before any is sent, so a table sends them jointly.
+        contraction lies within TIE_TOL of the top is built and sent;
+        the first maximum is then the one a direct evaluation of all
+        words would pick. When no contraction can reach ``floors[k]``,
+        nothing is sent. Every item's near list is built before one
+        ``send`` of them all.
         """
         mags = np.abs(values)
         tops = mags.max(axis=1).tolist()
@@ -563,9 +551,7 @@ class _Candidates:
             slack = TIE_TOL * max(top, 1.0)
             if not top < floor - slack:
                 near[k] = [word_at(k, i) for i in np.flatnonzero(mags[k] >= top - slack)]
-        rows = self.joint(near)
-        if rows is None:
-            rows = {k: self.send(k, ws) for k, ws in near.items()}
+        rows = self.send(near)
         out = []
         for k in range(len(tops)):
             if k not in near:
@@ -577,15 +563,8 @@ class _Candidates:
         return out
 
     def value(self, items: list[int], words: list[tuple]) -> list[float]:
-        """|F| of one word per item: its contraction on the tensor, else one direct evaluation."""
-        if self.tensors is None:
-            return [self.direct(k, word) for k, word in zip(items, words)]
-        return [float(abs(row[0])) for row in self.values(items, [[w] for w in words])]
-
-    def direct(self, k: int, word: tuple) -> float:
-        """|F(word)| from one direct evaluation by item k's functional."""
-        self.evaluations[k] += 1
-        return float(abs(complex(self.functionals[k](word))))
+        """|F| of one word per item, contracted on the tensor or sent: scalar ``abs`` of each."""
+        return [float(abs(complex(row[0]))) for row in self.values(items, [[w] for w in words])]
 
 
 def _search_words(
@@ -629,19 +608,6 @@ def _search_words(
     return probe, dirs, rand_words
 
 
-def _tensor_probe(n: int, probe: list, dirs: tuple, rand_words: list) -> list | None:
-    """The probe, when a search ranks on its basis tensor; else None.
-
-    The basis tensor pays off when it has no more words than the direct
-    search would send (the ascent sends 2 n (|probe| + 1)): timed on
-    Markov chains, the tensor won just below this switch (centered d=2,
-    n=5 and 6) and direct won just above it (centered d=3, n=3 and 4;
-    plain d=2, n=5 and 6).
-    """
-    direct_words = len(dirs) ** n + len(rand_words) + 2 * n * (len(probe) + 1)
-    return probe if len(probe) ** n <= direct_words else None
-
-
 def _stack_chunk_items(search_budget: int, n: int, dirs: tuple) -> int:
     """Items per stack chunk: as many as fit in SEARCH_DRAW_GUARD candidate
     words (each item's random draws and head words), at least one, so a
@@ -662,7 +628,7 @@ def _search(
     An array ``np.abs`` and a scalar ``abs()`` of one complex value can
     differ in the last bit, so each |F| has one fixed form: ``np.abs``
     on arrays when ranking words and near-ties, scalar ``abs`` on each
-    ascent value and each direct evaluation. A stack keeps these forms,
+    ascent value and on the final witness. A stack keeps these forms,
     which is what makes its items equal to their searches alone.
     """
     return _search_stack([functional], n, dim, search_budget, omega, [seed])[0]
@@ -675,41 +641,40 @@ def _search_stack(
     search_budget: int,
     omega: SiteState | None,
     seeds: Sequence[int],
-    tensors: Sequence[np.ndarray | None] | None = None,
-    words: tuple | None = None,
     table: bool = False,
 ) -> list[SeminormEstimate]:
     """Seminorm searches that share n, dim, search_budget and centering.
 
-    Item k searches ``functionals[k]`` with ``seeds[k]`` (and, on the
-    tensor side, ``tensors[k]`` when given), and equals the search of
-    that item alone bit for bit, evaluations included. The items share
-    the probe, the head directions and the tensor/direct switch; items
-    of one seed share one ``_search_words`` draw, and ``words``, when
-    given, is the triple of ``seeds[0]``. The head ranking, the random
-    word ranking and every ascent step run once over a chunk of items
-    (``_stack_chunk_items``) as batched contractions, one ``eigh`` and
-    one 2-norm; near-tie words, ascent values on the direct side and
-    the final witness go through each item's own functional or, when
-    the functionals are on ascending prefixes of one Markov region
-    (``table``), are one sweep per chunk (``_Candidates.joint``). Every
-    |F| takes the form ``_search`` states.
+    Item k searches ``functionals[k]`` with ``seeds[k]`` and equals the
+    search of that item alone bit for bit, evaluations included. The
+    items share the probe, the head directions and the tensor/direct
+    switch; items of one seed share one ``_search_words`` draw. The head
+    ranking, the random word ranking and every ascent step run once over
+    a chunk of items (``_stack_chunk_items``) as batched contractions,
+    one ``eigh`` and one 2-norm. Every word a chunk evaluates (the basis
+    tensor, near-tie words, the direct side's candidates and the final
+    witnesses) goes through ``_Candidates.send``; with ``table`` the
+    functionals are on ascending prefixes of one region, and items that
+    send equal lists share one size table. Every |F| takes the form
+    ``_search`` states.
     """
     functionals = list(functionals)
     if not functionals:
         return []
-    if tensors is None:
-        tensors = [None] * len(functionals)
     if n == 0:
         return [SeminormEstimate(abs(complex(f(()))), (), 1) for f in functionals]
-    if words is None:
-        words = _search_words(n, dim, search_budget, omega, seeds[0])
-    probe, dirs, _ = words
-    tensor_probe = _tensor_probe(n, *words)
+    probe, dirs, rand_words = _search_words(n, dim, search_budget, omega, seeds[0])
+    # the basis tensor pays off when it has no more words than the direct
+    # search would send (the ascent sends 2 n (|probe| + 1)): timed on
+    # Markov chains, the tensor won just below this switch (centered d=2,
+    # n=5 and 6) and direct won just above it (centered d=3, n=3 and 4;
+    # plain d=2, n=5 and 6)
+    direct_words = len(dirs) ** n + len(rand_words) + 2 * n * (len(probe) + 1)
+    tensor_probe = probe if len(probe) ** n <= direct_words else None
     per_chunk = _stack_chunk_items(search_budget, n, dirs)
     # the first chunk holds item 0, so the first draw is released after it
-    pending = {seeds[0]: words[2]}
-    words = None
+    pending = {seeds[0]: rand_words}
+    del rand_words
     out: list[SeminormEstimate] = []
     for start in range(0, len(functionals), per_chunk):
         chunk = slice(start, start + per_chunk)
@@ -717,9 +682,7 @@ def _search_stack(
         for seed in seeds[chunk]:
             if seed not in drawn:
                 drawn[seed] = _search_words(n, dim, search_budget, omega, seed)[2]
-        cands = _Candidates(
-            functionals[chunk], n, tensor_probe, omega is not None, tensors[chunk], table
-        )
+        cands = _Candidates(functionals[chunk], n, tensor_probe, omega is not None, table)
         out += _search_chunk(cands, n, probe, dirs, [drawn[seed] for seed in seeds[chunk]])
     return out
 
@@ -738,7 +701,7 @@ def _search_chunk(
 
         best = cands.argmax(cands.head(dirs, n), head_word, [-1.0] * count)
     if rand_words[0]:
-        values = cands.values(list(range(count)), rand_words)
+        values = cands.values(range(count), rand_words)
         found = cands.argmax(values, lambda k, i: rand_words[k][i], [v for v, _ in best])
         best = [new if new[0] > old[0] else old for new, old in zip(found, best)]
 
@@ -746,7 +709,7 @@ def _search_chunk(
     # linear direction, so probe the basis, take the top eigenvector of
     # the quadratic response, and keep the renormalized candidate only
     # if its value improves. On the tensor, trials and candidates are
-    # contractions, and the word they end at is evaluated directly once
+    # contractions, and the word they end at is sent once
     live = [k for k in range(count) if best[k][1]]
     vals = {k: best[k][0] for k in live}
     word = {k: list(best[k][1]) for k in live}
@@ -782,7 +745,7 @@ def _search_chunk(
     # should rounding have ranked a worse word higher, keep the start
     tensor = cands.tensors is not None
     finals = {k: [tuple(word[k])] for k in live if tensor and tuple(word[k]) != best[k][1]}
-    rows = cands.joint(finals)
+    rows = cands.send(finals)
     out = []
     for k in range(count):
         start_val, start_word = best[k]
@@ -792,7 +755,7 @@ def _search_chunk(
         witness = tuple(word[k])
         val = vals[k]
         if k in finals:
-            val = cands.direct(k, witness) if rows is None else float(abs(complex(rows[k][0])))
+            val = float(abs(complex(rows[k][0])))
             if val < start_val:
                 out.append(SeminormEstimate(start_val, start_word, cands.evaluations[k]))
                 continue
@@ -813,30 +776,22 @@ def _search_table(
 
     Row i equals ``seminorm_nu_omega_estimate`` on those sites against
     ``omegas[i]`` bit for bit, evaluations included. Each run of sizes
-    whose omegas are bit-equal is one search stack on one draw of the
-    search words and, on the tensor side, reads every size's basis
-    tensor from one size table (one Markov sweep); on a Markov state its
-    tie-break words and its final witnesses are one sweep each as well.
+    whose omegas are bit-equal is one table stack on one draw of the
+    search words. Its sizes share each word list they have in common
+    (the basis tensor; on the direct side the head and random words;
+    near-tie words and witnesses that coincide) as one size table, one
+    Markov sweep or one product pass; different lists are sent apart.
     """
     out: list[SeminormEstimate] = []
     runs = itertools.groupby(zip(sizes, omegas), key=lambda row: row[1].rho.tobytes())
     for _, run in runs:
         group, group_omegas = zip(*run)
-        omega = group_omegas[0]
-        words = _search_words(n, state.site_dim, search_budget, omega, seed)
-        probe = _tensor_probe(n, *words)
-        tensors = None
-        if probe is not None:
-            basis = list(itertools.product(probe, repeat=n))
-            tensors = list(_moments_of(state, region, basis, group))
         functionals = [
             InducedMomentFunctional(state, _prefix_region(region, size)) for size in group
         ]
         seeds = [seed] * len(group)
-        # a joint send is one Markov sweep; elsewhere it costs per size
-        markov = isinstance(state, MarkovState)
         out += _search_stack(
-            functionals, n, state.site_dim, search_budget, omega, seeds, tensors, words, markov
+            functionals, n, state.site_dim, search_budget, group_omegas[0], seeds, True
         )
     return out
 

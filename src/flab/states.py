@@ -314,6 +314,11 @@ def _apply_two_site(tensor: np.ndarray, gate: np.ndarray, i: int, d: int) -> np.
     return np.moveaxis(out, [0, 1], [i, i + 1])
 
 
+def _power_exceeds(d: int, exponent: int, limit: int) -> bool:
+    """d**exponent > limit, unbuilt: from limit's bit length on, any d >= 2 exceeds it."""
+    return d > 1 and (exponent >= limit.bit_length() or d**exponent > limit)
+
+
 class CircuitState(GlobalState):
     """Brickwork circuit on a chain segment of given length, open ends.
 
@@ -355,19 +360,18 @@ class CircuitState(GlobalState):
 
         probs, vecs = np.linalg.eigh(base.rho)
         pure = bool(probs[-1] > 1.0 - 1e-12)
-        dim_total = d**length
         if pure:
-            if dim_total > STATEVEC_MAX_DIM:
+            if _power_exceeds(d, length, STATEVEC_MAX_DIM):
                 raise CostGuardError(
                     "circuit statevector size",
-                    f"d^L = {dim_total} exceeds {STATEVEC_MAX_DIM}",
+                    f"d^L = {d}^{length} exceeds {STATEVEC_MAX_DIM}",
                 )
             start = vecs[:, -1]
         else:
-            if dim_total * dim_total > DENSITY_MAX_DIM:
+            if _power_exceeds(d, 2 * length, DENSITY_MAX_DIM):
                 raise CostGuardError(
                     "circuit density-matrix size",
-                    f"d^2L = {dim_total * dim_total} exceeds {DENSITY_MAX_DIM}",
+                    f"d^2L = {d}^{2 * length} exceeds {DENSITY_MAX_DIM}",
                 )
             # purification: column k of a factor F with F F^dagger = rho, its
             # ancilla index k. A positive definite rho takes its Cholesky

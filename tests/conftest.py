@@ -344,7 +344,7 @@ def wick_recursive(pair_value, items):
 # Scalar seminorm search
 # =============================================================================
 
-def search_loop(functional, n, dim, budget, omega, seed, tensor=None):
+def search_loop(functional, n, dim, budget, omega, seed):
     """One seminorm search at a time: the search as it stood before it ran
     in stacks, kept as the oracle of the stacked engine.
 
@@ -417,15 +417,9 @@ def search_loop(functional, n, dim, budget, omega, seed, tensor=None):
         return direct(word)
 
     direct_words = len(dirs) ** n + len(rand_words) + 2 * n * (len(probe) + 1)
-    on_tensor = len(probe) ** n <= direct_words
-    if on_tensor:
-        if tensor is None:
-            tensor = send(list(itertools.product(probe, repeat=n)))
-        else:
-            evaluations += tensor.size
-        tensor = tensor.reshape((len(probe),) * n)
-    else:
-        tensor = None
+    tensor = None
+    if len(probe) ** n <= direct_words:
+        tensor = send(list(itertools.product(probe, repeat=n))).reshape((len(probe),) * n)
 
     def head_word(i):
         return tuple(dirs[k] for k in np.unravel_index(i, (len(dirs),) * n))

@@ -448,6 +448,78 @@ def test_ccr_decay_report_bytes_pinned(tmp_path, capsys, case, seed):
     assert out == pinned.read_text()
 
 
+def _engine_calls(monkeypatch):
+    """Wrap the product and Markov engines and ``_Candidates.send``: each
+    engine call appends (word count, sizes, mixed). A call inside a send
+    is mixed unless its words are one of the lists that send's items
+    passed, byte for byte."""
+    from flab import fluctuations
+
+    calls, active = [], []
+    real_send = fluctuations._Candidates.send
+    real_markov, real_product = fluctuations.markov_moment_batch, fluctuations.product_moment_batch
+
+    def send(self, words):
+        stacks = (np.array([[a.mat for a in w] for w in ws]) for ws in words.values())
+        active.append({stack.tobytes() for stack in stacks})
+        try:
+            return real_send(self, words)
+        finally:
+            active.pop()
+
+    def note(stack, sizes):
+        calls.append((len(stack), list(sizes), bool(active) and stack.tobytes() not in active[-1]))
+
+    def markov(state, sites, stack, sizes):
+        note(stack, sizes)
+        return real_markov(state, sites, stack, sizes)
+
+    def product(rho, sizes, stack):
+        note(stack, sizes)
+        return real_product(rho, sizes, stack)
+
+    monkeypatch.setattr(fluctuations._Candidates, "send", send)
+    monkeypatch.setattr(fluctuations, "markov_moment_batch", markov)
+    monkeypatch.setattr(fluctuations, "product_moment_batch", product)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["product", "d3"])
+def test_ccr_decay_table_engine_calls_pinned(tmp_path, capsys, monkeypatch, case):
+    """The engine calls of a ccr-decay table, seed 0. Items that send equal
+    word lists share one size table; distinct lists are sent apart, so no
+    call holds words of two lists.
+
+    - product, tensor side: the defect, rest and commutator tables, the
+      basis tensor and the near-tie words, each one pass at all 4 sizes.
+    - ``CCR_DECAY_PINNED["d3"]``, direct side: the three tables, then the
+      head words, the random words and the first ascent trials at all 3
+      sizes; once the items' words part, each sends its own at its size.
+    """
+    doc = {
+        "product": {
+            "state": PRODUCT_TILTED,
+            "prefix": ["Z"],
+            "pair": ["X", "Y"],
+            "suffix": ["X"],
+            "sizes": [2, 4, 6, 8],
+            "search_budget": 4,
+        },
+        "d3": CCR_DECAY_PINNED["d3"],
+    }[case]
+    calls = _engine_calls(monkeypatch)
+    code, _, err = run(["ccr-decay", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, err) == (0, "")
+    sizes = doc["sizes"]
+    if case == "product":
+        want = [(count, sizes) for count in (2, 1, 1, 27, 4)]
+    else:
+        want = [(count, sizes) for count in (2, 1, 1, 27, 4, 8)] + [(1, [k]) for k in sizes]
+        want += 5 * ([(8, [k]) for k in sizes] + [(1, [k]) for k in sizes])
+    assert [(count, table) for count, table, _ in calls] == want
+    assert not any(mixed for _, _, mixed in calls)
+
+
 def _bench_workloads():
     """``bench/workloads.py``, loaded by path and only read."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -975,6 +1047,69 @@ def test_state_spec_numbers_must_be_json_numbers(tmp_path, capsys, state, shown)
     assert err == f"ERR 2: bad state spec: {shown}\n"
 
 
+NAN_GATE = [[float("nan") if i == j == 0 else float(i == j) for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "experiment, doc, shown",
+    [
+        (
+            "moments",
+            {"state": {**MARKOV_STD, "pi": [float("nan"), 0.5]}},
+            "bad state spec: a 'pi' entry must be a number, got nan",
+        ),
+        (
+            "moments",
+            {"state": {**PRODUCT_TILTED, "rho": [[float("nan"), 0], [0, 0.25]]}},
+            "bad state spec: a matrix or ket entry must be a number, got nan",
+        ),
+        (
+            "moments",
+            {"state": MARKOV_STD, "word": ["Z", [[float("nan"), 0], [0, 1]]]},
+            "bad inline operator matrix: a matrix or ket entry must be a number, got nan",
+        ),
+        (
+            "moments",
+            {"state": {**CIRCUIT_KET, "layers": [{"offset": 0, "gate": NAN_GATE}]}},
+            "bad state spec: a matrix or ket entry must be a number, got nan",
+        ),
+        (
+            "moments",
+            {"state": {**CIRCUIT_KET, "base": {"ket": [float("nan"), 0]}}},
+            "bad state spec: a matrix or ket entry must be a number, got nan",
+        ),
+        (
+            "cluster-verify",
+            {"state": MARKOV_STD, "degrees": [2], "op": [[float("nan"), 0], [0, 1]]},
+            "bad inline operator matrix: a matrix or ket entry must be a number, got nan",
+        ),
+        (
+            "moments",
+            {"state": {**PRODUCT_TILTED, "metric": {"kind": "chain", "scale": float("inf")}}},
+            "bad state spec: 'scale' must be a number, got inf",
+        ),
+        (
+            "moments",
+            {"state": {**CIRCUIT_KET, "scale": float("-inf")}},
+            "bad state spec: 'scale' must be a number, got -inf",
+        ),
+        (
+            "moments",
+            {"state": {**MARKOV_STD, "alpha": 10**309}},
+            f"bad state spec: 'alpha' must be a number, got {10**309}",
+        ),
+    ],
+    ids=["pi", "rho", "inline-op", "gate", "ket", "cluster-op", "metric-scale", "scale", "big-int"],
+)
+def test_non_finite_config_numbers_exit_err_2(tmp_path, capsys, experiment, doc, shown):
+    """Python's json reads NaN, Infinity and -Infinity, which JSON has not,
+    and an integer past the float range: each exits ERR 2 before any work."""
+    cfg = write_config(tmp_path, {"word": ["Z", "Z"], "sizes": [2], **doc})
+    code, out, err = run([experiment, "--config", cfg], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"ERR 2: {shown}\n"
+
+
 @pytest.mark.parametrize(
     "experiment, key, spec",
     [
@@ -1060,6 +1195,27 @@ def test_cost_guard_exit_three(tmp_path, capsys):
     code, _, err = run(["moments", "--config", cfg], capsys)
     assert code == 3
     assert err.startswith("ERR 3: cost guard '")
+
+
+@pytest.mark.parametrize(
+    "base, shown",
+    [
+        ({"ket": [1, 0]}, "'circuit statevector size': d^L = 2^10000000 exceeds 16384"),
+        (
+            [[0.75, 0], [0, 0.25]],
+            "'circuit density-matrix size': d^2L = 2^20000000 exceeds 1048576",
+        ),
+    ],
+    ids=["pure", "mixed"],
+)
+def test_circuit_size_guard_at_ten_million_sites(tmp_path, capsys, base, shown):
+    """The circuit size guards compare exponents: no d^L integer is built
+    or printed, so a huge length is one short ERR 3 line."""
+    state = {"kind": "circuit", "base": base, "length": 10**7}
+    cfg = write_config(tmp_path, {"state": state, "word": ["Z", "Z"], "sizes": [2]})
+    code, out, err = run(["moments", "--config", cfg], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"ERR 3: cost guard {shown}\n"
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ from flab import (
     state_from_json,
 )
 from flab.lattice import explicit_metric, grid2d_metric
-from flab.states import POWER_CACHE_SIZE, _apply_site
+from flab.states import POWER_CACHE_SIZE, _apply_site, _power_exceeds
 
 RNG = np.random.default_rng(314159)
 
@@ -531,6 +531,15 @@ def test_circuit_cost_guards():
     with pytest.raises(CostGuardError) as mixed_guard:
         CircuitState(mixed, 11, [])
     assert mixed_guard.value.guard == "circuit density-matrix size"
+
+
+@pytest.mark.parametrize("d, limit", [(1, 1), (2, 2**14), (2, 2**20), (3, 2**14), (4, 10**8)])
+def test_power_guard_equals_the_integer_power(d, limit):
+    """``_power_exceeds`` is d**e > limit at every exponent up to past the
+    limit's bit length, and stays true far beyond it for d >= 2."""
+    for e in range(limit.bit_length() + 3):
+        assert _power_exceeds(d, e, limit) == (d**e > limit)
+    assert _power_exceeds(d, 10**9, limit) == (d > 1)
 
 
 def _assert_circuit_matches_dense(base, rng, length=4):
