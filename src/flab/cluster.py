@@ -39,7 +39,7 @@ from .combinatorics import (
     q_sequence,
 )
 from .errors import CostGuardError, KahanSum
-from .fluctuations import induced_moment
+from .fluctuations import induced_moment, induced_moment_table
 from .gaussian import covariance_from_state, wick_moment
 from .lattice import (
     _SPREAD_ELEMENT_BUDGET,
@@ -89,14 +89,17 @@ def product_part_moment(omega: SiteState, size: int, word: Sequence[SiteOperator
     block structure under the assumption that singleton blocks vanish in
     the decomposition bookkeeping downstream.
     """
-    word = tuple(word)
-    n = len(word)
-    if n < 1:
+    return complex(_product_part_table(omega, [size], tuple(word))[0])
+
+
+def _product_part_table(omega: SiteState, sizes: Sequence[int], word: tuple) -> np.ndarray:
+    """``product_part_moment`` at every size, from one ``product_moment_batch`` call."""
+    if not word:
         raise ValueError("product part needs a word of degree >= 1")
-    check_partition_degree(n)
+    check_partition_degree(len(word))
     _require_centered(omega, word)
-    size = _checked_size(size)
-    return product_moment(omega.rho, size, [a.mat for a in word])
+    sizes = [_checked_size(size) for size in sizes]
+    return product_moment_batch(omega.rho, sizes, np.array([[a.mat for a in word]]))[:, 0]
 
 
 class ProductPartFunctional:
@@ -141,29 +144,47 @@ def f_correction_moment(
     such assignment the sum over split points of (prefix of single-site
     expectations) times (truncated correlation of the tail) telescopes
     exactly, so adding the factorized moment reproduces the direct one
-    up to rounding.
+    up to rounding. A ``correction_table`` of one size, the whole region.
+    """
+    return correction_table(state, region, word, [len(region)])[0]
 
-    The subsets of each block count m stream in chunks of at most
-    _CORRECTION_ROW_BUDGET (subset, partition) cells, and each tail of a
-    chunk is one ``expect_rows`` grid: the chunk's spread orders are its
-    index rows into the sorted sites, the partitions' operator stack its
-    cells. The terms are summed in the order (m, subset, partition, split
-    point), their complex products taken as real float operations, so
-    every bit equals the scalar loop's.
+
+def correction_table(
+    state: GlobalState, region: Region, word: Sequence[SiteOperator], sizes: Sequence[int]
+) -> list[complex]:
+    """``f_correction_moment`` on the first k sorted sites of region, per k in ``sizes``.
+
+    ``sizes`` ascend strictly and region holds the largest. The subsets
+    of the largest region, per block count m, stream once in
+    combinations order, in chunks of at most _CORRECTION_ROW_BUDGET
+    (subset, partition) cells; each tail of a chunk is one
+    ``expect_rows`` grid: the chunk's spread orders are its index rows
+    into the sorted sites, the partitions' operator stack its cells.
+    The terms are summed in the order (m, subset, partition, split
+    point), their complex products taken as real float operations.
+    Each size sums, per chunk, the rows whose last index is below it.
+    Its subsets keep their order in the largest region's, a spread
+    order reads only its subset's distances, and the compensated sum
+    does not depend on where chunks split, so every value equals the
+    scalar loop on that size's sites bit for bit.
     """
     word = tuple(word)
     n = len(word)
     if n < 1:
         raise ValueError("correction needs a word of degree >= 1")
-    size = len(region)
-    check_correction_tuples(size, n)
+    sizes = [_checked_size(size) for size in sizes]
+    if not sizes or sizes[-1] > len(region) or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"prefix lengths must ascend strictly within 1..{len(region)}")
+    for size in sizes:
+        check_correction_tuples(size, n)
     omega = state.single_site_restriction()
     _require_centered(omega, word)
-    sites = region.sorted_sites()
-    dist = _distance_matrix(region.metric, sites) if min(n, size) > 1 else None
+    top = sizes[-1]
+    sites = region.sorted_sites()[:top]
+    dist = _distance_matrix(region.metric, sites) if min(n, top) > 1 else None
     blocks = {}  # block of word slots -> (its operator matrix, its single-site expectation)
-    acc = KahanSum()
-    for m in range(2, min(n, size) + 1):
+    accs = [KahanSum() for _ in sizes]
+    for m in range(2, min(n, top) + 1):
         parts = ordered_partitions(m, n)
         for block in {block for part in parts for block in part} - blocks.keys():
             op = ordered_product([word[i - 1] for i in block])
@@ -176,23 +197,27 @@ def f_correction_moment(
         )
         singles = np.array(singles)[:, :-1]
         per_chunk = max(1, _CORRECTION_ROW_BUDGET // len(parts))
-        for chunk in _index_chunks(size, m, per_chunk):
+        for chunk in _index_chunks(top, m, per_chunk):
             orders, _ = _spread_orders(dist, chunk)
             # tails[k - 1]: the tail from position k on, on the (subset, partition) grid
             tails = [
                 state.expect_rows(sites, orders[:, k - 1 :], stack[None, :, k - 1 :])
                 for k in range(1, m + 1)
             ]
-            acc.add_terms(*_telescoped_terms(tails, singles, prefixes))
-    return acc.value * float(size) ** (-n / 2.0)
+            reals, imags = _telescoped_terms(tails, singles, prefixes)
+            for size, acc in zip(sizes, accs):
+                keep = chunk[:, -1] < size
+                if keep.any():
+                    acc.add_terms(reals[keep].ravel(), imags[keep].ravel())
+    return [acc.value * float(size) ** (-n / 2.0) for size, acc in zip(sizes, accs)]
 
 
 def _telescoped_terms(tails: list, singles, prefixes) -> tuple:
-    """The terms prefix * (tail_k - single * tail_{k+1}) in (subset, partition, k) order.
+    """The terms prefix * (tail_k - single * tail_{k+1}), one row per subset.
 
     Every complex product is taken as real float operations, so each term
     rounds as Python complex arithmetic does. The real and imaginary
-    parts come back as two flat float arrays.
+    parts come back as two float arrays, each row in (partition, k) order.
     """
     tails = np.stack(tails, axis=-1)
     tr, ti = tails.real, tails.imag
@@ -200,7 +225,8 @@ def _telescoped_terms(tails: list, singles, prefixes) -> tuple:
     yr = tr[..., :-1] - (sr * tr[..., 1:] - si * ti[..., 1:])
     yi = ti[..., :-1] - (sr * ti[..., 1:] + si * tr[..., 1:])
     pr, pi = prefixes.real, prefixes.imag
-    return (pr * yr - pi * yi).ravel(), (pr * yi + pi * yr).ravel()
+    rows = len(tails)
+    return (pr * yr - pi * yi).reshape(rows, -1), (pr * yi + pi * yr).reshape(rows, -1)
 
 
 class CorrectionFunctional:
@@ -386,21 +412,30 @@ def decomposition_check(
 ) -> DecompositionCheck:
     """direct moment == product part + correction, to rounding.
 
+    A ``decomposition_table`` of one size, the whole region.
+    """
+    return decomposition_table(state, region, word, [len(region)])[0]
+
+
+def decomposition_table(
+    state: GlobalState, region: Region, word: Sequence[SiteOperator], sizes: Sequence[int]
+) -> list[DecompositionCheck]:
+    """``decomposition_check`` on the first k sorted sites of region, per k in ``sizes``.
+
     The word is centered against the homogeneous single-site restriction
-    first (construction fails for states without one), then all three
-    quantities are computed independently and the residual compared to
-    DECOMPOSITION_TOL.
+    first (construction fails for states without one), then the three
+    quantities are computed independently, each as one table over the
+    sizes: the direct moments by ``induced_moment_table``, the product
+    parts by one closed-form call, the corrections by
+    ``correction_table``. Each residual is compared to DECOMPOSITION_TOL.
     """
     omega = state.single_site_restriction()
     centered = tuple(center(a, omega) for a in word)
-    direct = induced_moment(state, region, centered)
-    pp = product_part_moment(omega, len(region), centered)
-    fc = f_correction_moment(state, region, centered)
-    residual = abs(direct - (pp + fc))
-    return DecompositionCheck(
-        direct=direct,
-        product_part=pp,
-        correction=fc,
-        residual=residual,
-        passed=residual <= DECOMPOSITION_TOL,
-    )
+    direct = induced_moment_table(state, region, centered, sizes)
+    products = _product_part_table(omega, sizes, centered)
+    corrections = correction_table(state, region, centered, sizes)
+    out = []
+    for value, pp, fc in zip(direct, products.tolist(), corrections):
+        residual = abs(value - (pp + fc))
+        out.append(DecompositionCheck(value, pp, fc, residual, residual <= DECOMPOSITION_TOL))
+    return out

@@ -545,6 +545,31 @@ def test_bound_checks_cluster_verify_bytes_pinned(tmp_path, capsys, seed):
     assert out == pinned.read_text()
 
 
+def test_bound_checks_cluster_verify_sweeps_once_per_degree(tmp_path, capsys, monkeypatch):
+    """The seed-0 cluster-verify config of the bound-checks workload makes
+    44 Markov ``expect_rows`` grids: one correction sweep per degree over
+    the largest region, read out at every size. Sweeping each (size,
+    degree) row's own prefix made 105."""
+    from flab.states import MarkovState
+
+    (cfg,) = [
+        cfg
+        for experiment, _, cfg in _bench_workloads().experiments("bound-checks", 0)
+        if experiment == "cluster-verify"
+    ]
+    grids = []
+    real = MarkovState.expect_rows
+
+    def counted(self, *args):
+        grids.append(len(args[1]))
+        return real(self, *args)
+
+    monkeypatch.setattr(MarkovState, "expect_rows", counted)
+    code, _, err = run(["cluster-verify", "--config", write_config(tmp_path, cfg)], capsys)
+    assert (code, err) == (0, "")
+    assert len(grids) == 44
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_moment_tables_product_converge_bytes_pinned(tmp_path, capsys, seed):
     """The product X^6 converge table of the moment-tables benchmark
@@ -803,7 +828,7 @@ def test_sizes_outside_circuit_exit_two(tmp_path, capsys, experiment):
 
 def test_cluster_verify_degree_guard_before_any_row(tmp_path, capsys, monkeypatch):
     """A degree above the product part's limit is refused before any row runs."""
-    calls = _refuse_work(monkeypatch, "_segment", "decomposition_check")
+    calls = _refuse_work(monkeypatch, "_segment", "decomposition_table")
     doc = {"state": MARKOV_STD, "sizes": [2], "degrees": [2, 9]}
     code, out, err = run(["cluster-verify", "--config", write_config(tmp_path, doc)], capsys)
     assert (code, out) == (3, "")
@@ -815,7 +840,7 @@ def test_cluster_verify_guard_before_any_row(tmp_path, capsys, monkeypatch):
     """Every (size, degree) passes the correction guard before any region
     is built or any row runs, so the huge last size is refused at once,
     also on metrics that lack the sites 0..size-1 (grid2d, explicit)."""
-    calls = _refuse_work(monkeypatch, "Region", "_segment", "decomposition_check")
+    calls = _refuse_work(monkeypatch, "Region", "_segment", "decomposition_table")
     for state in (MARKOV_STD, GRID_STATE, EXPLICIT_STATE):
         doc = {"state": state, "sizes": [2, 4, 10**9], "degrees": [2, 3]}
         code, out, err = run(["cluster-verify", "--config", write_config(tmp_path, doc)], capsys)
@@ -848,7 +873,7 @@ def test_low_degree_region_size_guard(tmp_path, capsys, monkeypatch, experiment,
     """At degree 0 or 1 the m**n guards admit millions of sites; the region
     guard refuses such a size before any Region is constructed."""
     calls = _refuse_work(
-        monkeypatch, "Region", "decomposition_check", "induced_moment_table", "b_n_quantity"
+        monkeypatch, "Region", "decomposition_table", "induced_moment_table", "b_n_quantity"
     )
     code, out, err = run([experiment, "--config", write_config(tmp_path, doc)], capsys)
     assert (code, out, calls) == (3, "", [])
@@ -891,7 +916,7 @@ def test_region_size_guard_edge(tmp_path, capsys):
 def test_cluster_verify_checks_every_region_before_any_row(tmp_path, capsys, monkeypatch):
     """A metric without a middle site of the largest region is ERR 2 before
     the smaller sizes' rows run."""
-    calls = _refuse_work(monkeypatch, "decomposition_check")
+    calls = _refuse_work(monkeypatch, "decomposition_table")
     state = {
         **PRODUCT_TILTED,
         "metric": {
@@ -1108,6 +1133,26 @@ def test_non_finite_config_numbers_exit_err_2(tmp_path, capsys, experiment, doc,
     code, out, err = run([experiment, "--config", cfg], capsys)
     assert (code, out) == (2, "")
     assert err == f"ERR 2: {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        (b'{"word": ["Z"], "sizes": [' + b"9" * 5000 + b"]}", "Exceeds the limit (4300 digits)"),
+        (b'{"a": "\xff\xfe"}', "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["long-int", "non-utf8"],
+)
+def test_unreadable_config_exits_err_2(tmp_path, capsys, raw, reason):
+    """json.load raises a plain ValueError on an integer literal past
+    Python's digit limit and a UnicodeDecodeError on bytes that are not
+    UTF-8; both are config errors, not failed checks."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    code, out, err = run(["moments", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ERR 2: config is not valid JSON: {reason}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -1465,12 +1510,13 @@ def test_ccr_decay_bytes_identical_across_threads(tmp_path, capsys):
 
 def test_cluster_verify_failed_residual_exits_one(tmp_path, capsys, monkeypatch):
     """A failed decomposition still writes the whole CSV, then exits 1."""
-    from flab.cluster import decomposition_check
+    from flab.cluster import decomposition_table
 
     def failing(*args):
-        return dataclasses.replace(decomposition_check(*args), residual=1.0, passed=False)
+        checks = decomposition_table(*args)
+        return [dataclasses.replace(c, residual=1.0, passed=False) for c in checks]
 
-    monkeypatch.setattr("flab.cli.decomposition_check", failing)
+    monkeypatch.setattr("flab.cli.decomposition_table", failing)
     out_path = tmp_path / "cv.csv"
     cfg = write_config(
         tmp_path, {"state": MARKOV_STD, "sizes": [2, 3], "degrees": [2], "op": "Z"}

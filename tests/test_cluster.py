@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 from conftest import b_n_loop, metric_sites, random_gapped_transition, spread_enum_loop
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flab import cluster, lattice
+from flab.fluctuations import _prefix_region
 from flab import (
     Assignment,
     CircuitState,
@@ -483,3 +484,82 @@ def test_correction_does_not_depend_on_row_budget(family, d, n, seed):
             mp.setattr(cluster, "_CORRECTION_ROW_BUDGET", budget)
             got.append(f_correction_moment(state, region, word))
     assert got[0] == got[1] == _f_correction_loop(state, region, word), (family, region.sites)
+
+
+# =============================================================================
+# Size tables: one correction sweep over the largest region, read out per size
+# =============================================================================
+
+def _logged_sums(mp) -> list:
+    """Make ``cluster.KahanSum`` keep its terms; the list gets each new sum in creation order."""
+    sums = []
+
+    class Logged(KahanSum):
+        def __init__(self):
+            super().__init__()
+            self.reals, self.imags = [], []
+            sums.append(self)
+
+        def add_terms(self, reals, imags):
+            self.reals.append(np.array(reals))
+            self.imags.append(np.array(imags))
+            super().add_terms(reals, imags)
+
+    mp.setattr(cluster, "KahanSum", Logged)
+    return sums
+
+
+def _term_bytes(logged) -> tuple:
+    """A logged sum's real and imaginary terms, each concatenated over its calls, as bytes."""
+    parts = (logged.reals, logged.imags)
+    return tuple(np.concatenate([np.zeros(0), *terms]).tobytes() for terms in parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(
+        ["markov", "product", "grid2d", "explicit", "circuit-pure", "circuit-mixed"]
+    ),
+    d=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=5),
+    drawn=st.sets(st.integers(min_value=1, max_value=7), min_size=1, max_size=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(family="markov", d=2, n=5, drawn={1, 2, 3, 6}, seed=0)
+@example(family="markov", d=3, n=4, drawn={1, 2, 4}, seed=2)
+@example(family="circuit-mixed", d=2, n=3, drawn={1, 2, 5}, seed=0)
+@example(family="grid2d", d=2, n=5, drawn={2, 4, 6}, seed=6)
+@example(family="explicit", d=3, n=2, drawn={1, 3}, seed=0)
+def test_size_tables_equal_per_size_calls(family, d, n, drawn, seed):
+    """Every row of ``correction_table`` and ``decomposition_table`` equals
+    the one-size call on the first k sorted sites bit for bit, sizes 1 and
+    2 and sizes below the degree included. Each size's compensated sum
+    also takes the one-size call's terms in its order: the compensation
+    forgives most reorderings in the value's last bit."""
+    rng = np.random.default_rng(seed)
+    state, region = _correction_case(family, d, rng)
+    sizes = sorted({min(k, len(region)) for k in drawn})
+    omega = state.single_site_restriction()
+    word = tuple(
+        SiteOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) for _ in range(n)
+    )
+    centered_word = tuple(center(a, omega) for a in word)
+    checks = cluster.decomposition_table(state, region, word, sizes)
+    fields = ("direct", "product_part", "correction", "residual", "passed")
+    with pytest.MonkeyPatch.context() as mp:
+        sums = _logged_sums(mp)
+        corrections = cluster.correction_table(state, region, centered_word, sizes)
+        table_sums = list(sums)
+        assert len(corrections) == len(checks) == len(table_sums) == len(sizes)
+        # one subset per sweep: the reference's sums run in combinations order whatever the chunks
+        mp.setattr(cluster, "_CORRECTION_ROW_BUDGET", 1)
+        for k, fc, check, logged in zip(sizes, corrections, checks, table_sums):
+            prefix = _prefix_region(region, k)
+            del sums[:]
+            one = f_correction_moment(state, prefix, centered_word)
+            assert _term_bytes(logged) == _term_bytes(sums[0]), (family, region.sites, n, sizes, k)
+            assert np.array(fc).tobytes() == np.array(one).tobytes(), (family, sizes, k)
+            want = decomposition_check(state, prefix, word)
+            got_bits = np.array([getattr(check, f) for f in fields], dtype=complex).tobytes()
+            want_bits = np.array([getattr(want, f) for f in fields], dtype=complex).tobytes()
+            assert got_bits == want_bits, (family, region.sites, n, sizes, k)

@@ -14,6 +14,9 @@ PACKAGE = Path(flab.__file__).parent
 PINNED_FOR_TRACING = {
     ("fluctuations", "product_moment"),
     ("cli", "induced_moment"),
+    ("cli", "decomposition_check"),
+    ("cluster", "induced_moment"),
+    ("cluster", "product_moment"),
     ("cli", "ccr_decay_check"),
     ("cli", "wick_difference_bound_check"),
     ("gaussian", "hs_coefficients"),
