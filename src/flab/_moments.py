@@ -15,7 +15,8 @@ operators F(a) = |X|^{-1/2} sum_x (a_x - omega_x(a)):
   (n 2^(n-1) d x d updates per word, on 2^n d^2 entries that
   fluctuations.MARKOV_DP_GUARD bounds). One sweep reads the moment out
   after every requested prefix of the sorted sites, so a whole size
-  table costs one sweep over its largest region
+  table costs one sweep over its largest region. One (row, column,
+  subset, word) buffer per call puts subsets and words innermost
 * the direct product for circuit states: the n fluctuation operators
   are applied right to left to the cached statevector, n |X|
   single-site contractions per word
@@ -176,6 +177,13 @@ def markov_moment_batch(
     diagonal is the new DP vector: n 2^(n-1) d x d updates per word and
     site, with no table and no subtraction.
 
+    The matrices sit in one buffer w[i, j, S, word]; its slot views, factor
+    rows and half-size scratch are built once per call. Each update adds
+    column l of the entries lacking slot k times row l of c_k, in the order
+    of a (word, S, i, j) layout, and numpy rounds these alike for any
+    strides. The readout sums a contiguous copy, as numpy's pairwise sum
+    would otherwise reorder d = 4 entries. Every entry keeps its bits.
+
     ``sizes`` are ascending lengths k of the sorted positions; the result
     has one row per k, shape (len(sizes), nwords): the moments on the
     first k sites, read out after the k-th site of the one sweep. A call
@@ -188,6 +196,18 @@ def markov_moment_batch(
     full = (1 << n) - 1
     eye = np.eye(d)
 
+    w = np.empty((d, d, full + 1, nwords), dtype=complex)
+    diag = np.einsum("iisw->wsi", w)
+    tmp = np.empty(w.size // 2, dtype=complex)
+    slots = []
+    for k in range(n):
+        # axis 3 is bit k of the slot subset
+        view = w.reshape(d, d, 1 << (n - k - 1), 2, 1 << k, nwords)
+        cols = np.ascontiguousarray(c[:, k].transpose(1, 2, 0))[:, None, :, None, None]
+        terms = [(view[:, l, None, :, 0], cols[l]) for l in range(d)]
+        hi = view[:, :, :, 1]
+        slots.append((hi, tmp.reshape(hi.shape), terms))
+
     readouts = set(sizes)
     rows = []
     v = np.zeros((nwords, full + 1, d), dtype=complex)
@@ -195,19 +215,16 @@ def markov_moment_batch(
     prev = None
     for size, x in enumerate(positions, 1):
         if prev is not None:
-            v = v @ state.transition_power(x - prev).T
-        w = v[..., None] * eye
-        for k in range(n):
-            # axis 2 is bit k of the slot subset
-            view = w.reshape(nwords, 1 << (n - k - 1), 2, 1 << k, d, d)
-            lo, hi = view[:, :, 0], view[:, :, 1]
-            ck = c[:, k, None, None]
-            for l in range(d):
-                hi += lo[..., l, None] * ck[..., l, None, :]
-        v = np.einsum("wsii->wsi", w)
+            v = diag @ state.transition_power(x - prev).T
+        # times the identity, so the off-diagonal zeros keep their signs
+        np.multiply(v.transpose(2, 1, 0)[:, None], eye[:, :, None, None], out=w)
+        for hi, scratch, terms in slots:
+            for lo_l, c_kl in terms:
+                np.multiply(lo_l, c_kl, out=scratch)
+                np.add(hi, scratch, out=hi)
         prev = x
         if size in readouts:
-            rows.append(v[:, full, :].sum(axis=1) * float(size) ** (-n / 2.0))
+            rows.append(np.ascontiguousarray(diag[:, full]).sum(axis=1) * size ** (-n / 2.0))
     return np.array(rows)
 
 

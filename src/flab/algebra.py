@@ -100,13 +100,13 @@ class SiteState:
     def __init__(self, data):
         rho = _as_matrix(data)
         dev = np.max(np.abs(rho - rho.conj().T))
-        if dev > HERMITIAN_TOL:
+        if not (dev <= HERMITIAN_TOL):
             raise ValueError(f"density matrix not hermitian (deviation {dev:.3e})")
         tr = np.trace(rho)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not (abs(tr - 1.0) <= TRACE_TOL):
             raise ValueError(f"density matrix trace {tr} is not 1")
         eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if float(np.min(eigs)) < PSD_TOL:
+        if not (float(np.min(eigs)) >= PSD_TOL):
             raise ValueError(
                 f"density matrix has negative eigenvalue {float(np.min(eigs)):.3e}"
             )

@@ -160,8 +160,9 @@ def _load_state(cfg: dict) -> GlobalState:
     if spec is None:
         raise ConfigError("config is missing the state spec")
     try:
-        return state_from_json(spec)
-    except (ValueError, KeyError, TypeError) as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            return state_from_json(spec)
+    except (ValueError, KeyError, TypeError, FloatingPointError) as exc:
         raise ConfigError(f"bad state spec: {exc}") from exc
 
 

@@ -219,10 +219,10 @@ class MarkovState(_HomogeneousState):
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise ValueError("transition matrix must be square")
         d = T.shape[0]
-        if np.min(T) < -STOCHASTIC_TOL:
+        if not (np.min(T) >= -STOCHASTIC_TOL):
             raise ValueError("transition matrix has negative entries")
         colsums = T.sum(axis=0)
-        if np.max(np.abs(colsums - 1.0)) > STOCHASTIC_TOL:
+        if not (np.max(np.abs(colsums - 1.0)) <= STOCHASTIC_TOL):
             raise ValueError("transition matrix columns must sum to 1")
         if not (alpha > 0.0):
             raise ValueError("alpha must be positive")
@@ -240,9 +240,9 @@ class MarkovState(_HomogeneousState):
             pi = np.asarray(pi, dtype=float)
             if pi.shape != (d,):
                 raise ValueError("stationary vector shape mismatch")
-            if np.min(pi) < 0.0 or abs(pi.sum() - 1.0) > STOCHASTIC_TOL:
+            if not (np.min(pi) >= 0.0 and abs(pi.sum() - 1.0) <= STOCHASTIC_TOL):
                 raise ValueError("stationary vector must be a distribution")
-        if np.max(np.abs(T @ pi - pi)) > STATIONARY_TOL:
+        if not (np.max(np.abs(T @ pi - pi)) <= STATIONARY_TOL):
             raise ValueError("supplied vector is not stationary for T")
         lams = np.sort(np.abs(np.linalg.eigvals(T)))[::-1]
         self.second_eigenvalue = float(lams[1]) if d > 1 else 0.0
@@ -354,7 +354,7 @@ class CircuitState(GlobalState):
             g = np.asarray(gate, dtype=complex)
             if g.shape != (d * d, d * d):
                 raise ValueError("gate must be a d^2 x d^2 matrix")
-            if np.max(np.abs(g @ g.conj().T - np.eye(d * d))) > UNITARY_TOL:
+            if not (np.max(np.abs(g @ g.conj().T - np.eye(d * d))) <= UNITARY_TOL):
                 raise ValueError("gate is not unitary within tolerance")
             self.layers.append((int(offset), g))
 
@@ -428,7 +428,7 @@ class CircuitState(GlobalState):
         mats = [self.site_restriction(x).rho for x in range(self.length)]
         avg = sum(mats) / self.length
         dev = max(float(np.max(np.abs(m - avg))) for m in mats)
-        if dev > HOMOGENEITY_TOL:
+        if not (dev <= HOMOGENEITY_TOL):
             raise ValueError(
                 f"circuit restrictions vary across sites (deviation {dev:.3e})"
             )

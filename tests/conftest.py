@@ -525,3 +525,45 @@ def product_moment_loop(rho, size, words):
             term = term * block_vec(b)
         total += term
     return total * float(size) ** (-n / 2.0)
+
+
+# =============================================================================
+# Markov subset sweep
+# =============================================================================
+
+
+def markov_sweep_reference(state, positions, words, sizes):
+    """A frozen copy of the Markov prefix sweep on a (word, subset, i, j) layout.
+
+    It pins the rounding: ``_moments.markov_moment_batch`` must equal it
+    bit for bit, whatever layout the engine keeps. Every DP entry becomes
+    diag(v[S]) (times the identity, so off the diagonal it holds the
+    signed zeros of v * 0); for each slot k and column l the entries
+    lacking k add column l times row l of c_k; the diagonal is the next
+    DP vector, and the full subset's entries are summed at each readout.
+    """
+    nwords, n, d, _ = words.shape
+    positions = sorted(int(p) for p in positions)
+    exps = np.einsum("ij,wkji->wk", np.diag(state.pi), words)
+    c = words - exps[:, :, None, None] * np.eye(d)
+    full = (1 << n) - 1
+    eye = np.eye(d)
+    rows = []
+    v = np.zeros((nwords, full + 1, d), dtype=complex)
+    v[:, 0, :] = state.pi
+    prev = None
+    for size, x in enumerate(positions, 1):
+        if prev is not None:
+            v = v @ state.transition_power(x - prev).T
+        w = v[..., None] * eye
+        for k in range(n):
+            view = w.reshape(nwords, 1 << (n - k - 1), 2, 1 << k, d, d)
+            lo, hi = view[:, :, 0], view[:, :, 1]
+            ck = c[:, k, None, None]
+            for l in range(d):
+                hi += lo[..., l, None] * ck[..., l, None, :]
+        v = np.einsum("wsii->wsi", w)
+        prev = x
+        if size in set(sizes):
+            rows.append(v[:, full, :].sum(axis=1) * float(size) ** (-n / 2.0))
+    return np.array(rows)

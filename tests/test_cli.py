@@ -6,6 +6,7 @@ import json
 import math
 import re
 import signal
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -587,6 +588,29 @@ def test_moment_tables_product_converge_bytes_pinned(tmp_path, capsys, seed):
     assert out == pinned.read_text()
 
 
+# The Markov tables of the benchmark workloads at seeds 0 and 7, configs
+# inline: moment-tables' one-word moments at degrees 10 and 12, and
+# markov-search's Z^4 converge table, which does not depend on the seed
+MARKOV_TABLES_PINNED = {
+    "moments_markov_deg10_seed0": ("moments", list("YXXXXXYYYX"), [1, 2, 3, 4, 5, 6]),
+    "moments_markov_deg10_seed7": ("moments", list("ZXYXYXXYZX"), [1, 2, 3, 4, 5, 6]),
+    "moments_markov_deg12_seed0": ("moments", list("XXYYYYYYZXYZ"), [1, 2, 3, 4]),
+    "moments_markov_deg12_seed7": ("moments", list("ZXYXXXXYZXZY"), [1, 2, 3, 4]),
+    "converge_markov_z4": ("converge", list("ZZZZ"), list(range(1, 65))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKOV_TABLES_PINNED))
+def test_markov_tables_bytes_pinned(tmp_path, capsys, name):
+    """Each table byte for byte as recorded while the Markov sweep kept
+    its (word, subset, i, j) layout."""
+    experiment, word, sizes = MARKOV_TABLES_PINNED[name]
+    cfg = write_config(tmp_path, {"state": MARKOV_STD, "word": word, "sizes": sizes})
+    code, out, err = run([experiment, "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).resolve().parent / "data" / f"{name}.csv").read_text()
+
+
 def _record_searches(monkeypatch):
     """Wrap the stacked search engine; each item of each stack appends its
     (functional, n, budget, omega bytes, seed) key. A covariance functional
@@ -1070,6 +1094,31 @@ def test_state_spec_numbers_must_be_json_numbers(tmp_path, capsys, state, shown)
     assert code == 2
     assert out == ""
     assert err == f"ERR 2: bad state spec: {shown}\n"
+
+
+HUGE_GATE = [[1e200 if i == j == 0 else float(i == j) for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {**CIRCUIT_KET, "layers": [{"offset": 0, "gate": HUGE_GATE}]},
+        {**MARKOV_STD, "T": [[1e308, 0.2], [1e308, 0.8]]},
+        {"kind": "product", "rho": [[1e308, 0.0], [0.0, 1e308]]},
+        {**CIRCUIT_KET, "base": {"ket": [1e300, 1e300]}},
+    ],
+    ids=["gate", "column-sums", "trace", "ket-norm"],
+)
+def test_overflowing_state_numbers_exit_err_2_alone(tmp_path, capsys, state):
+    """Finite entries whose unitarity, column sum, trace or norm overflows
+    exit ERR 2 on one stderr line, with no numpy warning before it."""
+    cfg = write_config(tmp_path, {"state": state, "word": ["X", "X"], "sizes": [2]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["moments", "--config", cfg], capsys)
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith("ERR 2: bad state spec: overflow encountered in ")
+    assert err.count("\n") == 1
 
 
 NAN_GATE = [[float("nan") if i == j == 0 else float(i == j) for j in range(4)] for i in range(4)]

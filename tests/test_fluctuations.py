@@ -16,6 +16,7 @@ from conftest import (
     kemeny_snell_variance,
     markov_config_expect,
     markov_site_mean,
+    markov_sweep_reference,
     perron_log_derivative,
     product_density,
     product_moment_loop,
@@ -1298,6 +1299,52 @@ def test_batch_rows_equal_batches_of_one(kind, d, n, count, seed):
     rows = table(words)
     for j in range(count):
         assert rows[:, j].tobytes() == table(words[j : j + 1])[:, 0].tobytes()
+
+
+def _sweep_words(rng, kind, d, n, count):
+    """A (count, n, d, d) stack: Paulis and the identity (at d != 2, signed
+    permutations with phases, so exact entries and zeros as well), random
+    Hermitian or random non-Hermitian operators."""
+    if kind == "pauli":
+        if d == 2:
+            basis = np.array([SI.mat, SX.mat, SY.mat, SZ.mat])
+            return basis[rng.integers(0, 4, size=(count, n))]
+        perms = np.array([np.eye(d)[rng.permutation(d)] for _ in range(count * n)])
+        phases = 1j ** rng.integers(0, 4, size=(count * n, d, 1))
+        return (perms * phases).reshape(count, n, d, d)
+    words = rng.normal(size=(count, n, d, d)) + 1j * rng.normal(size=(count, n, d, d))
+    if kind == "hermitian":
+        words = words + words.conj().swapaxes(-1, -2)
+    return words
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    n=st.integers(min_value=1, max_value=6),
+    count=st.integers(min_value=1, max_value=30),
+    kind=st.sampled_from(["pauli", "hermitian", "general"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(d=4, n=2, count=3, kind="general", seed=0)
+@example(d=2, n=6, count=30, kind="pauli", seed=1)
+def test_markov_sweep_matches_reference_bits(d, n, count, kind, seed):
+    """The Markov sweep equals the frozen (word, subset, i, j) loop of
+    ``conftest.markov_sweep_reference`` as uint64 words, so signed zeros
+    count: gapped sites in any order, random size subsets. At d = 4 the
+    readout's sum of d entries is pairwise, not sequential."""
+    rng = np.random.default_rng(seed)
+    if d == 4:
+        n = min(n, 4)
+    mk = MarkovState(random_gapped_transition(rng, d), alpha=0.4)
+    gaps = rng.integers(1, 5, size=int(rng.integers(1, 13)))
+    sites = [int(x) for x in rng.permutation(np.cumsum(gaps))]
+    sizes = sorted({int(k) for k in rng.integers(1, len(sites) + 1, size=int(rng.integers(1, 5)))})
+    words = _sweep_words(rng, kind, d, n, count)
+    got = _moments.markov_moment_batch(mk, sites, words, sizes)
+    want = markov_sweep_reference(mk, sites, words, sizes)
+    assert got.shape == want.shape == (len(sizes), count)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_prefix_lengths_checked():
