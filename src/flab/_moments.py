@@ -19,7 +19,10 @@ operators F(a) = |X|^{-1/2} sum_x (a_x - omega_x(a)):
   subset, word) buffer per call puts subsets and words innermost
 * the direct product for circuit states: the n fluctuation operators
   are applied right to left to the cached statevector, n |X|
-  single-site contractions per word
+  single-site contractions per word. Each is one step on (left, d,
+  right) views of the C-contiguous statevector: one contiguous copy, one
+  np.dot and one add into the accumulator's view. The site restrictions
+  that center the words are computed once per state
 
 Product and Markov states evaluate many words of one degree at once over
 the leading numpy axis; the seminorm searches depend on that throughput.
@@ -41,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import falling_factorial, set_partitions
-from .states import CircuitState, MarkovState, _apply_site
+from .states import CircuitState, MarkovState, _contract
 
 # ---------------------------------------------------------------------------
 # product states
@@ -242,8 +245,11 @@ def classified_moment(
     a)) phi, with rho_x the site restriction; the state's closing step
     then gives omega(F(a_1)...F(a_n)) up to the |X|^{-n/2} scale.
     The name predates this engine; bench/tracing.py wraps it by name.
+    Each site's (d, left, right) product is added, transposed, into the
+    (left, d, right) view of the C-contiguous accumulator.
     """
     n = words.shape[1]
+    d = state.site_dim
     rhos = np.array([state.site_restriction(x).rho for x in positions])
     means = np.einsum("xij,wkji->wk", rhos, words)
     out = np.empty(len(words), dtype=complex)
@@ -252,7 +258,9 @@ def classified_moment(
         for k in range(n - 1, -1, -1):
             acc = -means[w, k] * phi
             for x in positions:
-                acc += _apply_site(phi, word[k], x)
+                prod = _contract(phi, word[k], x)
+                view = acc.reshape(prod.shape[1], d, -1)
+                view += prod.transpose(1, 0, 2)
             phi = acc
         out[w] = state.close(phi)
     return out * float(len(positions)) ** (-n / 2.0)

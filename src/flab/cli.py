@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -455,7 +456,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first ``main`` call of a process."""
     parser = _Parser(prog="flab", description="fluctuation moment laboratory")
     sub = parser.add_subparsers(dest="experiment")
     for name in _EXPERIMENTS:

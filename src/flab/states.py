@@ -22,6 +22,7 @@ certified lower bound on the decay constant sup over separated pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
@@ -302,16 +303,29 @@ class MarkovState(_HomogeneousState):
         return v.sum(axis=-1)
 
 
+def _moved(tensor: np.ndarray, x: int, k: int) -> np.ndarray:
+    """The (left, k, right) view of a C-contiguous tensor at axis x, as a
+    contiguous (k, left, right) copy: the copy ``np.tensordot`` makes.
+
+    left is the product of the sizes before axis x; k covers one site, or
+    two for a gate.
+    """
+    left = math.prod(tensor.shape[:x])
+    return np.ascontiguousarray(tensor.reshape(left, k, -1).transpose(1, 0, 2))
+
+
+def _contract(tensor: np.ndarray, mat: np.ndarray, x: int) -> np.ndarray:
+    """``mat`` applied at axis x, as (k, left, right): the one ``np.dot`` of
+    ``np.tensordot``, so every entry keeps its bits."""
+    moved = _moved(tensor, x, mat.shape[1])
+    k, left, _ = moved.shape
+    return np.dot(mat, moved.reshape(k, -1)).reshape(mat.shape[0], left, -1)
+
+
 def _apply_site(tensor: np.ndarray, mat: np.ndarray, x: int) -> np.ndarray:
-    """Apply a single-site matrix on tensor axis x."""
-    return np.moveaxis(np.tensordot(mat, tensor, axes=[[1], [x]]), 0, x)
-
-
-def _apply_two_site(tensor: np.ndarray, gate: np.ndarray, i: int, d: int) -> np.ndarray:
-    """Apply a two-site gate on tensor axes (i, i+1)."""
-    g = gate.reshape(d, d, d, d)
-    out = np.tensordot(g, tensor, axes=[[2, 3], [i, i + 1]])
-    return np.moveaxis(out, [0, 1], [i, i + 1])
+    """Apply a matrix at axis x of a C-contiguous tensor; the result is C-contiguous."""
+    out = _contract(tensor, np.asarray(mat), x)
+    return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(tensor.shape)
 
 
 def _power_exceeds(d: int, exponent: int, limit: int) -> bool:
@@ -351,7 +365,8 @@ class CircuitState(GlobalState):
         for offset, gate in layers:
             if offset not in (0, 1):
                 raise ValueError("layer offset must be 0 or 1")
-            g = np.asarray(gate, dtype=complex)
+            # contiguous, as the (d^2, d^2) matrix np.tensordot would dot
+            g = np.ascontiguousarray(gate, dtype=complex)
             if g.shape != (d * d, d * d):
                 raise ValueError("gate must be a d^2 x d^2 matrix")
             if not (np.max(np.abs(g @ g.conj().T - np.eye(d * d))) <= UNITARY_TOL):
@@ -390,9 +405,10 @@ class CircuitState(GlobalState):
         tensor = tensor.reshape((d,) * length + tensor.shape[1:])
         for offset, g in self.layers:
             for i in range(offset, length - 1, 2):
-                tensor = _apply_two_site(tensor, g, i, d)
+                tensor = _apply_site(tensor, g, i)
         # L system axes; a mixed base adds one axis for all the ancillas
         self.tensor = tensor
+        self._restrictions = {}
 
     def contains_site(self, x) -> bool:
         return isinstance(x, int) and 0 <= x < self.length
@@ -415,10 +431,16 @@ class CircuitState(GlobalState):
         return out
 
     def site_restriction(self, x) -> SiteState:
+        """The reduced state at site x, computed once per state; its rho is read-only."""
         if not self.contains_site(x):
             raise ValueError(f"site {x!r} outside circuit segment")
-        p = np.moveaxis(self.tensor, x, 0).reshape(self.site_dim, -1)
-        return SiteState(p @ p.conj().T)
+        site = self._restrictions.get(x)
+        if site is None:
+            p = _moved(self.tensor, x, self.site_dim).reshape(self.site_dim, -1)
+            site = SiteState(p @ p.conj().T)
+            site.rho.flags.writeable = False
+            self._restrictions[x] = site
+        return site
 
     def averaged_restriction(self, region: Region) -> SiteState:
         mats = [self.site_restriction(x).rho for x in region.sites]

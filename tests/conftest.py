@@ -567,3 +567,148 @@ def markov_sweep_reference(state, positions, words, sizes):
         if size in set(sizes):
             rows.append(v[:, full, :].sum(axis=1) * float(size) ** (-n / 2.0))
     return np.array(rows)
+
+
+# =============================================================================
+# Circuit engine
+# =============================================================================
+
+
+def _tensordot_site(tensor, mat, x):
+    return np.moveaxis(np.tensordot(mat, tensor, axes=[[1], [x]]), 0, x)
+
+
+def _tensordot_two_site(tensor, gate, i, d):
+    out = np.tensordot(gate.reshape(d, d, d, d), tensor, axes=[[2, 3], [i, i + 1]])
+    return np.moveaxis(out, [0, 1], [i, i + 1])
+
+
+class _TensordotCircuit:
+    """A frozen copy of the circuit engine on np.tensordot and np.moveaxis."""
+
+    def __init__(self, base_rho, length, layers):
+        d = base_rho.shape[0]
+        probs, vecs = np.linalg.eigh(base_rho)
+        if probs[-1] > 1.0 - 1e-12:
+            start = vecs[:, -1]
+        elif probs[0] > 1e-12:
+            start = np.linalg.cholesky(base_rho) / np.sqrt(np.trace(base_rho).real)
+        else:
+            p = np.clip(probs, 0.0, None)
+            start = vecs * np.sqrt(p / p.sum())
+        tensor = start.copy()
+        for _ in range(length - 1):
+            tensor = np.kron(tensor, start)
+        tensor = tensor.reshape((d,) * length + tensor.shape[1:])
+        for offset, gate in layers:
+            for i in range(offset, length - 1, 2):
+                tensor = _tensordot_two_site(tensor, np.asarray(gate, dtype=complex), i, d)
+        self.d, self.tensor = d, tensor
+
+    def close(self, phi):
+        return complex(np.vdot(self.tensor.reshape(-1), phi.reshape(-1)))
+
+    def restriction(self, x):
+        p = np.moveaxis(self.tensor, x, 0).reshape(self.d, -1)
+        return p @ p.conj().T
+
+    def moment(self, positions, words):
+        n = words.shape[1]
+        rhos = np.array([self.restriction(x) for x in positions])
+        means = np.einsum("xij,wkji->wk", rhos, words)
+        out = np.empty(len(words), dtype=complex)
+        for w, word in enumerate(words):
+            phi = self.tensor
+            for k in range(n - 1, -1, -1):
+                acc = -means[w, k] * phi
+                for x in positions:
+                    acc += _tensordot_site(phi, word[k], x)
+                phi = acc
+            out[w] = self.close(phi)
+        return out * float(len(positions)) ** (-n / 2.0)
+
+    def expect_rows(self, sites, index, mats):
+        mats = np.broadcast_to(mats, (len(index),) + mats.shape[1:])
+        out = np.empty(mats.shape[:2], dtype=complex)
+        for s, row in enumerate(np.asarray(index).tolist()):
+            for p, cell in enumerate(mats[s]):
+                phi = self.tensor
+                for x, a in zip(row, cell):
+                    phi = _tensordot_site(phi, a, sites[x])
+                out[s, p] = self.close(phi)
+        return out
+
+
+def circuit_tensordot_reference(base_rho, length, layers):
+    """The circuit engine as it ran on np.tensordot and np.moveaxis, frozen.
+
+    It pins the rounding: ``CircuitState``'s evolved ``tensor``,
+    ``site_restriction``, ``expect_rows`` and ``_moments.classified_moment``
+    must equal its ``tensor``, ``restriction(x)``, ``expect_rows`` and
+    ``moment(positions, words)`` bit for bit, whatever views the engine
+    steps on. The purification is the state's own: the top eigenvector of
+    a pure base, the Cholesky factor of a positive definite one, else
+    sqrt(p_k) |k>.
+    """
+    return _TensordotCircuit(np.asarray(base_rho, dtype=complex), length, layers)
+
+
+def brickwork_cone(x, layers):
+    """The interval an operator at site x reaches on the infinite brickwork.
+
+    The layers act in order, so the operator is conjugated by the last
+    layer first; each gate pair it touches widens its support.
+    """
+    lo = hi = x
+    for offset, _ in reversed(layers):
+        lo -= (lo - offset) % 2
+        hi += (hi - offset + 1) % 2
+    return lo, hi
+
+
+def bulk_increment_sites(length, layers):
+    """Sites x at which the increment Delta(x + 1) takes its bulk value.
+
+    Site y is in the bulk if its cone lies in the chain, so every gate of
+    the cone exists. The increment sums the truncated pairs of x with
+    y <= x, which vanish unless the two cones meet; it is the bulk value
+    when every y whose cone meets x's, negative ones included, is in the
+    bulk.
+    """
+    out = []
+    for x in range(length):
+        lo = brickwork_cone(x, layers)[0]
+        meets = [brickwork_cone(y, layers) for y in range(lo - len(layers), x + 1)]
+        if all(0 <= c[0] and c[1] < length for c in meets if c[1] >= lo):
+            out.append(x)
+    return out
+
+
+def dense_window_increments(base_rho, layers, a, b, length=8):
+    """The two-point increments Delta(x + 1) on a dense chain, engine-free.
+
+    Delta(x + 1) = sum over y <= x of the truncated omega(a_x b_y), plus
+    the sum over y < x of the truncated omega(a_y b_x): the terms of
+    m omega(F_m(a) F_m(b)) that m = x + 1 adds. Each expectation is the
+    trace of the kron-embedded density matrix of a ``length``-site chain
+    against the kron product of the operators. The increments are taken at
+    that chain's first bulk site of each parity (``bulk_increment_sites``),
+    keyed by parity: the brickwork repeats with period 2.
+    """
+    d = base_rho.shape[0]
+    full = circuit_dense_density(base_rho, length, layers)
+
+    def expect(ops):
+        mats = [ops.get(x, np.eye(d)) for x in range(length)]
+        return complex(np.sum(full.T * reduce(np.kron, mats)))
+
+    def truncated(x, y):
+        ops = {x: a @ b} if x == y else {x: a, y: b}
+        return expect(ops) - expect({x: a}) * expect({y: b})
+
+    out = {}
+    for x in bulk_increment_sites(length, layers):
+        if x % 2 not in out:
+            pairs = [(x, y) for y in range(x + 1)] + [(y, x) for y in range(x)]
+            out[x % 2] = sum(truncated(*pair) for pair in pairs)
+    return out

@@ -4,8 +4,11 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
 import signal
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -607,6 +610,39 @@ def test_markov_tables_bytes_pinned(tmp_path, capsys, name):
     experiment, word, sizes = MARKOV_TABLES_PINNED[name]
     cfg = write_config(tmp_path, {"state": MARKOV_STD, "word": word, "sizes": sizes})
     code, out, err = run([experiment, "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).resolve().parent / "data" / f"{name}.csv").read_text()
+
+
+# The circuit tables, recorded while the circuit engine stepped on
+# np.tensordot and np.moveaxis: the moment-tables workload's Pauli word
+# (length 12, two layers of one seeded random gate, sizes 4, 8 and 12) at
+# seeds 0 and 7, and an inline complex-matrix word on a mixed base, with the
+# seed-0 gate on 8 sites
+CIRCUIT_MIXED_BASE = [[0.7, [0.1, 0.2]], [[0.1, -0.2], 0.3]]
+CIRCUIT_COMPLEX_WORD = [
+    [[[0.3, -1.1], [1.7, 0.4]], [[-0.6, 0.9], [0.2, -0.5]]],
+    [[[-1.3, 0.2], [0.5, 0.8]], [[0.7, -0.4], [1.1, 1.6]]],
+    [[[0.9, 0.6], [-0.8, -1.2]], [[0.4, 0.3], [-0.7, 0.1]]],
+]
+
+
+@pytest.mark.parametrize(
+    "name", ["moments_circuit_deg4_seed0", "moments_circuit_deg4_seed7", "moments_circuit_complex"]
+)
+def test_circuit_tables_bytes_pinned(tmp_path, capsys, name):
+    """Each circuit table byte for byte as recorded before the engine
+    stepped on (left, d, right) views."""
+    seed = 7 if name.endswith("seed7") else 0
+    (cfg,) = [
+        cfg
+        for _, key, cfg in _bench_workloads().experiments("moment-tables", seed)
+        if key == "circuit_deg4"
+    ]
+    if name == "moments_circuit_complex":
+        state = dict(cfg["state"], base=CIRCUIT_MIXED_BASE, length=8)
+        cfg = {"state": state, "word": CIRCUIT_COMPLEX_WORD, "sizes": [3, 6, 8]}
+    code, out, err = run(["moments", "--config", write_config(tmp_path, cfg)], capsys)
     assert (code, err) == (0, "")
     assert out == (Path(__file__).resolve().parent / "data" / f"{name}.csv").read_text()
 
@@ -1617,6 +1653,36 @@ def test_ccr_decay_transport_violation_exits_one(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err == "ERR 1: transport identity violated at size 9: deviation 1.000e+00\n"
     assert not out_path.exists()
+
+
+def _fresh_process(code, *args):
+    """``python -c code args`` with this checkout's ``src`` on the path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cached_parser_answers_like_a_fresh_process(tmp_path, capsys):
+    """``main`` builds its parser once per process. An argument error and
+    then a good call write, in one process, the bytes that each writes in
+    a fresh interpreter."""
+    cfg = write_config(tmp_path, {"state": MARKOV_STD, "word": ["Z", "X"], "sizes": [1, 2, 3]})
+    code = "import sys; from flab.cli import main; sys.exit(main(sys.argv[1:]))"
+    bad = ["moments", "--config", cfg, "--threads", "two"]
+    good = ["moments", "--config", cfg]
+    got_bad, got_good = run(bad, capsys), run(good, capsys)
+    assert got_bad[0] == 2 and got_bad[2].startswith("ERR 2: ")
+    assert got_bad == _fresh_process(code, *bad)
+    assert got_good == _fresh_process(code, *good)
+
+
+def test_import_builds_no_parser():
+    """The parser is built by the first ``main`` call, so the import stays lean."""
+    code = "import flab.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    assert _fresh_process(code) == (0, "0\n", "")
 
 
 def test_console_script_installed():

@@ -10,9 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import (
     brute_induced_moment,
+    bulk_increment_sites,
     circuit_dense_density,
+    circuit_tensordot_reference,
     dense_expect,
     dense_site_mean,
+    dense_window_increments,
     kemeny_snell_variance,
     markov_config_expect,
     markov_site_mean,
@@ -1345,6 +1348,118 @@ def test_markov_sweep_matches_reference_bits(d, n, count, kind, seed):
     want = markov_sweep_reference(mk, sites, words, sizes)
     assert got.shape == want.shape == (len(sizes), count)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _random_circuit(rng, d, depth, base_kind):
+    """A base of the kind (a pure ket, a full-rank density or, at d = 3, one
+    of rank 2) and ``depth`` brickwork layers of random unitaries, the
+    first at a random offset; the QR factors are Fortran-ordered."""
+    if base_kind == "pure":
+        base = pure_state(rng.normal(size=d) + 1j * rng.normal(size=d))
+    elif base_kind == "full":
+        base = random_density(rng, d)
+    else:
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        p = rng.uniform(0.1, 1.0, size=d)
+        p[-1] = 0.0
+        base = SiteState(q @ np.diag(p / p.sum()) @ q.conj().T)
+    first = int(rng.integers(0, 2))
+    layers = []
+    for j in range(depth):
+        raw = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        layers.append(((first + j) % 2, np.linalg.qr(raw)[0]))
+    return base, layers
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    depth=st.integers(min_value=1, max_value=3),
+    base_kind=st.sampled_from(["pure", "full", "deficient"]),
+    n=st.integers(min_value=1, max_value=3),
+    count=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(d=3, depth=3, base_kind="deficient", n=3, count=2, seed=0)
+@example(d=2, depth=2, base_kind="pure", n=2, count=3, seed=1)
+def test_circuit_engine_matches_tensordot_reference_bits(d, depth, base_kind, n, count, seed):
+    """The evolved tensor, every site restriction, ``expect_rows`` and the
+    circuit engine equal the frozen np.tensordot loop of
+    ``conftest.circuit_tensordot_reference`` as uint64 words: pure,
+    full-rank and rank-deficient mixed bases, random non-Hermitian words on
+    shuffled, gapped positions, and grids of rows in any site order."""
+    rng = np.random.default_rng(seed)
+    if base_kind == "deficient":
+        d = 3
+    length = int(rng.integers(1, (8 if d == 2 else 5) + 1))
+    base, layers = _random_circuit(rng, d, depth, base_kind)
+    circ = CircuitState(base, length, layers)
+    ref = circuit_tensordot_reference(base.rho, length, layers)
+    assert circ.tensor.flags.c_contiguous
+    assert np.array_equal(_bits(circ.tensor), _bits(ref.tensor))
+    for x in range(length):
+        assert np.array_equal(_bits(circ.site_restriction(x).rho), _bits(ref.restriction(x)))
+
+    positions = rng.permutation(length)[: int(rng.integers(1, length + 1))].tolist()
+    words = rng.normal(size=(count, n, d, d)) + 1j * rng.normal(size=(count, n, d, d))
+    got = _moments.classified_moment(circ, positions, words)
+    assert np.array_equal(_bits(got), _bits(ref.moment(positions, words)))
+
+    sites = rng.permutation(length).tolist()
+    width = int(rng.integers(1, min(length, 3) + 1))
+    index = np.array([rng.permutation(length)[:width] for _ in range(int(rng.integers(1, 4)))])
+    shape = (len(index), int(rng.integers(1, 3)), width, d, d)
+    mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = circ.expect_rows(sites, index, mats)
+    assert np.array_equal(_bits(got), _bits(ref.expect_rows(sites, index, mats)))
+
+
+# Each increment is a difference of two table entries m omega(F_m(a)F_m(b)),
+# sums of up to 2m - 1 pair terms of norm at most 4; over 40 random circuits
+# the three checks of the test below deviated by at most 3.7e-14
+INCREMENT_TOL = 1e-11
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    depth=st.integers(min_value=1, max_value=2),
+    mixed=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_circuit_two_point_increments_reach_the_bulk_limit(depth, mixed, seed):
+    """The paper's limit on a non-commuting state, two-point part.
+
+    A brickwork circuit's correlations have finite range, so the increments
+    Delta(m) = m omega(F_m(a)F_m(b)) - (m - 1) omega(F_{m-1}(a)F_{m-1}(b))
+    take their bulk values exactly once site m - 1 is clear of both chain
+    ends: they repeat with the brickwork's period 2, equal the increments of
+    a dense 8-site chain that never calls the engine, and their imaginary
+    part is omega([a, b]_x)/(2i), the CCR form, since only the same-site
+    term of a Hermitian pair is complex. Pure bases up to length 14, mixed
+    ones up to 10.
+    """
+    rng = np.random.default_rng(seed)
+    base, layers = _random_circuit(rng, 2, depth, "full" if mixed else "pure")
+    length = int(rng.integers(9, (10 if mixed else 14) + 1))
+    a, b = random_hermitian_unit(rng, 2), random_hermitian_unit(rng, 2)
+    circ = CircuitState(base, length, layers)
+    bulk = bulk_increment_sites(length, layers)
+    assert len(bulk) >= 3
+    sizes = list(range(max(bulk[0], 1), bulk[-1] + 2))
+    table = induced_moment_table(circ, Region(circ.metric, range(length)), (a, b), sizes)
+    sums = {0: 0.0, **{m: m * value for m, value in zip(sizes, table)}}
+    window = dense_window_increments(base.rho, layers, a.mat, b.mat)
+    comm = commutator(a, b)
+    for x in bulk:
+        inc = sums[x + 1] - sums[x]
+        if x + 2 in bulk:
+            assert abs(sums[x + 3] - sums[x + 2] - inc) <= INCREMENT_TOL
+        assert abs(inc - window[x % 2]) <= INCREMENT_TOL
+        assert abs(inc.imag - circ.expect({x: comm}) / 2j) <= INCREMENT_TOL
 
 
 def test_prefix_lengths_checked():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     circuit_dense_density,
+    circuit_tensordot_reference,
     dense_expect,
     dense_site_mean,
     markov_config_expect,
@@ -520,6 +521,30 @@ def test_circuit_single_site_restriction_homogeneity_check():
     inhom = CircuitState(base, 5, [(0, gate)])
     with pytest.raises(ValueError):
         inhom.single_site_restriction()
+
+
+def test_circuit_restrictions_are_cached_read_only():
+    """Each site restriction is computed once per state and its rho cannot be
+    written; the averaged and single-site restrictions keep the bytes of the
+    frozen tensordot restrictions."""
+    rng = np.random.default_rng(35)
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    base = random_density(rng, 2)
+    # swaps keep the mixed product state, so its restrictions are homogeneous
+    layers = [(0, swap), (1, swap)]
+    circ = CircuitState(base, 6, layers)
+    ref = [circuit_tensordot_reference(base.rho, 6, layers).restriction(x) for x in range(6)]
+    site = circ.site_restriction(2)
+    assert circ.site_restriction(2) is site
+    with pytest.raises(ValueError):
+        site.rho[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        site.rho += 1.0
+    assert site.rho.tobytes() == ref[2].tobytes()
+    region = Region(circ.metric, [4, 1, 3])
+    want = sum(ref[x] for x in region.sites) / len(region)
+    assert circ.averaged_restriction(region).rho.tobytes() == want.tobytes()
+    assert circ.single_site_restriction().rho.tobytes() == (sum(ref) / 6).tobytes()
 
 
 def test_circuit_cost_guards():
