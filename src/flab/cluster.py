@@ -39,7 +39,7 @@ from .combinatorics import (
     q_sequence,
 )
 from .errors import CostGuardError, KahanSum
-from .fluctuations import induced_moment, induced_moment_table
+from .fluctuations import induced_moment, induced_moment_table, prefix_sizes
 from .gaussian import covariance_from_state, wick_moment
 from .lattice import (
     _SPREAD_ELEMENT_BUDGET,
@@ -154,12 +154,12 @@ def correction_table(
 ) -> list[complex]:
     """``f_correction_moment`` on the first k sorted sites of region, per k in ``sizes``.
 
-    ``sizes`` ascend strictly and region holds the largest. The subsets
-    of the largest region, per block count m, stream once in
-    combinations order, in chunks of at most _CORRECTION_ROW_BUDGET
-    (subset, partition) cells; each tail of a chunk is one
-    ``expect_rows`` grid: the chunk's spread orders are its index rows
-    into the sorted sites, the partitions' operator stack its cells.
+    ``sizes`` are ``prefix_sizes`` of region. The subsets of the largest
+    region, per block count m, stream once in combinations order, in
+    chunks of at most _CORRECTION_ROW_BUDGET (subset, partition) cells;
+    each tail of a chunk is one ``expect_rows`` grid: the chunk's
+    spread orders are its index rows into the sorted sites, the
+    partitions' operator stack its cells.
     The terms are summed in the order (m, subset, partition, split
     point), their complex products taken as real float operations.
     Each size sums, per chunk, the rows whose last index is below it.
@@ -172,9 +172,7 @@ def correction_table(
     n = len(word)
     if n < 1:
         raise ValueError("correction needs a word of degree >= 1")
-    sizes = [_checked_size(size) for size in sizes]
-    if not sizes or sizes[-1] > len(region) or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"prefix lengths must ascend strictly within 1..{len(region)}")
+    sizes = prefix_sizes(sizes, region)
     for size in sizes:
         check_correction_tuples(size, n)
     omega = state.single_site_restriction()
@@ -327,7 +325,6 @@ def b_n_quantity(region: Region, n: int) -> float:
     if min(n, size) < 2:
         return 0.0
     dist = _distance_matrix(region.metric, region.sorted_sites())
-    decay = {}  # split distance -> math.exp(-distance); np.exp can differ in the last bit
     total = np.zeros(1)
     for m in range(2, min(n, size) + 1):
         comps = integer_partitions_into_k(n, m)
@@ -339,9 +336,9 @@ def b_n_quantity(region: Region, n: int) -> float:
         ]
         for chunk in _index_chunks(size, m, max(1, _SPREAD_ELEMENT_BUDGET // m**2)):
             _, splits = _spread_orders(dist, chunk)
-            flat = splits.ravel().tolist()
-            decay.update((x, math.exp(-x)) for x in set(flat).difference(decay))
-            prefix = np.cumsum(np.reshape([decay[x] for x in flat], splits.shape), axis=1)
+            # math.exp per split: np.exp can differ in the last bit
+            weights = [math.exp(-x) for x in splits.ravel().tolist()]
+            prefix = np.cumsum(np.reshape(weights, splits.shape), axis=1)
             # cumsum adds in sequence, as total += term in (m, subset, composition) order
             total = np.cumsum(np.concatenate((total, (coeffs * prefix[:, ends]).ravel())))[-1:]
     return float(total[0])

@@ -238,17 +238,9 @@ def integer_partitions_into_k(n: int, k: int) -> list[tuple[int, ...]]:
     """
     if k < 1 or n < k:
         return []
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for first in range(1, remaining - slots + 2):
-            grow(prefix + [first], remaining - first, slots - 1)
-
-    grow([], n, k)
-    return out
+    # stars and bars: the parts between ascending cuts, lexicographic as the cuts are
+    cuts = itertools.combinations(range(1, n), k - 1)
+    return [tuple(b - a for a, b in zip((0,) + cut, cut + (n,))) for cut in cuts]
 
 
 def multinomial(counts: tuple[int, ...]) -> int:

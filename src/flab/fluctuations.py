@@ -64,6 +64,7 @@ from .states import CircuitState, GlobalState, MarkovState, ProductState, random
 
 TUPLE_SUM_GUARD = 10**8
 MARKOV_DP_GUARD = 2**20
+PRODUCT_PARTITION_GUARD = 11
 SEARCH_DRAW_GUARD = 2**16
 TRANSPORT_TOL = 1e-10
 CCR_BOUND_SLACK = 1e-12
@@ -81,9 +82,10 @@ def check_tuple_sum(size: int, n: int) -> None:
 def check_moment_table(state: GlobalState, sizes: Sequence[int], n: int) -> None:
     """Refuse a size table of degree-n induced moments above a cost guard.
 
-    Every size passes the |X|^n guard, in order, and a Markov state its
-    sweep's subset-DP guard. Nothing here needs the region, so callers
-    run it before one is built.
+    Every size passes the |X|^n guard, in order, a Markov state its
+    sweep's subset-DP guard, and a product state the degree guard of its
+    closed form, which sums over all B(n) set partitions. Nothing here
+    needs the region, so callers run it before one is built.
     """
     for size in sizes:
         check_tuple_sum(size, n)
@@ -93,6 +95,10 @@ def check_moment_table(state: GlobalState, sizes: Sequence[int], n: int) -> None
         raise CostGuardError(
             "Markov subset DP",
             f"2^n d^2 = 2^{n} * {d}^2 exceeds {MARKOV_DP_GUARD}",
+        )
+    if isinstance(state, ProductState) and n > PRODUCT_PARTITION_GUARD:
+        raise CostGuardError(
+            "product set partitions", f"degree {n} exceeds {PRODUCT_PARTITION_GUARD}"
         )
 
 
@@ -105,6 +111,20 @@ def check_search_draws(search_budget: int, n: int) -> None:
         )
 
 
+def prefix_sizes(sizes: Sequence[int], region: Region) -> list[int]:
+    """A size table's prefix lengths of region's sorted sites: strictly ascending integers."""
+    sizes = list(sizes)
+    if not (
+        sizes
+        and all(isinstance(k, (int, np.integer)) for k in sizes)
+        and 1 <= sizes[0]
+        and sizes[-1] <= len(region)
+        and all(a < b for a, b in zip(sizes, sizes[1:]))
+    ):
+        raise ValueError(f"prefix lengths must be strictly ascending integers in 1..{len(region)}")
+    return sizes
+
+
 def _moments_of(
     state: GlobalState,
     region: Region,
@@ -114,18 +134,11 @@ def _moments_of(
     """Induced moments of equal-degree words, checked, by the state's engine.
 
     Every engine gets the region's sites in sorted order. ``sizes`` are
-    strictly ascending lengths k of those sorted sites, and the result
-    has one row per k: the moments on the first k sites. The table passes
-    ``check_moment_table`` before any engine work.
+    ``prefix_sizes`` of region, and the result has one row per k: the
+    moments on the first k sites. The table passes ``check_moment_table``
+    before any engine work.
     """
-    sizes = list(sizes)
-    if not (
-        sizes
-        and 1 <= sizes[0]
-        and sizes[-1] <= len(region)
-        and all(a < b for a, b in zip(sizes, sizes[1:]))
-    ):
-        raise ValueError(f"prefix lengths must ascend strictly within 1..{len(region)}")
+    sizes = prefix_sizes(sizes, region)
     n = len(words[0]) if words else 0
     if any(len(w) != n for w in words):
         raise ValueError("batch evaluation needs words of equal degree")
@@ -442,14 +455,15 @@ class _Candidates:
     centered operator a = sum_h c_h h equals sum_{h != I} c_h center(h)
     exactly, so its identity coefficient is dropped. The contractions of
     all items run as one matmul/einsum chain with a leading item axis,
-    which gives each item the bits of its own chain. With ``table``, the
-    items' functionals are on strictly ascending prefixes of one region.
+    which gives each item the bits of its own chain. With ``sizes``,
+    the items are one functional on a region, item k read at the
+    ascending prefix length ``sizes[k]``.
     """
 
-    def __init__(self, functionals: list, n: int, probe: list | None, centered: bool, table=False):
+    def __init__(self, functionals: list, n: int, probe: list | None, centered: bool, sizes=None):
         self.functionals = functionals
         self.evaluations = [0] * len(functionals)
-        self.table = table
+        self.sizes = sizes
         self.skip = int(centered)
         self.tensors = None
         if probe is not None:
@@ -460,10 +474,10 @@ class _Candidates:
     def send(self, words: dict[int, list[tuple]]) -> dict[int, np.ndarray]:
         """F of ``words[k]`` per item k (ascending), each item's own evaluation.
 
-        Outside a table each item sends its list to its functional. In a
-        table, items whose lists are equal (the same operator objects in
-        the same order) share one ``batch`` of the largest of them, read
-        out at each item's size: one Markov sweep or product pass. A row
+        Without sizes each item sends its list to its functional. With
+        them, items whose lists are equal (the same operator objects in
+        the same order) share one ``batch``, read out at each item's
+        size: one Markov sweep or product pass. A row
         of a size table is the per-size call bit for bit, so sharing
         changes no value. Distinct lists are sent apart: a product pass
         would evaluate a concatenation at every size, and a Markov table
@@ -471,15 +485,15 @@ class _Candidates:
         """
         for k, ws in words.items():
             self.evaluations[k] += len(ws)
-        if not self.table:
+        if self.sizes is None:
             return {k: _eval_many(self.functionals[k], ws) for k, ws in words.items()}
         shared: dict = {}
         for k, ws in words.items():
             shared.setdefault(tuple(id(a) for w in ws for a in w), []).append(k)
         out = {}
         for items in shared.values():
-            sizes = [len(self.functionals[k].region) for k in items]
-            out.update(zip(items, self.functionals[items[-1]].batch(words[items[0]], sizes)))
+            sizes = [self.sizes[k] for k in items]
+            out.update(zip(items, self.functionals[0].batch(words[items[0]], sizes)))
         return out
 
     def _coefficients(self, mats: np.ndarray) -> np.ndarray:
@@ -641,7 +655,7 @@ def _search_stack(
     search_budget: int,
     omega: SiteState | None,
     seeds: Sequence[int],
-    table: bool = False,
+    sizes: Sequence[int] | None = None,
 ) -> list[SeminormEstimate]:
     """Seminorm searches that share n, dim, search_budget and centering.
 
@@ -653,10 +667,10 @@ def _search_stack(
     a chunk of items (``_stack_chunk_items``) as batched contractions,
     one ``eigh`` and one 2-norm. Every word a chunk evaluates (the basis
     tensor, near-tie words, the direct side's candidates and the final
-    witnesses) goes through ``_Candidates.send``; with ``table`` the
-    functionals are on ascending prefixes of one region, and items that
-    send equal lists share one size table. Every |F| takes the form
-    ``_search`` states.
+    witnesses) goes through ``_Candidates.send``. With ``sizes``, the
+    items are one functional on a region, item k read at the ascending
+    prefix length ``sizes[k]``, and items that send equal lists share
+    one size table. Every |F| takes the form ``_search`` states.
     """
     functionals = list(functionals)
     if not functionals:
@@ -682,7 +696,8 @@ def _search_stack(
         for seed in seeds[chunk]:
             if seed not in drawn:
                 drawn[seed] = _search_words(n, dim, search_budget, omega, seed)[2]
-        cands = _Candidates(functionals[chunk], n, tensor_probe, omega is not None, table)
+        chunk_sizes = None if sizes is None else sizes[chunk]
+        cands = _Candidates(functionals[chunk], n, tensor_probe, omega is not None, chunk_sizes)
         out += _search_chunk(cands, n, probe, dirs, [drawn[seed] for seed in seeds[chunk]])
     return out
 
@@ -726,17 +741,15 @@ def _search_chunk(
             cand_mats = 0
             for j, h in enumerate(probe):
                 cand_mats = cand_mats + vecs[:, j, None, None] * h.mat
+            # never zero: a unit combination of the Hilbert-Schmidt orthogonal probe (squared
+            # norms >= 1; centering adds d w w^T to the Gram matrix) has HS norm >= 1
             nrms = np.linalg.norm(cand_mats, 2, axis=(-2, -1)).tolist()
-            moved = [i for i, nrm in enumerate(nrms) if not nrm < 1e-12]
-            if not moved:
-                continue
-            items = [live[i] for i in moved]
-            ops = [SiteOperator(cand_mats[i] / nrms[i]) for i in moved]
+            ops = [SiteOperator(mat / nrm) for mat, nrm in zip(cand_mats, nrms)]
             cand_words = [
                 tuple(word[k][:slot]) + (op,) + tuple(word[k][slot + 1 :])
-                for k, op in zip(items, ops)
+                for k, op in zip(live, ops)
             ]
-            for k, op, val in zip(items, ops, cands.value(items, cand_words)):
+            for k, op, val in zip(live, ops, cands.value(live, cand_words)):
                 if val > vals[k] + 1e-15:
                     vals[k] = val
                     word[k][slot] = op
@@ -776,23 +789,20 @@ def _search_table(
 
     Row i equals ``seminorm_nu_omega_estimate`` on those sites against
     ``omegas[i]`` bit for bit, evaluations included. Each run of sizes
-    whose omegas are bit-equal is one table stack on one draw of the
-    search words. Its sizes share each word list they have in common
-    (the basis tensor; on the direct side the head and random words;
-    near-tie words and witnesses that coincide) as one size table, one
-    Markov sweep or one product pass; different lists are sent apart.
+    whose omegas are bit-equal is one stack of the one functional on
+    region, read at the run's sizes, on one draw of the search words.
+    Its sizes share each word list they have in common (the basis
+    tensor; on the direct side the head and random words; near-tie
+    words and witnesses that coincide) as one size table, one Markov
+    sweep or one product pass; different lists are sent apart.
     """
+    functional = InducedMomentFunctional(state, region)
     out: list[SeminormEstimate] = []
     runs = itertools.groupby(zip(sizes, omegas), key=lambda row: row[1].rho.tobytes())
     for _, run in runs:
         group, group_omegas = zip(*run)
-        functionals = [
-            InducedMomentFunctional(state, _prefix_region(region, size)) for size in group
-        ]
-        seeds = [seed] * len(group)
-        out += _search_stack(
-            functionals, n, state.site_dim, search_budget, group_omegas[0], seeds, True
-        )
+        stack, seeds, dim = [functional] * len(group), [seed] * len(group), state.site_dim
+        out += _search_stack(stack, n, dim, search_budget, group_omegas[0], seeds, list(group))
     return out
 
 

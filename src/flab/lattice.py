@@ -12,10 +12,12 @@ Spread quantities measure how separated a finite set is:
 * spread_optimal_enumeration(Y) orders Y greedily by farthest point, so
   each prefix point realizes the spread of the suffix that starts at it
 
-spread, the subset spreads of count_subsets_with_spread and the orders
-reduce one pairwise distance matrix D (one distance call per pair, inf on
-the diagonal) with min, max and first argmax, which return an input
-unchanged: every spread is a metric distance bit for bit.
+spread, k_spread, the decomposition witness, the explicit-metric ball
+count, the subset spreads of count_subsets_with_spread and the orders
+reduce one pairwise distance matrix D per call (one distance call per
+pair, inf on the diagonal) with min, max, first argmax and <= counts,
+which return an input unchanged: every spread is a metric distance bit
+for bit.
 """
 
 from __future__ import annotations
@@ -187,31 +189,24 @@ def _distance_matrix(metric: Metric, sites: Sequence) -> np.ndarray:
     return dist
 
 
-def _set_spread(metric: Metric, sites: Sequence) -> float:
-    """max over y of d(y, sites without y), for at least two sites."""
-    return float(_distance_matrix(metric, sites).min(axis=1).max())
-
-
 def spread(region: Region) -> float:
     """max over y of d(y, Y without y). Needs at least two sites."""
     if len(region.sites) < 2:
         raise ValueError("spread needs at least two sites")
-    return _set_spread(region.metric, region.sites)
+    return float(_distance_matrix(region.metric, region.sites).min(axis=1).max())
+
+
+def _k_spread(dist: np.ndarray, k: int) -> float:
+    """max over k-subsets J of range(len(D)) of min D[J, rest]; needs 1 <= k < len(D)."""
+    subsets = itertools.combinations(range(len(dist)), k)
+    return max(float(np.delete(dist[list(sub)], sub, axis=1).min()) for sub in subsets)
 
 
 def k_spread(region: Region, k: int) -> float:
     """max over k-subsets J of d(J, Y without J)."""
-    sites = region.sites
-    if not (1 <= k < len(sites)):
+    if not (1 <= k < len(region.sites)):
         raise ValueError("k_spread needs 1 <= k < |Y|")
-    m = region.metric
-    best = 0.0
-    for sub in itertools.combinations(sites, k):
-        rest = [z for z in sites if z not in sub]
-        d = min(m.distance(a, b) for a in sub for b in rest)
-        if d > best:
-            best = d
-    return best
+    return _k_spread(_distance_matrix(region.metric, region.sites), k)
 
 
 def _index_chunks(n: int, m: int, rows: int):
@@ -273,12 +268,9 @@ def ball_count(metric: Metric, r: float, support: Region | None = None) -> int:
         return 2 * m + 1 if metric.kind == "chain" else 1 + 2 * m * (m + 1)
     if support is None:
         raise ValueError("explicit metric ball count needs a support region")
-    best = 0
-    for x in support.sites:
-        cnt = sum(1 for y in support.sites if metric.distance(x, y) <= r)
-        if cnt > best:
-            best = cnt
-    return best
+    dist = _distance_matrix(metric, support.sites)
+    np.fill_diagonal(dist, 0.0)  # d(x, x) of an explicit metric
+    return int(np.count_nonzero(dist <= r, axis=1).max())
 
 
 def spread_decomposition_witness(region: Region, r: float):
@@ -291,27 +283,20 @@ def spread_decomposition_witness(region: Region, r: float):
     ("pair", x, y) or ("point", x), or None when no witness exists.
     Sets of size <= 1 count as spread 0 here.
     """
-    sites = region.sites
-    if len(sites) < 3:
+    if len(region.sites) < 3:
         raise ValueError("witness decomposition needs at least three sites")
-    m = region.metric
+    sites = region.sorted_sites()
+    dist = _distance_matrix(region.metric, sites)
 
-    def small_spread(rest: tuple) -> bool:
-        return len(rest) <= 1 or _set_spread(m, rest) <= r
+    def small_spread(*drop: int) -> bool:
+        rest = np.delete(np.delete(dist, drop, axis=0), drop, axis=1)
+        return len(rest) <= 1 or rest.min(axis=1).max() <= r
 
-    if k_spread(region, 2) > r:
-        for x, y in itertools.combinations(region.sorted_sites(), 2):
-            if m.distance(x, y) > r:
-                continue
-            rest = tuple(z for z in sites if z != x and z != y)
-            if small_spread(rest):
-                return ("pair", x, y)
-        return None
-    for x in region.sorted_sites():
-        rest = tuple(z for z in sites if z != x)
-        if small_spread(rest):
-            return ("point", x)
-    return None
+    if _k_spread(dist, 2) > r:
+        pairs = itertools.combinations(range(len(sites)), 2)
+        hits = ((i, j) for i, j in pairs if not dist[i, j] > r and small_spread(i, j))
+        return next((("pair", sites[i], sites[j]) for i, j in hits), None)
+    return next((("point", sites[i]) for i in range(len(sites)) if small_spread(i)), None)
 
 
 def check_subset_enumeration(size: int, k: int) -> None:

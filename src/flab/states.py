@@ -447,14 +447,14 @@ class CircuitState(GlobalState):
         return SiteState(sum(mats) / len(mats))
 
     def single_site_restriction(self) -> SiteState:
-        mats = [self.site_restriction(x).rho for x in range(self.length)]
-        avg = sum(mats) / self.length
-        dev = max(float(np.max(np.abs(m - avg))) for m in mats)
+        whole = Region(self.metric, range(self.length))
+        avg = self.averaged_restriction(whole)
+        dev = max(float(np.abs(self.site_restriction(x).rho - avg.rho).max()) for x in whole.sites)
         if not (dev <= HOMOGENEITY_TOL):
             raise ValueError(
                 f"circuit restrictions vary across sites (deviation {dev:.3e})"
             )
-        return SiteState(avg)
+        return avg
 
 
 def expect_global(state: GlobalState, assignment: Assignment) -> complex:

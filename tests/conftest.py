@@ -712,3 +712,52 @@ def dense_window_increments(base_rho, layers, a, b, length=8):
             pairs = [(x, y) for y in range(x + 1)] + [(y, x) for y in range(x)]
             out[x % 2] = sum(truncated(*pair) for pair in pairs)
     return out
+
+
+def qubit_nu2_bracket(moments, tol=1e-13, max_arcs=1024):
+    """A certified bracket (low, top) of nu_2 = sup |F(a, b)| over qubit
+    Hermitian a, b of operator norm 1, from the 4 x 4 matrix
+    ``moments[i, j] = F(s_i, s_j)``, s = (I, X, Y, Z). Engine-free.
+
+    A unit-norm Hermitian qubit operator is a0 I + u.sigma with
+    |a0| + |u| = 1, so the extreme points are +-I and the reflections
+    u.sigma with |u| = 1, and F is bilinear. With R = Re(e^{-i theta} M),
+    nu_2 is the max over theta of |R00|, ||R_{0,1:}||, ||R_{1:,0}|| and
+    sigma_max(R_{1:,1:}). The first three maxima over theta are closed
+    forms: |M00|, and the largest singular value of [Re m, Im m] for the
+    row or column m. For the 3 x 3 block N = A + iB, R^T R is
+    P + cos(phi) Q + sin(phi) S with phi = 2 theta. Its largest
+    eigenvalue is convex in (cos phi, sin phi), so on an arc of the circle
+    it is at most the largest of its values at the two ends and at the
+    apex of their tangents: a second-order top, where the Lipschitz
+    bound ||M||_2 |d theta| is first order. Arcs are bisected until
+    every top is within ``tol`` (relative) of the largest end value, or
+    more than ``max_arcs`` stay open; either way the top is certified.
+    """
+    m = np.asarray(moments, dtype=complex)
+    exact = [
+        abs(m[0, 0]),
+        np.linalg.norm(np.stack([m[0, 1:].real, m[0, 1:].imag]), 2),
+        np.linalg.norm(np.stack([m[1:, 0].real, m[1:, 0].imag]), 2),
+    ]
+    a, b = m[1:, 1:].real, m[1:, 1:].imag
+    p, q, s = (a.T @ a + b.T @ b) / 2, (a.T @ a - b.T @ b) / 2, (a.T @ b + b.T @ a) / 2
+
+    def lam(phi, radius=1.0):
+        mats = p + radius * (np.cos(phi)[:, None, None] * q + np.sin(phi)[:, None, None] * s)
+        return np.linalg.eigvalsh(mats)[:, -1]
+
+    half = math.pi / 64
+    centers = (np.arange(64) + 0.5) * 2 * half
+    low = top = 0.0
+    while len(centers):
+        ends = np.maximum(lam(centers - half), lam(centers + half))
+        tops = np.maximum(ends, lam(centers, 1.0 / math.cos(half)))
+        low = max(low, float(ends.max()))
+        shut = tops <= low + tol * max(low, 1e-300)
+        if len(centers) - shut.sum() > max_arcs:
+            shut[:] = True
+        top = max(top, float(tops[shut].max(initial=0.0)))
+        half /= 2
+        centers = np.concatenate([centers[~shut] - half, centers[~shut] + half])
+    return max(exact + [math.sqrt(low)]), max(exact + [math.sqrt(max(top, 0.0))])

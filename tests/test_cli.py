@@ -681,6 +681,22 @@ def test_bounds_runs_each_search_once(tmp_path, capsys, monkeypatch):
     assert len(set(keys)) == len(keys) == 3 + 5 + 3 * (1 + 3)
 
 
+def test_bounds_zero_random_pairs_keeps_the_scalar_records(tmp_path, capsys):
+    """random_pairs 0 searches an empty stack of random pairs: the report
+    holds only the two scalar wick-difference records, as a run with
+    random pairs writes them."""
+    reports = []
+    for pairs in (0, 2):
+        doc = {**BOUNDS_ALL_CHECKS, "checks": ["wick-difference"], "random_pairs": pairs}
+        code, out, err = run(["bounds", "--config", write_config(tmp_path, doc)], capsys)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    names = [c["name"] for c in reports[0]["checks"]]
+    assert names == ["wick-difference scalar n=2", "wick-difference scalar n=4"]
+    assert reports[0]["checks"] == reports[1]["checks"][:2]
+    assert reports[0]["all_pass"] is True
+
+
 def test_bounds_seminorm_degree_guard_before_search(tmp_path, capsys, monkeypatch):
     keys = _record_searches(monkeypatch)
     doc = {**BOUNDS_ALL_CHECKS, "seminorm_degrees": [2, 7]}
@@ -1455,6 +1471,34 @@ def test_moments_markov_dp_guard(tmp_path, capsys, monkeypatch):
         "ERR 3: cost guard 'Markov subset DP': 2^n d^2 = 2^19 * 2^2 exceeds 1048576\n"
     )
     assert sweeps == []
+
+
+@pytest.mark.parametrize(
+    "experiment, doc",
+    [
+        ("moments", {"state": PRODUCT_TILTED, "word": ["X"] * 12, "sizes": [1, 2, 3, 4]}),
+        ("converge", {"state": PRODUCT_TILTED, "word": ["Z"] * 12, "sizes": [4]}),
+        (
+            "ccr-decay",
+            {
+                "state": PRODUCT_TILTED,
+                "prefix": ["X"] * 5,
+                "pair": ["Z", "X"],
+                "suffix": ["Y"] * 5,
+                "sizes": [2, 4],
+            },
+        ),
+    ],
+)
+def test_product_partition_guard_before_region(tmp_path, capsys, monkeypatch, experiment, doc):
+    """A product table of degree 12 passes the |X|^n guard at 4 sites, but
+    its closed form would sum B(12) = 4,213,597 set partitions: one ERR 3
+    line before any Region is built (for ccr-decay, at the defect word's
+    degree)."""
+    calls = _refuse_work(monkeypatch, "Region", "_segment")
+    code, out, err = run([experiment, "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out, calls) == (3, "", [])
+    assert err == "ERR 3: cost guard 'product set partitions': degree 12 exceeds 11\n"
 
 
 def test_ccr_decay_dimension_one_returns(tmp_path, capsys):

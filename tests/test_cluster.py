@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flab import cluster, lattice
-from flab.fluctuations import _prefix_region
+from flab.fluctuations import _prefix_region, induced_moment_table
 from flab import (
     Assignment,
     CircuitState,
@@ -513,6 +513,29 @@ def _term_bytes(logged) -> tuple:
     """A logged sum's real and imaginary terms, each concatenated over its calls, as bytes."""
     parts = (logged.reals, logged.imags)
     return tuple(np.concatenate([np.zeros(0), *terms]).tobytes() for terms in parts)
+
+
+@pytest.mark.parametrize(
+    "sizes", [[3, 2], [0, 2], [2, 5], [2.5], [2, 2.5], [2.0], []], ids=repr
+)
+def test_prefix_rule_shared_by_moment_and_correction_tables(sizes):
+    """Descending sizes, 0, a size past |X|, non-integers and no size at all
+    are one ``ValueError``, with one message, from both size tables."""
+    mk = MarkovState(T_STD, alpha=0.4)
+    region = Region(mk.metric, range(4))
+    messages = []
+    for table in (induced_moment_table, cluster.correction_table):
+        with pytest.raises(ValueError, match="prefix lengths") as info:
+            table(mk, region, (SZ, SZ), sizes)
+        messages.append(str(info.value))
+    assert messages == ["prefix lengths must be strictly ascending integers in 1..4"] * 2
+
+
+def test_prefix_rule_admits_numpy_integers():
+    mk = MarkovState(T_STD, alpha=0.4)
+    region = Region(mk.metric, range(4))
+    for table in (induced_moment_table, cluster.correction_table):
+        assert table(mk, region, (SZ, SZ), np.array([2, 4])) == table(mk, region, (SZ, SZ), [2, 4])
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,6 +23,7 @@ from conftest import (
     perron_log_derivative,
     product_density,
     product_moment_loop,
+    qubit_nu2_bracket,
     random_gapped_transition,
     search_loop,
 )
@@ -61,6 +62,7 @@ from flab import (
 from flab import _moments, fluctuations
 from flab.algebra import _hs_coefficient_stack
 from flab.fluctuations import (
+    PRODUCT_PARTITION_GUARD,
     SEARCH_DRAW_GUARD,
     TIE_TOL,
     TUPLE_SUM_GUARD,
@@ -74,6 +76,7 @@ from flab.fluctuations import (
     _search_table,
     _search_words,
     ccr_decay_table,
+    check_moment_table,
     check_search_draws,
     induced_moment_table,
     seminorm_comparison_table,
@@ -376,6 +379,9 @@ def test_batch_raises_scalar_argument_errors():
         for call in (lambda: F.batch([(SZ, wide)]), lambda: F((SZ, wide))):
             with pytest.raises(ValueError, match="does not match site dimension"):
                 call()
+        # only a batch can mix degrees
+        with pytest.raises(ValueError, match="words of equal degree"):
+            F.batch([(SZ,), (SZ, SZ)])
     circ = _circuit_state(4)
     F = InducedMomentFunctional(circ, Region(circ.metric, range(6)))
     for call in (lambda: F.batch([(SZ, SZ)]), lambda: F((SZ, SZ))):
@@ -1503,6 +1509,22 @@ def test_markov_dp_guard_runs_before_engine_work(monkeypatch):
     assert sweeps == [18, 16]
 
 
+def test_product_partition_guard_runs_before_engine_work(monkeypatch):
+    """A product table above degree PRODUCT_PARTITION_GUARD raises before
+    the closed form, whose B(12) = 4,213,597 partitions pass the |X|^n
+    guard at 4 sites; the limit is allowed."""
+    passes = []
+    monkeypatch.setattr(fluctuations, "product_moment_batch", lambda *args: passes.append(args))
+    ps = ProductState(SiteState(np.diag([0.75, 0.25])))
+    check_moment_table(ps, [1, 2, 3, 4], PRODUCT_PARTITION_GUARD)
+    with pytest.raises(CostGuardError, match="degree 12 exceeds 11") as info:
+        _moments_of(ps, Region(ps.metric, range(4)), [(SX,) * 12], [1, 2, 3, 4])
+    assert info.value.guard == "product set partitions"
+    assert passes == []
+    # a Markov table of the same degree is the DP guard's to judge
+    check_moment_table(MarkovState(T_STD, alpha=0.4), [4], 12)
+
+
 def test_markov_degree_thirteen_matches_brute_force():
     """Degree 13 on one site: all 2^13 slot subsets are placed at once."""
     rng = np.random.default_rng(13)
@@ -1769,3 +1791,42 @@ def test_markov_fourth_cumulant_envelope_on_random_chains(d, seed):
     c = 50 * (r50 - fit)
     assert abs(fit - limit) <= 1e-9
     assert abs(r100 - (fit + c / 100)) <= 1e-10
+
+
+# =============================================================================
+# Plain searches against the certified qubit nu_2 bracket
+# =============================================================================
+
+# relative room for the rounding of the witness norms and of the bracket
+NU2_ROUNDING = 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["product", "markov", "circuit"]),
+    budget=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(kind="markov", budget=8, seed=0)
+@example(kind="product", budget=8, seed=0)
+@example(kind="circuit", budget=8, seed=0)
+def test_plain_search_stays_below_qubit_nu2_top(kind, budget, seed):
+    """At d = 2 and n = 2, no plain ``seminorm_nu_estimate`` exceeds the top
+    of ``conftest.qubit_nu2_bracket`` on M = F of the (I, X, Y, Z) pairs:
+    each estimate is |F| of a Hermitian witness pair of unit norm."""
+    rng = np.random.default_rng(seed)
+    if kind == "product":
+        state = ProductState(random_density(rng, 2))
+    elif kind == "markov":
+        state = MarkovState(random_gapped_transition(rng, 2), alpha=0.4)
+    else:
+        layers = [(k % 2, random_two_site_unitary(rng)) for k in range(int(rng.integers(1, 3)))]
+        base = random_density(rng, 2) if rng.integers(2) else pure_state(rng.normal(size=2))
+        state = CircuitState(base, 6, layers)
+    sites = rng.choice(6, size=int(rng.integers(1, 7)), replace=False)
+    F = InducedMomentFunctional(state, Region(state.metric, sorted(int(x) for x in sites)))
+    basis = (SI, SX, SY, SZ)
+    moments = F.batch([(a, b) for a in basis for b in basis]).reshape(4, 4)
+    _, top = qubit_nu2_bracket(moments)
+    est = seminorm_nu_estimate(F, 2, search_budget=budget, seed=seed % 1000)
+    assert est.value <= top * (1.0 + NU2_ROUNDING)
