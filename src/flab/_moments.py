@@ -72,7 +72,7 @@ def _partition_blocks(n: int) -> tuple:
     as positions in that list, padded with 0 after the k-th; and per
     slot j the first partition with more than j blocks (the enumeration
     is sorted by block count). The tuples are enumerated past the cache
-    of ``set_partitions`` and dropped: B(11) of them hold about 300 MB.
+    of ``set_partitions`` and dropped: B(11) of them hold about 110 MB.
     """
     parts = set_partitions.__wrapped__(n)
     blocks = sorted({b for part in parts for b in part})

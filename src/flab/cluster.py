@@ -28,6 +28,7 @@ from .algebra import (
     SiteState,
     center,
     expect as site_expect,
+    op_norm,
     ordered_product,
 )
 from ._moments import product_moment, product_moment_batch
@@ -52,7 +53,7 @@ from .lattice import (
     spread,
     spread_optimal_enumeration,
 )
-from .states import Assignment, GlobalState, correlator
+from .states import Assignment, GlobalState, _power_exceeds, correlator
 
 PRODUCT_PART_MAX_DEGREE = 8
 CORRECTION_TUPLE_GUARD = 10**7
@@ -66,19 +67,20 @@ EXPANSION_TOL = 1e-10
 
 
 def _require_centered(omega: SiteState, word: Sequence[SiteOperator]) -> None:
+    # the bar scales with the operator, so a rounding-level residue passes at any scale
     for a in word:
         dev = abs(site_expect(omega, a))
-        if dev > CENTERED_TOL:
+        if dev > CENTERED_TOL * max(1.0, op_norm(a)):
             raise ValueError(
                 f"word operator has expectation {dev:.3e}; center it first"
             )
 
 
 def _checked_size(size: int) -> int:
-    size = int(size)
-    if size < 1:
-        raise ValueError("region size must be positive")
-    return size
+    # prefix_sizes' rule: Python or numpy integers only, so 2.5 is not read as 2
+    if not (isinstance(size, (int, np.integer)) and size >= 1):
+        raise ValueError(f"region size must be a positive integer, got {size!r}")
+    return int(size)
 
 
 def product_part_moment(omega: SiteState, size: int, word: Sequence[SiteOperator]) -> complex:
@@ -107,7 +109,7 @@ class ProductPartFunctional:
 
     def __init__(self, omega: SiteState, size: int):
         self.omega = omega
-        self.size = int(size)
+        self.size = _checked_size(size)
         self.dim = omega.dim
 
     def __call__(self, word) -> complex:
@@ -118,6 +120,7 @@ class ProductPartFunctional:
             return np.zeros(0, dtype=complex)
         if len(words[0]) == 0:
             return np.ones(len(words), dtype=complex)
+        check_partition_degree(len(words[0]))
         stack = np.array([[a.mat for a in w] for w in words])
         return product_moment_batch(self.omega.rho, [self.size], stack)[0]
 
@@ -130,7 +133,7 @@ def check_partition_degree(n: int, guard: str = "product-part partition sum") ->
 
 def check_correction_tuples(size: int, n: int, guard: str = "correction tuple sum") -> None:
     """Refuse a sum over the |X|^n site tuples above CORRECTION_TUPLE_GUARD."""
-    if float(size) ** n > CORRECTION_TUPLE_GUARD:
+    if _power_exceeds(int(size), n, CORRECTION_TUPLE_GUARD):
         raise CostGuardError(guard, f"|X|^n = {size}^{n} exceeds {CORRECTION_TUPLE_GUARD}")
 
 
@@ -424,15 +427,17 @@ def decomposition_table(
     quantities are computed independently, each as one table over the
     sizes: the direct moments by ``induced_moment_table``, the product
     parts by one closed-form call, the corrections by
-    ``correction_table``. Each residual is compared to DECOMPOSITION_TOL.
+    ``correction_table``. Each residual is compared to DECOMPOSITION_TOL
+    times max(1, the product of the centered word's operator norms).
     """
     omega = state.single_site_restriction()
     centered = tuple(center(a, omega) for a in word)
+    tol = DECOMPOSITION_TOL * max(1.0, math.prod(op_norm(a) for a in centered))
     direct = induced_moment_table(state, region, centered, sizes)
     products = _product_part_table(omega, sizes, centered)
     corrections = correction_table(state, region, centered, sizes)
     out = []
     for value, pp, fc in zip(direct, products.tolist(), corrections):
         residual = abs(value - (pp + fc))
-        out.append(DecompositionCheck(value, pp, fc, residual, residual <= DECOMPOSITION_TOL))
+        out.append(DecompositionCheck(value, pp, fc, residual, residual <= tol))
     return out

@@ -106,11 +106,11 @@ def stirling2(k: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def set_partitions(n: int) -> tuple[Blocks, ...]:
-    """All set partitions of {1..n} in canonical block order.
+    """All set partitions of {1..n} in canonical block order, by (block count, blocks).
 
-    Enumerated via restricted growth strings, so the result is already
-    sorted by (block count pattern) in a fixed order; we re-sort by
-    (number of blocks, blocks) to make grouping by k trivial.
+    Built by extension: a partition of {1..x} puts x into one block of a
+    partition of {1..x-1} or into a block of its own. Appending x keeps
+    every block ascending and the blocks ordered by their smallest element.
     """
     if n < 1:
         raise ValueError("set partitions need n >= 1")
@@ -118,25 +118,14 @@ def set_partitions(n: int) -> tuple[Blocks, ...]:
         raise CostGuardError(
             "set-partition enumeration", f"degree {n} too large to enumerate"
         )
-    results: list[Blocks] = []
-
-    def grow(prefix: list[int], maxlabel: int):
-        i = len(prefix)
-        if i == n:
-            nblocks = maxlabel + 1
-            blocks: list[list[int]] = [[] for _ in range(nblocks)]
-            for pos, lab in enumerate(prefix):
-                blocks[lab].append(pos + 1)
-            results.append(tuple(tuple(b) for b in blocks))
-            return
-        for lab in range(maxlabel + 2):
-            prefix.append(lab)
-            grow(prefix, max(maxlabel, lab))
-            prefix.pop()
-
-    grow([], -1)
-    results.sort(key=lambda blocks: (len(blocks), blocks))
-    return tuple(results)
+    parts: list[Blocks] = [()]
+    for x in range(1, n + 1):
+        joined = [p[:i] + (p[i] + (x,),) + p[i + 1 :] for p in parts for i in range(len(p))]
+        parts = joined + [p + ((x,),) for p in parts]
+    # two stable sorts, by blocks then by block count, need no key tuples
+    parts.sort()
+    parts.sort(key=len)
+    return tuple(parts)
 
 
 def canonical_partitions(k: int, n: int) -> list[Blocks]:
@@ -193,12 +182,8 @@ def q_sequence(n: int) -> int:
     """
     if not (2 <= n <= MAX_Q_INDEX):
         raise ValueError(f"q_sequence defined for 2 <= n <= {MAX_Q_INDEX}")
-    a, b = 1, 2  # q_2, q_3
-    if n == 2:
-        return a
-    if n == 3:
-        return b
-    for m in range(2, n - 1):
+    a, b = 0, 1  # q_1 = 0 continues the recursion down: q_3 = 2 q_2 + q_1
+    for m in range(1, n - 1):
         a, b = b, (m + 1) * b + a
     return b
 

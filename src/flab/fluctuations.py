@@ -60,7 +60,14 @@ from ._moments import (
 )
 from .errors import CostGuardError
 from .lattice import Region
-from .states import CircuitState, GlobalState, MarkovState, ProductState, random_hermitian_units
+from .states import (
+    CircuitState,
+    GlobalState,
+    MarkovState,
+    ProductState,
+    _power_exceeds,
+    random_hermitian_units,
+)
 
 TUPLE_SUM_GUARD = 10**8
 MARKOV_DP_GUARD = 2**20
@@ -72,7 +79,7 @@ CCR_BOUND_SLACK = 1e-12
 
 def check_tuple_sum(size: int, n: int) -> None:
     """Refuse an induced moment whose tuple sum has more than TUPLE_SUM_GUARD terms."""
-    if float(size) ** n > TUPLE_SUM_GUARD:
+    if _power_exceeds(int(size), n, TUPLE_SUM_GUARD):
         raise CostGuardError(
             "induced-moment tuple sum",
             f"|X|^n = {size}^{n} exceeds {TUPLE_SUM_GUARD}",
@@ -330,9 +337,7 @@ def ccr_decay_table(
     if c_estimate is None:
         ests = _search_table(state, region, len(comm_word), omegas, sizes, search_budget, seed)
         c_estimate = max(est.value for est in ests)
-    norms = 1.0
-    for op in prefix + (a, b) + suffix:
-        norms *= op_norm(op)
+    norms = math.prod(op_norm(op) for op in prefix + (a, b) + suffix)
 
     out = []
     rows = zip(sizes, omegas, defect_rows, rest_rows, comm_rows)
@@ -349,7 +354,7 @@ def ccr_decay_table(
             CcrDecayCheck(
                 value=transported,
                 bound=bound,
-                passed=deviation <= TRANSPORT_TOL
+                passed=deviation <= TRANSPORT_TOL * max(1.0, norms)
                 and abs(transported) <= bound + CCR_BOUND_SLACK
                 and ratio <= 2.0 * float(c_estimate) * norms + CCR_BOUND_SLACK,
                 transport_deviation=deviation,
@@ -373,11 +378,13 @@ def ccr_decay_check(
 
     The defect moment is evaluated two ways: directly as a polynomial,
     and through the transport identity that trades the defect for a
-    single fluctuation of [a, b] times |X|^{-1/2}. The two must agree to
-    TRANSPORT_TOL; the reported bound is 2 |X|^{-1/2} C norms, where C is
-    a lower-bound estimate of the degree (n-1) restricted seminorm of the
-    induced moment functional (or a caller-provided constant), searched
-    with seed 0. This is ``ccr_decay_table`` at the one size |X|.
+    single fluctuation of [a, b] times |X|^{-1/2}. With norms the product
+    of the word's operator norms, the two must agree to TRANSPORT_TOL
+    times max(1, norms); the reported bound is 2 |X|^{-1/2} C norms,
+    where C is a lower-bound estimate of the degree (n-1) restricted
+    seminorm of the induced moment functional (or a caller-provided
+    constant), searched with seed 0. This is ``ccr_decay_table`` at the
+    one size |X|.
     """
     return ccr_decay_table(
         state, region, a, b, [len(region)], prefix, suffix, c_estimate, search_budget
@@ -409,10 +416,9 @@ def _combo_directions(dim: int) -> tuple[SiteOperator, ...]:
     for i in range(len(base)):
         for j in range(i + 1, len(base)):
             for sign in (1.0, -1.0):
+                # b_i and b_j are distinct and HS-orthogonal, so the sum is never zero
                 m = base[i].mat + sign * base[j].mat
-                nrm = float(np.linalg.norm(m, 2))
-                if nrm > 1e-12:
-                    dirs.append(SiteOperator(m / nrm))
+                dirs.append(SiteOperator(m / float(np.linalg.norm(m, 2))))
     return tuple(dirs)
 
 

@@ -26,7 +26,7 @@ from .algebra import (
     hs_coefficients,  # no caller here; bench/tracing.py wraps this name
     op_norm,
 )
-from .combinatorics import pair_partitions
+from .combinatorics import MAX_PAIRING_DEGREE, pair_partitions
 from .errors import CostGuardError, KahanSum
 from .fluctuations import (
     SeminormEstimate,
@@ -35,7 +35,7 @@ from .fluctuations import (
     seminorm_nu_estimate,
 )
 
-WICK_MAX_DEGREE = 12
+WICK_MAX_DEGREE = MAX_PAIRING_DEGREE
 SHIFTED_MAX_DEGREE = 10
 DIFFERENCE_MAX_DEGREE = 8
 WICK_NORM_PAD = 1.05
@@ -88,11 +88,6 @@ class _CovariancePairFunctional:
     def batch(self, words) -> np.ndarray:
         coeffs = _hs_coefficient_stack(np.array([[a.mat for a in w] for w in words]))
         return np.einsum("wi,ij,wj->w", coeffs[:, 0], self.cov.matrix, coeffs[:, 1])
-
-
-def check_covariance_norm_budget(search_budget: int) -> None:
-    """Refuse a ``covariance_norm_estimate`` (degree 2) over the search draw guard."""
-    check_search_draws(search_budget, 2)
 
 
 def covariance_norm_estimate(
@@ -225,7 +220,7 @@ def wick_difference_bound_table(
             raise ValueError("covariances act on different dimensions")
     if not words:
         return [[] for _ in pairs]
-    check_covariance_norm_budget(search_budget)
+    check_search_draws(search_budget, 2)
     normed = []
     for word in words:
         norms = [op_norm(a) for a in word]

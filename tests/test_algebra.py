@@ -49,6 +49,11 @@ def test_operator_arithmetic_and_adjoint():
     assert a.is_hermitian()
 
 
+def test_reprs_name_the_dimension():
+    assert repr(SX) == "SiteOperator(dim=2)"
+    assert repr(SiteState(np.diag([0.5, 0.5]))) == "SiteState(dim=2)"
+
+
 def test_op_norm_values():
     # eigenvalues of 2*sz + 1 are 3 and -1, largest magnitude 3
     assert op_norm(2.0 * SZ + identity(2)) == pytest.approx(3.0, abs=1e-12)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from conftest import (
     brute_induced_moment,
@@ -310,7 +310,8 @@ def test_ccr_decay_flag_is_the_check_verdict(
     c_value = scale * checks[0].c_constant
     scaled = ccr_decay_table(state, region, a, b, sizes, pre, suf, c_estimate=c_value)
     for size, check in zip(sizes, scaled):
-        assert check.passed == (check.transport_deviation <= TRANSPORT_TOL and row(size, check)[4])
+        transport = check.transport_deviation <= TRANSPORT_TOL * max(1.0, norms)
+        assert check.passed == (transport and row(size, check)[4])
 
 
 def test_ccr_decay_needs_exactly_two(tmp_path, capsys):
@@ -1173,6 +1174,30 @@ def test_overflowing_state_numbers_exit_err_2_alone(tmp_path, capsys, state):
     assert err.count("\n") == 1
 
 
+HUGE_SLOT = [[1e200, 0], [0, 1]]
+HUGE_OP = [[1e300, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "experiment, doc",
+    [
+        ("converge", {"state": MARKOV_STD, "word": ["X", HUGE_SLOT, HUGE_SLOT, "X"], "sizes": [2]}),
+        ("cluster-verify", {"state": MARKOV_STD, "sizes": [3], "degrees": [3], "op": HUGE_OP}),
+    ],
+    ids=["converge", "cluster-verify"],
+)
+def test_overflowing_engine_numbers_exit_err_2_alone(tmp_path, capsys, experiment, doc):
+    """Finite operator entries whose moments overflow inside an engine exit
+    ERR 2 on one stderr line, with no numpy warning and no nan table."""
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run([experiment, "--config", cfg], capsys)
+    assert (code, out, caught) == (2, "", [])
+    shown = r"ERR 2: config numbers leave the float range: \w+ encountered in \w+\n"
+    assert re.fullmatch(shown, err)
+
+
 NAN_GATE = [[float("nan") if i == j == 0 else float(i == j) for j in range(4)] for i in range(4)]
 
 
@@ -1697,6 +1722,202 @@ def test_ccr_decay_transport_violation_exits_one(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err == "ERR 1: transport identity violated at size 9: deviation 1.000e+00\n"
     assert not out_path.exists()
+
+
+# =============================================================================
+# Config fuzzing
+# =============================================================================
+
+_EXPERIMENT_NAMES = ["moments", "converge", "ccr-decay", "cluster-verify", "bounds"]
+# keys that set how much work a config asks for, cut so each fuzzed run stays small
+_FUZZ_LIST_KEEP = (
+    "sizes", "counting_sizes", "weight_sizes", "weight_degrees", "seminorm_degrees", "degrees"
+)
+_FUZZ_CAPS = {"random_pairs": 1, "search_budget": 2, "seminorm_size": 4, "counting_max_k": 3}
+
+
+def _small(cfg: dict) -> dict:
+    cfg = {key: value[:2] if key in _FUZZ_LIST_KEEP else value for key, value in cfg.items()}
+    return {**cfg, **{key: min(cfg.get(key, cap), cap) for key, cap in _FUZZ_CAPS.items()}}
+
+
+def _readme_configs() -> list[tuple]:
+    out = []
+    for block in re.findall(r"```json\n(.*?)```", README.read_text(), re.S):
+        doc = json.loads(block)
+        if "checks" in doc:
+            out.append(("bounds", doc))
+        elif "pair" in doc:
+            out.append(("ccr-decay", doc))
+        else:
+            out.append(("cluster-verify" if "degrees" in doc else "converge", doc))
+    return out
+
+
+_FUZZ_BASES = [(experiment, _small(cfg)) for experiment, cfg in _readme_configs()] + [
+    (experiment, _small(cfg))
+    for workload in ("markov-search", "moment-tables", "bound-checks")
+    for experiment, _, cfg in _bench_workloads().experiments(workload, 0)
+]
+
+
+def _fields(doc, path=()):
+    """The path of doc itself and of every key or list entry inside it."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _fields(value, path + (key,))
+
+
+_HUGE_OPERATORS = st.lists(
+    st.lists(st.sampled_from([0.0, 0.3, 1.0, 1e150, 1e200, 1e300, -1e308]), min_size=2, max_size=2),
+    min_size=2,
+    max_size=2,
+)
+_PRODUCT_3LEVEL = {"kind": "product", "rho": [[0.5, 0, 0], [0, 0.25, 0], [0, 0, 0.25]]}
+_SPECIAL_VALUES = st.sampled_from(
+    [
+        _PRODUCT_3LEVEL,
+        10**6,
+        10**400,
+        1e300,
+        -1e308,
+        float("inf"),
+        float("nan"),
+    ]
+)
+_SCALARS = st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3)
+_JSON_VALUES = (
+    _SPECIAL_VALUES
+    | _HUGE_OPERATORS
+    | st.recursive(
+        _SCALARS,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+        max_leaves=6,
+    )
+)
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """A README or workload config with one field replaced or dropped, run as any experiment."""
+    experiment, base = draw(st.sampled_from(_FUZZ_BASES))
+    experiment = draw(st.just(experiment) | st.sampled_from(_EXPERIMENT_NAMES))
+    doc = json.loads(json.dumps(base))
+    # a top-level key first, so the state's many fields do not crowd out the others
+    key = draw(st.sampled_from([None, *doc]))
+    if key is None:
+        return experiment, draw(_JSON_VALUES)
+    path = draw(st.sampled_from(list(_fields(doc[key], (key,)))))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_JSON_VALUES)
+    return experiment, doc
+
+
+_VERDICTS = re.compile(
+    r"ERR 1: (decomposition residual above 1e-9|one or more bound checks failed"
+    r"|transport identity violated at size \d+: deviation \S+)\n"
+)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=_fuzzed_configs())
+@example(case=("converge", {"state": _PRODUCT_3LEVEL, "word": ["X", "X"], "sizes": [2]}))
+@example(case=("moments", {"state": MARKOV_STD, "word": "X", "sizes": [2]}))
+@example(case=("bounds", {"checks": []}))
+def test_fuzzed_configs_exit_with_one_err_line(tmp_path, capsys, case):
+    """Any one field of a known config, replaced by any JSON value or
+    dropped: the exit code is 0 to 3, a nonzero exit writes exactly one
+    ERR line to stderr, and ERR 1 is only a check's verdict."""
+    experiment, doc = case
+    cfg = write_config(tmp_path, doc)
+    code, _, err = run([experiment, "--config", cfg], capsys)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert re.fullmatch(f"ERR {code}: [^\n]*\n", err)
+    if code == 1:
+        assert _VERDICTS.fullmatch(err)
+
+
+def test_converge_refuses_an_inhomogeneous_circuit(tmp_path, capsys):
+    """The edge sites of a brickwork circuit have their own restrictions,
+    so there is no single covariance to compare with."""
+    gate = np.kron(np.eye(2), [[0, 1], [1, 0]]).tolist()
+    state = {**CIRCUIT_KET, "layers": [{"offset": 0, "gate": gate}]}
+    cfg = write_config(tmp_path, {"state": state, "word": ["Z", "Z"], "sizes": [2]})
+    code, out, err = run(["converge", "--config", cfg], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("ERR 2: experiment needs a homogeneous state: ")
+
+
+@pytest.mark.parametrize(
+    "experiment, doc, guard",
+    [
+        ("moments", {"state": MARKOV_STD, "word": ["X"] * 700, "sizes": [3]}, "induced-moment"),
+        ("cluster-verify", {"state": MARKOV_STD, "sizes": [3], "degrees": [10**6]}, "correction"),
+        (
+            "bounds",
+            {"checks": ["weight-sum"], "weight_sizes": [4], "weight_degrees": [10**6]},
+            "weight-sum",
+        ),
+    ],
+    ids=["tuple-sum", "correction-tuples", "weight-sum"],
+)
+def test_power_guards_past_the_float_range_exit_err_3(tmp_path, capsys, experiment, doc, guard):
+    """A size**n past the float range (3**700, 3**(10**6)) trips its guard
+    with ERR 3; float ** raised OverflowError, which exited ERR 1."""
+    code, out, err = run([experiment, "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"ERR 3: cost guard '{guard}") and err.count("\n") == 1
+
+
+def test_missing_experiment_exits_err_2(capsys):
+    assert run([], capsys) == (2, "", "ERR 2: an experiment subcommand is required\n")
+
+
+BIG_OP, HUGER_OP = [[1e3, 0.3], [0.3, -0.7]], [[1e7, 0.3], [0.3, -0.7]]
+
+
+@pytest.mark.parametrize(
+    "experiment, doc",
+    [
+        ("cluster-verify", {"state": MARKOV_STD, "sizes": [3, 6, 9], "degrees": [3], "op": BIG_OP}),
+        (
+            "cluster-verify",
+            {"state": MARKOV_STD, "sizes": [3, 6, 9], "degrees": [3], "op": HUGER_OP},
+        ),
+        (
+            "ccr-decay",
+            {
+                "state": MARKOV_STD,
+                "prefix": [[[1e4, 0.3], [0.3, -0.7]]],
+                "pair": [[[1e4, 0.3], [0.3, -0.7]], "X"],
+                "suffix": ["Y"],
+                "sizes": [4, 8, 16],
+            },
+        ),
+    ],
+    ids=["decomposition", "centering", "transport"],
+)
+def test_rounding_level_residues_pass_at_any_operator_scale(tmp_path, capsys, experiment, doc):
+    """An exact identity on a large operator passes: the decomposition,
+    transport and centering bars scale with the operators' norms."""
+    code, out, err = run([experiment, "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 4
 
 
 def _fresh_process(code, *args):

@@ -41,6 +41,7 @@ from flab import (
     grid2d_metric,
     induced_moment,
     n_hat_series,
+    op_norm,
     ordered_partitions,
     ordered_product,
     product_part_moment,
@@ -92,6 +93,56 @@ def test_product_part_degree_guard():
     rho = SiteState(np.diag([0.5, 0.5]))
     with pytest.raises(CostGuardError):
         product_part_moment(rho, 4, (SX,) * 9)
+    # the functional computes the same partition sum, so it has the same guard
+    functional = ProductPartFunctional(rho, 4)
+    with pytest.raises(CostGuardError):
+        functional.batch([(SX,) * 9])
+    assert functional((SX,) * 8) == product_part_moment(rho, 4, (SX,) * 8)
+
+
+def test_product_part_sizes_are_integers():
+    """A size of 2.5 is refused, not read as 2; numpy integers are sizes."""
+    rho = SiteState(np.diag([0.5, 0.5]))
+    word = (SX,) * 4
+    for call in (
+        lambda size: product_part_moment(rho, size, word),
+        lambda size: wick_defect_moment(rho, size, word),
+        lambda size: ProductPartFunctional(rho, size)(word),
+    ):
+        for size in (2.5, 2.0, 0, np.int64(-1)):
+            with pytest.raises(ValueError, match="positive integer"):
+                call(size)
+        assert call(np.int64(2)) == call(2)
+    assert product_part_moment(rho, np.int32(2), word) == 2.0
+
+
+def test_product_part_functional_empty_and_degree_zero_batches():
+    functional = ProductPartFunctional(SiteState(np.diag([0.5, 0.5])), 4)
+    assert functional.batch([]).shape == (0,)
+    assert functional.batch([(), ()]).tolist() == [1, 1]
+    assert functional(()) == 1
+
+
+_RAW_OP = np.array([[1.0, 0.3], [0.3, -0.7]])
+UNIT_OP = SiteOperator(_RAW_OP / np.linalg.norm(_RAW_OP, 2))
+
+
+def test_decomposition_and_centering_verdicts_do_not_depend_on_operator_scale():
+    """One slot of a passing unit-norm word scaled by 2**k, k = 0..30:
+    its rounding residues and the bars scale alike, so no verdict moves."""
+    assert op_norm(UNIT_OP) == 1.0
+    mk = MarkovState(T_STD, alpha=0.4)
+    region = Region(mk.metric, range(6))
+    omega = SiteState(np.diag([0.7, 0.3]))
+    c = center(UNIT_OP, omega)
+    # nonzero residues at k = 0, so an absolute bar fails at large k
+    assert expect(omega, c) != 0
+    checks = cluster.decomposition_table(mk, region, (UNIT_OP,) * 3, [3, 6])
+    assert all(check.residual > 0 for check in checks)
+    for k in range(31):
+        word = (SiteOperator(2.0**k * UNIT_OP.mat), UNIT_OP, UNIT_OP)
+        assert all(check.passed for check in cluster.decomposition_table(mk, region, word, [3, 6]))
+        product_part_moment(omega, 4, (SiteOperator(2.0**k * c.mat), c))
 
 
 # =============================================================================

@@ -90,6 +90,20 @@ def test_set_partitions_structure():
         assert mins == sorted(mins)
 
 
+def test_set_partitions_are_every_canonical_partition_in_order():
+    """No oracle: for n = 1..10 every tuple is a canonical set partition of
+    {1..n}, all are distinct, there are B(n) of them, and they come sorted
+    by (block count, blocks). These four facts fix the tuple."""
+    for n in range(1, 11):
+        parts = set_partitions(n)
+        for part in parts:
+            assert sorted(i for block in part for i in block) == list(range(1, n + 1))
+            assert all(list(block) == sorted(block) for block in part)
+            assert [block[0] for block in part] == sorted(block[0] for block in part)
+        assert len(set(parts)) == len(parts) == BELL[n]
+        assert list(parts) == sorted(parts, key=lambda part: (len(part), part))
+
+
 def test_canonical_vs_ordered_partitions():
     assert len(canonical_partitions(2, 4)) == stirling2(2, 4)
     assert len(ordered_partitions(2, 4)) == 2 * stirling2(2, 4)
@@ -160,6 +174,8 @@ def test_compositions_and_multinomial():
     assert comps == sorted(comps)
     assert all(sum(c) == 5 and all(p >= 1 for p in c) for c in comps)
     assert len(comps) == 4
+    # more parts than the total has units: no composition
+    assert integer_partitions_into_k(2, 3) == []
     assert multinomial((2, 3)) == 10
     assert multinomial((1, 1, 1)) == 6
     # surjection count ties compositions, multinomials, and stirling together

@@ -494,6 +494,24 @@ def test_transport_identity_exact_on_random_states():
         assert check.transport_deviation < 1e-11
 
 
+def test_transport_verdict_does_not_depend_on_operator_scale():
+    """The prefix slot of a passing unit-norm word scaled by 2**k, k = 0..30:
+    the transport deviation and its bar scale alike, so no verdict moves."""
+    raw = np.array([[1.0, 0.3], [0.3, -0.7]])
+    a = SiteOperator(raw / np.linalg.norm(raw, 2))
+    mk = MarkovState(T_STD, alpha=0.4)
+    region = Region(mk.metric, range(8))
+    base = ccr_decay_table(mk, region, a, SX, [4, 8], (a,), (SY,), search_budget=2)
+    # nonzero deviations at k = 0, so an absolute bar fails at large k
+    assert all(check.passed and check.transport_deviation > 0 for check in base)
+    for k in range(31):
+        prefix = (SiteOperator(2.0**k * a.mat),)
+        checks = ccr_decay_table(
+            mk, region, a, SX, [4, 8], prefix, (SY,), c_estimate=base[0].c_constant
+        )
+        assert all(check.passed for check in checks)
+
+
 def test_transport_identity_exact_on_circuits():
     base = pure_state([1.0, 0.0])
     for trial in range(3):
@@ -1533,6 +1551,28 @@ def test_markov_degree_thirteen_matches_brute_force():
     got = induced_moment(mk, Region(mk.metric, [3]), word)
     want = brute_for_markov(mk, [3], word)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_combo_directions_are_every_basis_element_and_pair():
+    """d^2 basis directions and, for each pair of the d^2 - 1 non-identity
+    elements, their sum and difference: none is zero, each has unit norm."""
+    counts = [len(_combo_directions(d)) for d in (1, 2, 3, 4)]
+    assert counts == [d * d + (d * d - 1) * (d * d - 2) for d in (1, 2, 3, 4)] == [1, 10, 65, 226]
+    for d in (2, 3):
+        assert all(abs(op_norm(a) - 1.0) < 1e-12 for a in _combo_directions(d))
+
+
+def test_eval_many_calls_a_functional_without_batch():
+    calls = []
+
+    def functional(word):
+        calls.append(word)
+        return len(word) + 0.5j
+
+    words = [(SX,), (SX, SY)]
+    assert _eval_many(functional, words).tolist() == [1 + 0.5j, 2 + 0.5j]
+    assert calls == words
+    assert _eval_many(functional, []).shape == (0,)
 
 
 def test_centered_search_at_dimension_one_returns():

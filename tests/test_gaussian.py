@@ -188,6 +188,7 @@ def test_shifted_wick_reduces_to_wick_at_zero_shift():
 def test_shifted_wick_scalar_cases():
     w = Covariance(1, [[1.0]])
     m = 0.7
+    assert shifted_wick_moment(w, lambda a: m, ()) == 1.0
     assert shifted_wick_moment(w, lambda a: m, (ONE,)) == pytest.approx(
         m, abs=1e-14
     )

@@ -75,6 +75,23 @@ def test_metric_from_json_roundtrip():
         metric_from_json({"kind": "moebius"})
 
 
+def test_region_repr():
+    assert repr(Region(chain_metric(1.0), range(3))) == "Region(chain, 3 sites)"
+
+
+@pytest.mark.parametrize(
+    "scale, r, count",
+    # r / scale rounds to 17.0, but 17 * 0.2 > 3.4; it rounds to 48.99..., but 49 * scale == r
+    [(0.2, 3.4, 2 * 16 + 1), (0.2446582203054115, 11.988252794965163, 2 * 49 + 1)],
+)
+def test_ball_count_corrects_the_rounded_quotient(scale, r, count):
+    """Both corrections of floor(r / scale) agree with a brute count of the
+    distances the metric itself computes."""
+    metric = chain_metric(scale)
+    assert ball_count(metric, r) == count
+    assert sum(metric.distance(0, x) <= r for x in range(-200, 201)) == count
+
+
 def test_ball_count():
     m = chain_metric(1.0)
     assert ball_count(m, 1.0) == 3

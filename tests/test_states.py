@@ -659,6 +659,26 @@ def test_estimate_G0_markov():
     assert est.value < 10.0
 
 
+def test_estimate_G0_sweep_stops_at_the_end_of_a_short_circuit():
+    """Separations run up to 8; a length-4 circuit has sites for 1..3 only."""
+    state = CircuitState(pure_state([1.0, 0.0]), 4, [(0, np.kron(SX.mat, SX.mat))])
+    est = estimate_G0(state, sample_budget=0)
+    assert est.samples == 3 * 3 * 3  # separations 1..3, each pair of X, Y, Z directions
+
+
+def test_markov_state_takes_a_supplied_stationary_vector():
+    computed = MarkovState(T_STD, alpha=0.4)
+    supplied = MarkovState(T_STD, alpha=0.4, pi=[0.5, 0.5])
+    assert supplied.pi.tolist() == [0.5, 0.5]
+    assert supplied.pi == pytest.approx(computed.pi, abs=1e-15)
+    want = computed.expect({0: SZ, 2: SZ})
+    assert supplied.expect({0: SZ, 2: SZ}) == pytest.approx(want, abs=1e-15)
+    with pytest.raises(ValueError, match="not stationary"):
+        MarkovState(T_STD, alpha=0.4, pi=[0.25, 0.75])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        MarkovState(T_STD, alpha=0.4, pi=[1.0])
+
+
 def test_estimate_G0_product_state_is_zero():
     ps = ProductState(SiteState(np.diag([0.75, 0.25])))
     est = estimate_G0(ps, sample_budget=30, seed=2)

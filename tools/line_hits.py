@@ -12,8 +12,12 @@ executable lines (those of ``co_lines`` of every code object) that never
 ran: first those outside ``raise`` statements, with their source, then
 the line numbers inside ``raise`` statements, which are refusals.
 
-The tracer slows tier-1 about threefold, so neither tier-1 nor CI runs
-this script. Test failures are reported by pytest and do not stop it.
+It exits 1 when any line outside ``raise`` statements and outside a
+module's ``if __name__ == "__main__":`` block never ran, and 0 otherwise.
+The tracer slows tier-1 about threefold, so tier-1 does not run this
+script; CI runs it as its own job, with ``HYPOTHESIS_PROFILE=ci`` so
+every run draws the same examples. Test failures are reported by pytest
+and do not decide the exit status.
 """
 
 from __future__ import annotations
@@ -57,16 +61,26 @@ def executable_lines(path: str) -> set[int]:
     return lines
 
 
+def _spanned(nodes) -> set[int]:
+    return {line for node in nodes for line in range(node.lineno, node.end_lineno + 1)}
+
+
 def raise_lines(path: str) -> set[int]:
     """Line numbers spanned by the module's ``raise`` statements."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
-    return {
-        line
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Raise)
-        for line in range(node.lineno, node.end_lineno + 1)
-    }
+    return _spanned(node for node in ast.walk(tree) if isinstance(node, ast.Raise))
+
+
+def main_block_lines(path: str) -> set[int]:
+    """Line numbers of the module's top-level ``if __name__ == "__main__":`` blocks."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    return _spanned(
+        node
+        for node in tree.body
+        if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)
+    )
 
 
 def run_workloads() -> None:
@@ -87,15 +101,18 @@ def run_workloads() -> None:
                     print(f"{workload} seed {seed} {name}: exit {code}", file=sys.stderr)
 
 
-def report() -> None:
+def report() -> int:
+    """Print the unrun lines per module; return the count outside raise and main blocks."""
+    total = 0
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
         path = os.path.join(PACKAGE, name)
-        unrun = sorted(executable_lines(path) - hits[path])
+        unrun = sorted(executable_lines(path) - hits[path] - main_block_lines(path))
         refusals = raise_lines(path)
         plain = [line for line in unrun if line not in refusals]
         raised = [line for line in unrun if line in refusals]
+        total += len(plain)
         print(f"flab/{name}: {len(plain)} unrun, {len(raised)} more in raise statements")
         with open(path) as fh:
             source = fh.read().splitlines()
@@ -103,6 +120,7 @@ def report() -> None:
             print(f"  {line:5d}  {source[line - 1].strip()}")
         if raised:
             print("  raise: " + " ".join(str(line) for line in raised))
+    return total
 
 
 def main(argv: list[str]) -> int:
@@ -117,8 +135,9 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
     print(f"tier-1 exit status {int(status)}")
-    report()
-    return 0
+    unrun = report()
+    print(f"{unrun} unrun lines outside raise statements and __main__ blocks")
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":
