@@ -11,12 +11,15 @@ operators F(a) = |X|^{-1/2} sum_x (a_x - omega_x(a)):
 * a subset-lattice transfer recursion for Markov states: sites are
   processed left to right, the DP state tracks which word slots have
   been placed plus the chain-state vector, so the full |X|^n tuple sum
-  collapses to one transfer and one slot-by-slot placement per site
-  (n 2^(n-1) d x d updates per word, on 2^n d^2 entries that
-  fluctuations.MARKOV_DP_GUARD bounds). One sweep reads the moment out
-  after every requested prefix of the sorted sites, so a whole size
-  table costs one sweep over its largest region. One (row, column,
-  subset, word) buffer per call puts subsets and words innermost
+  collapses to one transfer and one slot-by-slot placement per site, on
+  2^n d^2 entries per word that fluctuations.MARKOV_DP_GUARD bounds.
+  Slot k updates 2^(n-1) entries at a middle site, 2^k at the first
+  site (no slot above k is placed yet) and 2^(n-1-k) at the last (only
+  the full subset is read); a one-site sweep takes both, 1 entry. One
+  sweep reads the moment out after every requested prefix of the sorted
+  sites and stops at the last readout, so a whole size table costs one
+  sweep over its largest region. One (row, column, subset, word) buffer
+  per call puts subsets and words innermost
 * the direct product for circuit states: the n fluctuation operators
   are applied right to left to the cached statevector, n |X|
   single-site contractions per word. Each is one step on (left, d,
@@ -177,11 +180,23 @@ def markov_moment_batch(
     subset lacks slot k, right-multiplied by c_k, is added into the
     entry with slot k set. After slot n-1 the entry T holds the sum over
     K in T of diag(v[T - K]) times the ascending product over K, whose
-    diagonal is the new DP vector: n 2^(n-1) d x d updates per word and
-    site, with no table and no subtraction.
+    diagonal is the new DP vector, with no table and no subtraction.
+
+    Slot k updates only the entries that can be nonzero and may be read.
+    The first site starts from the empty subset, so after slot k only
+    subsets of the slots 0..k are nonzero: slot k runs on the 2^k entries
+    whose slots above k are clear. The last site is read only at the full
+    subset: slot k runs on the 2^(n-1-k) entries whose slots below k are
+    all set. A one-site sweep takes both rules; a middle site updates all
+    2^(n-1) entries per slot, d x d each. The sweep stops at its last
+    readout, max(sizes). For finite words a skipped first-site entry holds
+    +0 as the full update leaves it (+0 plus any product of +0 is +0), and
+    a skipped last-site entry is never read, so no skip changes a bit; an
+    overflow confined to an unread entry no longer raises.
 
     The matrices sit in one buffer w[i, j, S, word]; its slot views, factor
-    rows and half-size scratch are built once per call. Each update adds
+    rows and half-size scratch are built once per call, and so is the
+    slot plan of each kind of site (first, middle, last). Each update adds
     column l of the entries lacking slot k times row l of c_k, in the order
     of a (word, S, i, j) layout, and numpy rounds these alike for any
     strides. The readout sums a contiguous copy, as numpy's pairwise sum
@@ -194,7 +209,8 @@ def markov_moment_batch(
     equals it bit for bit.
     """
     nwords, n, d, _ = words.shape
-    positions = sorted(int(p) for p in positions)
+    # no row reads a site past the last readout
+    positions = sorted(int(p) for p in positions)[: max(sizes)]
     c = center_against(np.diag(state.pi), words)
     full = (1 << n) - 1
     eye = np.eye(d)
@@ -202,15 +218,26 @@ def markov_moment_batch(
     w = np.empty((d, d, full + 1, nwords), dtype=complex)
     diag = np.einsum("iisw->wsi", w)
     tmp = np.empty(w.size // 2, dtype=complex)
-    slots = []
-    for k in range(n):
-        # axis 3 is bit k of the slot subset
-        view = w.reshape(d, d, 1 << (n - k - 1), 2, 1 << k, nwords)
-        cols = np.ascontiguousarray(c[:, k].transpose(1, 2, 0))[:, None, :, None, None]
-        terms = [(view[:, l, None, :, 0], cols[l]) for l in range(d)]
-        hi = view[:, :, :, 1]
-        slots.append((hi, tmp.reshape(hi.shape), terms))
+    # axis 2 holds the slots above k, axis 3 slot k and axis 4 the slots below k
+    views = [w.reshape(d, d, 1 << (n - k - 1), 2, 1 << k, nwords) for k in range(n)]
+    cols = [
+        np.ascontiguousarray(c[:, k].transpose(1, 2, 0))[:, None, :, None, None] for k in range(n)
+    ]
 
+    def plan(first: bool, last: bool) -> list:
+        """Per slot k: the entries gaining slot k, their scratch and factor terms.
+
+        The first site keeps the slots above k clear, the last the slots below k set.
+        """
+        slots = []
+        for k, view in enumerate(views):
+            view = view[:, :, : 1 if first else None, :, (1 << k) - 1 if last else 0 :]
+            hi = view[:, :, :, 1]
+            terms = [(view[:, l, None, :, 0], cols[k][l]) for l in range(d)]
+            slots.append((hi, tmp[: hi.size].reshape(hi.shape), terms))
+        return slots
+
+    middle = plan(False, False) if len(positions) > 2 else None
     readouts = set(sizes)
     rows = []
     v = np.zeros((nwords, full + 1, d), dtype=complex)
@@ -221,7 +248,8 @@ def markov_moment_batch(
             v = diag @ state.transition_power(x - prev).T
         # times the identity, so the off-diagonal zeros keep their signs
         np.multiply(v.transpose(2, 1, 0)[:, None], eye[:, :, None, None], out=w)
-        for hi, scratch, terms in slots:
+        first, last = prev is None, size == len(positions)
+        for hi, scratch, terms in plan(first, last) if first or last else middle:
             for lo_l, c_kl in terms:
                 np.multiply(lo_l, c_kl, out=scratch)
                 np.add(hi, scratch, out=hi)

@@ -15,12 +15,10 @@ checks that ran and failed.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
 import sys
-from functools import lru_cache
 
 import numpy as np
 
@@ -452,32 +450,61 @@ _EXPERIMENTS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ConfigError(message)
+_OPTIONS = ("--config", "--out", "--threads")
+_HELP = ("-h", "--help")
+_USAGE = "usage: flab {%s} --config PATH [--out PATH] [--threads N]\n" % ",".join(_EXPERIMENTS)
 
 
-@lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    """The argument parser, built on the first ``main`` call of a process."""
-    parser = _Parser(prog="flab", description="fluctuation moment laboratory")
-    sub = parser.add_subparsers(dest="experiment")
-    for name in _EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
-    return parser
+def _read_argv(argv: list[str]) -> tuple | None:
+    """The (experiment, config, out, threads) of an argv, or None for help.
+
+    The grammar is ``<experiment> --config P [--out P] [--threads N]``,
+    or ``-h``/``--help`` in place of the experiment or of an option. Each
+    option is its full name after the experiment, as ``--opt value`` (the
+    next word, taken as is) or ``--opt=value``; a repeated option keeps
+    its last value. Anything else raises ConfigError.
+    """
+    if not argv:
+        raise ConfigError("an experiment subcommand is required")
+    experiment, rest = argv[0], iter(argv[1:])
+    if experiment in _HELP:
+        return None
+    if experiment not in _EXPERIMENTS:
+        raise ConfigError(
+            f"unknown experiment {experiment!r} (choose from {', '.join(_EXPERIMENTS)})"
+        )
+    opts = {}
+    for arg in rest:
+        if arg in _HELP:
+            return None
+        name, eq, value = arg.partition("=")
+        if name not in _OPTIONS:
+            raise ConfigError(f"unrecognized argument {arg!r}")
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                raise ConfigError(f"option {name} needs a value")
+        opts[name] = value
+    if "--config" not in opts:
+        raise ConfigError("option --config is required")
+    threads = opts.get("--threads")
+    if threads is not None:
+        try:
+            threads = int(threads)
+        except ValueError:
+            raise ConfigError(f"option --threads needs an integer, got {threads!r}") from None
+    return experiment, opts["--config"], opts.get("--out"), threads
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.experiment is None:
-            raise ConfigError("an experiment subcommand is required")
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_USAGE)
+            return 0
+        experiment, config, out_path, threads = args
         try:
-            with open(args.config) as fh:
+            with open(config) as fh:
                 cfg = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
@@ -486,11 +513,8 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         # rows run in order; the thread count is validated but not used
-        json_int(
-            "threads", cfg.get("threads", 1) if args.threads is None else args.threads, 1
-        )
+        json_int("threads", cfg.get("threads", 1) if threads is None else threads, 1)
         seed = _config_int(cfg, "seed", 0, 0)
-        out_path = args.out
         if out_path is None and "out" in cfg:
             out_path = cfg["out"]
             # open() would take an int as a file descriptor
@@ -499,7 +523,7 @@ def main(argv=None) -> int:
 
         # numbers past the float range fail here, not as warnings and nan rows
         with np.errstate(over="raise", invalid="raise"):
-            text, failure = _EXPERIMENTS[args.experiment](cfg, seed)
+            text, failure = _EXPERIMENTS[experiment](cfg, seed)
         _emit(text, out_path)
         if failure is not None:
             _err(1, failure)

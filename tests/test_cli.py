@@ -1944,10 +1944,64 @@ def test_cached_parser_answers_like_a_fresh_process(tmp_path, capsys):
     assert got_good == _fresh_process(code, *good)
 
 
-def test_import_builds_no_parser():
-    """The parser is built by the first ``main`` call, so the import stays lean."""
-    code = "import flab.cli as cli; print(cli._build_parser.cache_info().currsize)"
-    assert _fresh_process(code) == (0, "0\n", "")
+def test_import_leaves_argparse_out():
+    """``main`` reads its argv without argparse, so the import stays lean."""
+    code = "import sys, flab.cli; print('argparse' in sys.modules)"
+    assert _fresh_process(code) == (0, "False\n", "")
+
+
+USAGE = (
+    "usage: flab {moments,converge,ccr-decay,cluster-verify,bounds}"
+    " --config PATH [--out PATH] [--threads N]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [
+        (["moments", "--config=CFG"], "same"),
+        (["moments", "--config", "/no/such.json", "--threads=1", "--config", "CFG"], "same"),
+        (["-h"], "usage"),
+        (["--help"], "usage"),
+        (["moments", "--config", "CFG", "-h"], "usage"),
+        (["moment", "--config", "CFG"], "err"),
+        (["moments", "--config", "CFG", "--seed", "1"], "err"),
+        (["moments", "--conf", "CFG"], "err"),
+        (["moments", "--config"], "err"),
+        (["moments", "--threads", "1"], "err"),
+        (["moments", "--config", "CFG", "--threads", "two"], "err"),
+        (["--config", "CFG", "moments"], "err"),
+    ],
+    ids=[
+        "equals-form",
+        "last-repeat-wins",
+        "h",
+        "help",
+        "help-after-options",
+        "unknown-experiment",
+        "unknown-option",
+        "abbreviated-option",
+        "option-without-value",
+        "missing-config",
+        "threads-not-int",
+        "option-before-experiment",
+    ],
+)
+def test_argv_grammar(tmp_path, capsys, argv, outcome):
+    """``flab <experiment> --config P [--out P] [--threads N]``: ``--opt=value``
+    reads like ``--opt value``, help prints the usage line, and every other
+    argv exits ERR 2 on one stderr line before any config is read."""
+    cfg = write_config(tmp_path, {"state": MARKOV_STD, "word": ["Z", "X"], "sizes": [1, 2, 3]})
+    got = run([arg.replace("CFG", cfg) for arg in argv], capsys)
+    if outcome == "same":
+        assert got == run(["moments", "--config", cfg], capsys)
+        assert got[0] == 0 and got[1].count("\n") == 4
+    elif outcome == "usage":
+        assert got == (0, USAGE, "")
+    else:
+        code, out, err = got
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"ERR 2: [^\n]+\n", err)
 
 
 def test_console_script_installed():

@@ -1355,11 +1355,22 @@ def _sweep_words(rng, kind, d, n, count):
 )
 @example(d=4, n=2, count=3, kind="general", seed=0)
 @example(d=2, n=6, count=30, kind="pauli", seed=1)
+@example(d=3, n=5, count=4, kind="hermitian", seed=27)  # one site, first and last
+@example(d=2, n=6, count=5, kind="general", seed=5)  # two sites
+@example(d=2, n=5, count=7, kind="general", seed=0)  # 12 sites, sizes [1, 5]
+@example(d=3, n=4, count=9, kind="pauli", seed=0)  # 7 sites, sizes [1]
+@example(d=2, n=6, count=6, kind="pauli", seed=8)  # 5 sites, sizes [2]
 def test_markov_sweep_matches_reference_bits(d, n, count, kind, seed):
     """The Markov sweep equals the frozen (word, subset, i, j) loop of
     ``conftest.markov_sweep_reference`` as uint64 words, so signed zeros
     count: gapped sites in any order, random size subsets. At d = 4 the
-    readout's sum of d entries is pairwise, not sequential."""
+    readout's sum of d entries is pairwise, not sequential.
+
+    The examples reach every slot plan of the sweep whatever is drawn: a
+    one-site sweep (first site and last at once), a two-site sweep at
+    n = 6, d = 2 (first, then last), sites past the last readout (the
+    early stop, with middle sites) and Pauli words, whose exact zeros
+    meet the first site's skipped +0 entries."""
     rng = np.random.default_rng(seed)
     if d == 4:
         n = min(n, 4)
