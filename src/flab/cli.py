@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .algebra import SX, SY, SZ, SiteOperator, identity, op_norm
+from .algebra import SX, SY, SZ, SiteOperator, identity
 from .cluster import (
     DECOMPOSITION_TOL,
     b_hat_bound,
@@ -35,7 +35,6 @@ from .cluster import (
 from .combinatorics import MAX_Q_INDEX, q_sequence
 from .errors import ConfigError, CostGuardError, json_int
 from .fluctuations import (
-    TRANSPORT_TOL,
     InducedMomentFunctional,
     ccr_decay_check,  # no caller here; bench/tracing.py wraps this name
     ccr_decay_table,
@@ -255,13 +254,10 @@ def run_ccr_decay(cfg: dict, seed: int) -> tuple:
         search_budget=budget,
         seed=seed,
     )
-
-    # the library's transport bar: it scales with the product of the word's norms
-    tol = TRANSPORT_TOL * max(1.0, math.prod(op_norm(op) for op in prefix + pair + suffix))
     rows = []
     for size, check in zip(sizes, checks):
         # a broken identity voids the whole table: raise before any output
-        if check.transport_deviation > tol:
+        if not check.transport_ok:
             raise RuntimeError(
                 f"transport identity violated at size {size}: "
                 f"deviation {check.transport_deviation:.3e}"

@@ -56,6 +56,7 @@ from .lattice import (
 from .states import Assignment, GlobalState, _power_exceeds, correlator
 
 PRODUCT_PART_MAX_DEGREE = 8
+EXPANSION_MAX_SUPPORT = 8
 CORRECTION_TUPLE_GUARD = 10**7
 # (subset, partition) cells per expect_rows grid; the guard admits millions of them.
 # A grid holds d values per cell and one d x d power per subset (P >= 2 cells each),
@@ -263,8 +264,10 @@ def cluster_expansion_check(state: GlobalState, assignment: Assignment) -> Clust
     """
     y = assignment.support
     m = len(y)
-    if m > 8:
-        raise CostGuardError("expansion support size", f"|Y| = {m} exceeds 8")
+    if m > EXPANSION_MAX_SUPPORT:
+        raise CostGuardError(
+            "expansion support size", f"|Y| = {m} exceeds {EXPANSION_MAX_SUPPORT}"
+        )
     enum = spread_optimal_enumeration(y)
     metric = y.metric
     ops = [assignment.ops[site] for site in enum]

@@ -68,10 +68,12 @@ def _pairings(indices: tuple[int, ...]):
 
 
 def pair_partitions(n: int) -> list[PairPartition]:
-    """All perfect matchings of {1..n}, lexicographically sorted.
+    """All perfect matchings of {1..n}, in lexicographic order.
 
-    Odd n has no matchings and yields the empty list. The count for even
-    n is the double factorial (n-1)!!.
+    The recursion pairs the first index with each later partner in
+    ascending order, so it yields the matchings already sorted. Odd n
+    has no matchings and yields the empty list. The count for even n is
+    the double factorial (n-1)!!.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -82,7 +84,7 @@ def pair_partitions(n: int) -> list[PairPartition]:
         )
     if n % 2 == 1:
         return []
-    return sorted(_pairings(tuple(range(1, n + 1))))
+    return list(_pairings(tuple(range(1, n + 1))))
 
 
 @lru_cache(maxsize=None)

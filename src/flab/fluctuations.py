@@ -73,6 +73,7 @@ TUPLE_SUM_GUARD = 10**8
 MARKOV_DP_GUARD = 2**20
 PRODUCT_PARTITION_GUARD = 11
 SEARCH_DRAW_GUARD = 2**16
+COMPARISON_MAX_DEGREE = 6
 TRANSPORT_TOL = 1e-10
 CCR_BOUND_SLACK = 1e-12
 
@@ -236,13 +237,8 @@ def induced_moment_polynomial(
     state: GlobalState, region: Region, poly: TensorPolynomial
 ) -> complex:
     """Induced moment extended linearly to polynomials; the unit maps to 1."""
-    total = complex(0.0)
-    for coeff, word in poly.terms:
-        if len(word) == 0:
-            total += coeff
-        else:
-            total += coeff * induced_moment(state, region, word)
-    return total
+    functional = InducedMomentFunctional(state, region)
+    return sum((coeff * functional(word) for coeff, word in poly.terms), complex(0.0))
 
 
 class InducedMomentFunctional:
@@ -254,9 +250,7 @@ class InducedMomentFunctional:
         self.dim = state.site_dim
 
     def __call__(self, word: Sequence[SiteOperator]) -> complex:
-        if len(word) == 0:
-            return complex(1.0)
-        return induced_moment(self.state, self.region, tuple(word))
+        return complex(self.batch([tuple(word)])[0])
 
     def batch(self, words: Sequence[Sequence[SiteOperator]], sizes=None) -> np.ndarray:
         """F of each word; with ``sizes``, its table of prefix lengths k."""
@@ -292,6 +286,7 @@ class CcrDecayCheck:
     passed: bool
     transport_deviation: float
     c_constant: float
+    transport_ok: bool
 
 
 def _prefix_region(region: Region, size: int) -> Region:
@@ -350,15 +345,17 @@ def ccr_decay_table(
         bound = 2.0 * float(size) ** (-0.5) * c_estimate * norms
         # |value| fits the bound, and |value| sqrt(k) fits 2 C norms, each up to the slack
         ratio = abs(transported) * math.sqrt(size)
+        transport_ok = deviation <= TRANSPORT_TOL * max(1.0, norms)
         out.append(
             CcrDecayCheck(
                 value=transported,
                 bound=bound,
-                passed=deviation <= TRANSPORT_TOL * max(1.0, norms)
+                passed=transport_ok
                 and abs(transported) <= bound + CCR_BOUND_SLACK
                 and ratio <= 2.0 * float(c_estimate) * norms + CCR_BOUND_SLACK,
                 transport_deviation=deviation,
                 c_constant=float(c_estimate),
+                transport_ok=transport_ok,
             )
         )
     return out
@@ -380,11 +377,12 @@ def ccr_decay_check(
     and through the transport identity that trades the defect for a
     single fluctuation of [a, b] times |X|^{-1/2}. With norms the product
     of the word's operator norms, the two must agree to TRANSPORT_TOL
-    times max(1, norms); the reported bound is 2 |X|^{-1/2} C norms,
-    where C is a lower-bound estimate of the degree (n-1) restricted
-    seminorm of the induced moment functional (or a caller-provided
-    constant), searched with seed 0. This is ``ccr_decay_table`` at the
-    one size |X|.
+    times max(1, norms), and ``transport_ok`` holds that verdict. The
+    reported bound is 2 |X|^{-1/2} C norms, where C is a lower-bound
+    estimate of the degree (n-1) restricted seminorm of the induced
+    moment functional (or a caller-provided constant), searched with
+    seed 0. ``passed`` requires ``transport_ok`` and that |value| fits
+    the bound. This is ``ccr_decay_table`` at the one size |X|.
     """
     return ccr_decay_table(
         state, region, a, b, [len(region)], prefix, suffix, c_estimate, search_budget
@@ -852,10 +850,12 @@ class SeminormComparisonCheck:
 
 
 def check_comparison_table(degrees: Sequence[int], search_budget: int) -> None:
-    """Refuse a seminorm comparison above degree 6 or over the search draw guard."""
+    """Refuse a seminorm comparison above COMPARISON_MAX_DEGREE or over the search draw guard."""
     for n in degrees:
-        if n > 6:
-            raise CostGuardError("seminorm comparison degree", f"degree {n} exceeds 6")
+        if n > COMPARISON_MAX_DEGREE:
+            raise CostGuardError(
+                "seminorm comparison degree", f"degree {n} exceeds {COMPARISON_MAX_DEGREE}"
+            )
         check_search_draws(search_budget, n)
 
 

@@ -26,7 +26,7 @@ from .algebra import (
     hs_coefficients,  # no caller here; bench/tracing.py wraps this name
     op_norm,
 )
-from .combinatorics import MAX_PAIRING_DEGREE, pair_partitions
+from .combinatorics import MAX_PAIRING_DEGREE, double_factorial, pair_partitions
 from .errors import CostGuardError, KahanSum
 from .fluctuations import (
     SeminormEstimate,
@@ -62,8 +62,7 @@ class Covariance:
         self.matrix = m
 
     def value(self, a: SiteOperator, b: SiteOperator) -> complex:
-        ca, cb = _hs_coefficient_stack(np.array([a.mat, b.mat]))
-        return complex(ca @ self.matrix @ cb)
+        return complex(_pair_matrix(self, (a, b))[0, 1])
 
 
 def covariance_from_state(omega: SiteState) -> Covariance:
@@ -104,15 +103,6 @@ def _pair_matrix(cov: Covariance, word: Sequence[SiteOperator]) -> np.ndarray:
     return coeffs @ cov.matrix @ coeffs.T
 
 
-def _matching_products(pm: np.ndarray):
-    """Per perfect matching of pm's positions, in pair_partitions order, its pair product."""
-    for matching in pair_partitions(len(pm)):
-        term = complex(1.0)
-        for i, j in matching:
-            term *= pm[i - 1, j - 1]
-        yield term
-
-
 def wick_moment(cov: Covariance, word: Sequence[SiteOperator]) -> complex:
     """Sum over perfect matchings of products of pair covariances.
 
@@ -132,8 +122,12 @@ def wick_moment(cov: Covariance, word: Sequence[SiteOperator]) -> complex:
     for a in word:
         if a.dim != cov.dim:
             raise ValueError("word dimension does not match covariance")
+    pm = _pair_matrix(cov, word)
     acc = KahanSum()
-    for term in _matching_products(_pair_matrix(cov, word)):
+    for matching in pair_partitions(n):
+        term = complex(1.0)
+        for i, j in matching:
+            term *= pm[i - 1, j - 1]
         acc.add(term)
     return acc.value
 
@@ -148,8 +142,6 @@ def shifted_wick_moment(cov: Covariance, shift, word: Sequence[SiteOperator]) ->
     """
     word = tuple(word)
     n = len(word)
-    if n == 0:
-        return complex(1.0)
     if n > SHIFTED_MAX_DEGREE:
         raise CostGuardError(
             "shifted-wick subset enumeration",
@@ -159,18 +151,9 @@ def shifted_wick_moment(cov: Covariance, shift, word: Sequence[SiteOperator]) ->
         if a.dim != cov.dim:
             raise ValueError("word dimension does not match covariance")
     shifts = [complex(shift(a)) for a in word]
-    pm = _pair_matrix(cov, word)
-
-    def sub_wick(idx: list[int]) -> complex:
-        # an odd sub-word has no matchings, so its value is this zero
-        total = complex(0.0)
-        for term in _matching_products(pm[np.ix_(idx, idx)]):
-            total += term
-        return total
-
     acc = KahanSum()
     for mask in range(1 << n):
-        term = sub_wick([i for i in range(n) if mask & (1 << i)])
+        term = wick_moment(cov, [a for i, a in enumerate(word) if mask & (1 << i)])
         if term == 0.0:
             continue
         for i in range(n):
@@ -250,7 +233,7 @@ def wick_difference_bound_table(
         checks = []
         for word, lhs in zip(words, lhs_values):
             half = len(word) // 2
-            count = len(pair_partitions(len(word)))
+            count = double_factorial(len(word) - 1)
             rhs = nd * count * poly(n1, n2, half)
             rhs_padded = (nd * pad) * count * poly(n1 * pad, n2 * pad, half)
             passed = lhs <= rhs_padded + WICK_BOUND_SLACK
@@ -300,10 +283,7 @@ class GammaConsistencyCheck:
 def gamma_consistency_check(cov: Covariance, omega: SiteState) -> GammaConsistencyCheck:
     """W(a, b) - W(b, a) must reproduce omega([a, b]) on basis pairs, to GAMMA_TOL."""
     basis = hermitian_basis(omega.dim)
-    dev = 0.0
-    for i, hi in enumerate(basis):
-        for j, hj in enumerate(basis):
-            lhs = cov.value(hi, hj) - cov.value(hj, hi)
-            rhs = site_expect(omega, commutator(hi, hj))
-            dev = max(dev, abs(lhs - rhs))
+    pm = _pair_matrix(cov, basis)
+    gamma = np.array([[site_expect(omega, commutator(hi, hj)) for hj in basis] for hi in basis])
+    dev = float(np.max(np.abs(pm - pm.T - gamma)))
     return GammaConsistencyCheck(max_deviation=dev, passed=dev <= GAMMA_TOL)

@@ -311,6 +311,7 @@ def test_ccr_decay_flag_is_the_check_verdict(
     scaled = ccr_decay_table(state, region, a, b, sizes, pre, suf, c_estimate=c_value)
     for size, check in zip(sizes, scaled):
         transport = check.transport_deviation <= TRANSPORT_TOL * max(1.0, norms)
+        assert check.transport_ok == transport
         assert check.passed == (transport and row(size, check)[4])
 
 
@@ -1707,7 +1708,9 @@ def test_ccr_decay_transport_violation_exits_one(tmp_path, capsys, monkeypatch):
     def failing(state, region, a, b, sizes, **kwargs):
         checks = ccr_decay_table(state, region, a, b, sizes, **kwargs)
         return [
-            dataclasses.replace(check, transport_deviation=1.0) if size == 9 else check
+            dataclasses.replace(check, transport_deviation=1.0, transport_ok=False)
+            if size == 9
+            else check
             for size, check in zip(sizes, checks)
         ]
 
@@ -1930,10 +1933,10 @@ def _fresh_process(code, *args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_cached_parser_answers_like_a_fresh_process(tmp_path, capsys):
-    """``main`` builds its parser once per process. An argument error and
-    then a good call write, in one process, the bytes that each writes in
-    a fresh interpreter."""
+def test_one_process_answers_like_fresh_processes(tmp_path, capsys):
+    """``main`` reads each argv afresh, with no state kept between calls.
+    An argument error and then a good call write, in one process, the
+    bytes that each writes in a fresh interpreter."""
     cfg = write_config(tmp_path, {"state": MARKOV_STD, "word": ["Z", "X"], "sizes": [1, 2, 3]})
     code = "import sys; from flab.cli import main; sys.exit(main(sys.argv[1:]))"
     bad = ["moments", "--config", cfg, "--threads", "two"]

@@ -53,6 +53,19 @@ def test_pair_partitions_cover_exactly(n):
             assert i < j
 
 
+def test_pair_partitions_come_in_lexicographic_order():
+    """The recursion's own order is the promised one, with no oracle: each
+    matching lists pairs i < j by first element, the list ascends
+    strictly, and even n has (n-1)!! matchings."""
+    for n in range(13):
+        parts = pair_partitions(n)
+        for part in parts:
+            assert all(i < j for i, j in part)
+            assert [i for i, _ in part] == sorted(i for i, _ in part)
+        assert all(p < q for p, q in zip(parts, parts[1:]))
+        assert len(parts) == (double_factorial(n - 1) if n % 2 == 0 else 0)
+
+
 def test_stirling_values():
     assert stirling2(2, 3) == 3
     assert stirling2(2, 4) == 7

@@ -149,6 +149,24 @@ def test_wick_matches_recursion_oracle():
         assert abs(got - want) < 1e-11
 
 
+def _bits(z) -> list[int]:
+    return np.array([z], dtype=complex).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_degree_two_wick_is_the_covariance_value_bit_for_bit(d):
+    """W(a, b) has one form: ``value`` reads the pair-matrix entry that
+    the Wick sum multiplies."""
+    rng = np.random.default_rng(40 + d)
+    nb = d * d
+    for _ in range(125):
+        cov = Covariance(d, rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb)))
+        a, b = (
+            SiteOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) for _ in "ab"
+        )
+        assert _bits(wick_moment(cov, (a, b))) == _bits(cov.value(a, b))
+
+
 def test_wick_guard():
     w = Covariance(1, [[1.0]])
     with pytest.raises(CostGuardError):
@@ -176,13 +194,14 @@ def test_wick_limit_of_product_moments():
 # =============================================================================
 
 def test_shifted_wick_reduces_to_wick_at_zero_shift():
-    cov = covariance_from_state(random_density(RNG, 2))
-    for n in (1, 2, 3, 4):
-        word = tuple(
-            SiteOperator(random_hermitian_unit(RNG, 2).mat) for _ in range(n)
-        )
+    """A zero shift leaves only the full sub-word: the Wick moment, bit for bit."""
+    rng = np.random.default_rng(60)
+    for k in range(300):
+        d = 1 + k % 4
+        cov = covariance_from_state(random_density(rng, d))
+        word = tuple(SiteOperator(random_hermitian_unit(rng, d).mat) for _ in range(k % 9))
         got = shifted_wick_moment(cov, lambda a: 0.0, word)
-        assert abs(got - wick_moment(cov, word)) < 1e-12
+        assert _bits(got) == _bits(wick_moment(cov, word)), (d, len(word))
 
 
 def test_shifted_wick_scalar_cases():
