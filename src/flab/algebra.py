@@ -24,6 +24,8 @@ MAX_LOCAL_DIM = 4
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-12
+# a Hermitian operator's expectation drops an imaginary part this small
+IMAG_RESIDUE_TOL = 1e-12
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -135,7 +137,7 @@ def expect(state: SiteState, a: SiteOperator) -> complex:
     if state.dim != a.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, operator {a.dim}")
     val = complex(np.trace(state.rho @ a.mat))
-    if a.is_hermitian() and abs(val.imag) <= 1e-12:
+    if a.is_hermitian() and abs(val.imag) <= IMAG_RESIDUE_TOL:
         return complex(val.real, 0.0)
     return val
 

@@ -39,7 +39,7 @@ from .combinatorics import (
     stirling2,
     q_sequence,
 )
-from .errors import CostGuardError, KahanSum
+from .errors import CostGuardError, KahanSum, check_guard
 from .fluctuations import induced_moment, induced_moment_table, prefix_sizes
 from .gaussian import covariance_from_state, wick_moment
 from .lattice import (
@@ -60,7 +60,7 @@ EXPANSION_MAX_SUPPORT = 8
 CORRECTION_TUPLE_GUARD = 10**7
 # (subset, partition) cells per expect_rows grid; the guard admits millions of them.
 # A grid holds d values per cell and one d x d power per subset (P >= 2 cells each),
-# no more than the 256 rows of the row-list form did, each with its operators' copy
+# so a chunk's memory is set by this budget, not by how many subsets the guard admits
 _CORRECTION_ROW_BUDGET = 1024
 CENTERED_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-9
@@ -128,8 +128,7 @@ class ProductPartFunctional:
 
 def check_partition_degree(n: int, guard: str = "product-part partition sum") -> None:
     """Refuse a partition sum over a degree above PRODUCT_PART_MAX_DEGREE."""
-    if n > PRODUCT_PART_MAX_DEGREE:
-        raise CostGuardError(guard, f"degree {n} exceeds {PRODUCT_PART_MAX_DEGREE}")
+    check_guard(guard, f"degree {n}", n, PRODUCT_PART_MAX_DEGREE)
 
 
 def check_correction_tuples(size: int, n: int, guard: str = "correction tuple sum") -> None:
@@ -264,10 +263,7 @@ def cluster_expansion_check(state: GlobalState, assignment: Assignment) -> Clust
     """
     y = assignment.support
     m = len(y)
-    if m > EXPANSION_MAX_SUPPORT:
-        raise CostGuardError(
-            "expansion support size", f"|Y| = {m} exceeds {EXPANSION_MAX_SUPPORT}"
-        )
+    check_guard("expansion support size", f"|Y| = {m}", m, EXPANSION_MAX_SUPPORT)
     enum = spread_optimal_enumeration(y)
     metric = y.metric
     ops = [assignment.ops[site] for site in enum]

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CostGuardError
+from .errors import check_guard
 
 Pair = tuple[int, int]
 PairPartition = tuple[Pair, ...]
@@ -77,11 +77,7 @@ def pair_partitions(n: int) -> list[PairPartition]:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if n > MAX_PAIRING_DEGREE:
-        raise CostGuardError(
-            "pair-partition enumeration",
-            f"degree {n} exceeds the enumeration limit {MAX_PAIRING_DEGREE}",
-        )
+    check_guard("pair-partition enumeration", f"degree {n}", n, MAX_PAIRING_DEGREE)
     if n % 2 == 1:
         return []
     return list(_pairings(tuple(range(1, n + 1))))
@@ -97,10 +93,7 @@ def stirling2(k: int, n: int) -> int:
     """
     if not (1 <= k <= n):
         raise ValueError("stirling2 needs 1 <= k <= n")
-    if n > MAX_STIRLING_DEGREE:
-        raise CostGuardError(
-            "stirling recursion", f"degree {n} exceeds {MAX_STIRLING_DEGREE}"
-        )
+    check_guard("stirling recursion", f"degree {n}", n, MAX_STIRLING_DEGREE)
     if k == 1 or k == n:
         return 1
     return stirling2(k - 1, n - 1) + k * stirling2(k, n - 1)
@@ -116,10 +109,7 @@ def set_partitions(n: int) -> tuple[Blocks, ...]:
     """
     if n < 1:
         raise ValueError("set partitions need n >= 1")
-    if n > MAX_ORDERED_PARTITION_DEGREE + 2:
-        raise CostGuardError(
-            "set-partition enumeration", f"degree {n} too large to enumerate"
-        )
+    check_guard("set-partition enumeration", f"degree {n}", n, MAX_ORDERED_PARTITION_DEGREE + 2)
     parts: list[Blocks] = [()]
     for x in range(1, n + 1):
         joined = [p[:i] + (p[i] + (x,),) + p[i + 1 :] for p in parts for i in range(len(p))]
@@ -145,11 +135,7 @@ def ordered_partitions(k: int, n: int) -> list[Blocks]:
     """
     if not (1 <= k <= n):
         raise ValueError("ordered_partitions needs 1 <= k <= n")
-    if n > MAX_ORDERED_PARTITION_DEGREE:
-        raise CostGuardError(
-            "ordered-partition enumeration",
-            f"degree {n} exceeds {MAX_ORDERED_PARTITION_DEGREE}",
-        )
+    check_guard("ordered-partition enumeration", f"degree {n}", n, MAX_ORDERED_PARTITION_DEGREE)
     out: list[Blocks] = []
     for part in canonical_partitions(k, n):
         for perm in itertools.permutations(part):

@@ -20,6 +20,12 @@ class CostGuardError(RuntimeError):
         self.guard = guard
 
 
+def check_guard(guard: str, what: str, value: int, limit: int) -> None:
+    """Refuse ``value`` above ``limit`` as guard ``guard``: "<what> exceeds <limit>"."""
+    if value > limit:
+        raise CostGuardError(guard, f"{what} exceeds {limit}")
+
+
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configuration."""
 

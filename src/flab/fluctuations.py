@@ -41,6 +41,7 @@ import numpy as np
 
 from .algebra import (
     HERMITIAN_TOL,
+    IMAG_RESIDUE_TOL,
     MAX_LOCAL_DIM,
     SiteOperator,
     SiteState,
@@ -58,7 +59,7 @@ from ._moments import (
     product_moment,  # no caller here; bench/tracing.py wraps this name
     product_moment_batch,
 )
-from .errors import CostGuardError
+from .errors import CostGuardError, check_guard
 from .lattice import Region
 from .states import (
     CircuitState,
@@ -99,24 +100,17 @@ def check_moment_table(state: GlobalState, sizes: Sequence[int], n: int) -> None
         check_tuple_sum(size, n)
     # the Markov sweep keeps a d x d matrix per slot subset and word
     d = state.site_dim
-    if isinstance(state, MarkovState) and (1 << n) * d * d > MARKOV_DP_GUARD:
-        raise CostGuardError(
-            "Markov subset DP",
-            f"2^n d^2 = 2^{n} * {d}^2 exceeds {MARKOV_DP_GUARD}",
-        )
-    if isinstance(state, ProductState) and n > PRODUCT_PARTITION_GUARD:
-        raise CostGuardError(
-            "product set partitions", f"degree {n} exceeds {PRODUCT_PARTITION_GUARD}"
-        )
+    if isinstance(state, MarkovState):
+        what = f"2^n d^2 = 2^{n} * {d}^2"
+        check_guard("Markov subset DP", what, (1 << n) * d * d, MARKOV_DP_GUARD)
+    if isinstance(state, ProductState):
+        check_guard("product set partitions", f"degree {n}", n, PRODUCT_PARTITION_GUARD)
 
 
 def check_search_draws(search_budget: int, n: int) -> None:
     """Refuse a search whose random words draw more than SEARCH_DRAW_GUARD operators."""
-    if search_budget * n > SEARCH_DRAW_GUARD:
-        raise CostGuardError(
-            "search draws",
-            f"search_budget * n = {search_budget} * {n} exceeds {SEARCH_DRAW_GUARD}",
-        )
+    what = f"search_budget * n = {search_budget} * {n}"
+    check_guard("search draws", what, search_budget * n, SEARCH_DRAW_GUARD)
 
 
 def prefix_sizes(sizes: Sequence[int], region: Region) -> list[int]:
@@ -430,7 +424,7 @@ def _centered_units(mats: np.ndarray, omega: SiteState) -> tuple[np.ndarray, np.
     vals = np.trace(omega.rho @ mats, axis1=-2, axis2=-1)
     # as expect(): a Hermitian operator's value drops its imaginary residue
     dev = np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))).max(axis=(-2, -1), initial=0.0)
-    vals.imag[(dev <= HERMITIAN_TOL) & (np.abs(vals.imag) <= 1e-12)] = 0.0
+    vals.imag[(dev <= HERMITIAN_TOL) & (np.abs(vals.imag) <= IMAG_RESIDUE_TOL)] = 0.0
     centered = mats - vals[:, None, None] * np.eye(mats.shape[-1])
     nrm = np.linalg.norm(centered, 2, axis=(-2, -1))
     keep = ~(nrm < 1e-9)
@@ -852,10 +846,7 @@ class SeminormComparisonCheck:
 def check_comparison_table(degrees: Sequence[int], search_budget: int) -> None:
     """Refuse a seminorm comparison above COMPARISON_MAX_DEGREE or over the search draw guard."""
     for n in degrees:
-        if n > COMPARISON_MAX_DEGREE:
-            raise CostGuardError(
-                "seminorm comparison degree", f"degree {n} exceeds {COMPARISON_MAX_DEGREE}"
-            )
+        check_guard("seminorm comparison degree", f"degree {n}", n, COMPARISON_MAX_DEGREE)
         check_search_draws(search_budget, n)
 
 

@@ -27,7 +27,7 @@ from .algebra import (
     op_norm,
 )
 from .combinatorics import MAX_PAIRING_DEGREE, double_factorial, pair_partitions
-from .errors import CostGuardError, KahanSum
+from .errors import KahanSum, check_guard
 from .fluctuations import (
     SeminormEstimate,
     _search_stack,
@@ -113,18 +113,22 @@ def wick_moment(cov: Covariance, word: Sequence[SiteOperator]) -> complex:
     n = len(word)
     if n == 0:
         return complex(1.0)
-    if n > WICK_MAX_DEGREE:
-        raise CostGuardError(
-            "wick matching enumeration", f"degree {n} exceeds {WICK_MAX_DEGREE}"
-        )
+    check_guard("wick matching enumeration", f"degree {n}", n, WICK_MAX_DEGREE)
     if n % 2 == 1:
         return complex(0.0)
     for a in word:
         if a.dim != cov.dim:
             raise ValueError("word dimension does not match covariance")
-    pm = _pair_matrix(cov, word)
+    return _matching_sum(_pair_matrix(cov, word))
+
+
+def _matching_sum(pm: np.ndarray) -> complex:
+    """Sum over the perfect matchings of pm's positions of the matched entries' products.
+
+    The empty matrix gives 1 and an odd size gives 0.
+    """
     acc = KahanSum()
-    for matching in pair_partitions(n):
+    for matching in pair_partitions(len(pm)):
         term = complex(1.0)
         for i, j in matching:
             term *= pm[i - 1, j - 1]
@@ -142,18 +146,21 @@ def shifted_wick_moment(cov: Covariance, shift, word: Sequence[SiteOperator]) ->
     """
     word = tuple(word)
     n = len(word)
-    if n > SHIFTED_MAX_DEGREE:
-        raise CostGuardError(
-            "shifted-wick subset enumeration",
-            f"degree {n} exceeds {SHIFTED_MAX_DEGREE}",
-        )
+    check_guard("shifted-wick subset enumeration", f"degree {n}", n, SHIFTED_MAX_DEGREE)
     for a in word:
         if a.dim != cov.dim:
             raise ValueError("word dimension does not match covariance")
+    if n == 0:
+        return complex(1.0)
     shifts = [complex(shift(a)) for a in word]
+    # one pair matrix for the word; a sub-word's Wick moment reads its rows and columns
+    pm = _pair_matrix(cov, word)
     acc = KahanSum()
     for mask in range(1 << n):
-        term = wick_moment(cov, [a for i, a in enumerate(word) if mask & (1 << i)])
+        sub = [i for i in range(n) if mask & (1 << i)]
+        if len(sub) % 2 == 1:
+            continue
+        term = _matching_sum(pm[np.ix_(sub, sub)])
         if term == 0.0:
             continue
         for i in range(n):
@@ -194,10 +201,7 @@ def wick_difference_bound_table(
         n = len(word)
         if n == 0 or n % 2 == 1:
             raise ValueError("difference bound is stated for even positive degree")
-        if n > DIFFERENCE_MAX_DEGREE:
-            raise CostGuardError(
-                "wick difference degree", f"degree {n} exceeds {DIFFERENCE_MAX_DEGREE}"
-            )
+        check_guard("wick difference degree", f"degree {n}", n, DIFFERENCE_MAX_DEGREE)
     for cov1, cov2, _ in pairs:
         if cov1.dim != cov2.dim:
             raise ValueError("covariances act on different dimensions")

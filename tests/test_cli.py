@@ -1527,6 +1527,15 @@ def test_product_partition_guard_before_region(tmp_path, capsys, monkeypatch, ex
     assert err == "ERR 3: cost guard 'product set partitions': degree 12 exceeds 11\n"
 
 
+def test_converge_wick_guard_before_product_guard(tmp_path, capsys, monkeypatch):
+    """A 13-slot converge word trips the Wick matching guard (12), which
+    converge meets before the product closed form's degree guard (11)."""
+    calls = _refuse_work(monkeypatch, "Region", "_segment")
+    doc = {"state": PRODUCT_TILTED, "word": ["Z"] * 13, "sizes": [1]}
+    code, out, err = run(["converge", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out, calls) == (3, "", [])
+    assert err == "ERR 3: cost guard 'wick matching enumeration': degree 13 exceeds 12\n"
+
 def test_ccr_decay_dimension_one_returns(tmp_path, capsys):
     """d = 1 has no centered operator; the search must not redraw forever."""
 

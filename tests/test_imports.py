@@ -65,6 +65,44 @@ def test_benchmark_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+def _guard_raises(node, scope: str) -> list:
+    """The enclosing ``Class.function`` of each ``raise CostGuardError(...)`` under node."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if (
+            isinstance(child, ast.Raise)
+            and isinstance(child.exc, ast.Call)
+            and getattr(child.exc.func, "id", None) == "CostGuardError"
+        ):
+            out.append(scope)
+        out += _guard_raises(child, inner)
+    return out
+
+
+def test_cost_guards_refuse_through_check_guard():
+    """Every count guard raises through ``errors.check_guard``, in one message form.
+
+    The kept raises compare an unbuilt power through ``states._power_exceeds``
+    (the tuple-sum, correction-tuple and two circuit size guards) or word
+    their message apart (the subset-count guard).
+    """
+    raises = sorted(
+        f"{path.stem}.{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _guard_raises(ast.parse(path.read_text()), "")
+    )
+    assert raises == [
+        "cluster.check_correction_tuples",
+        "errors.check_guard",
+        "fluctuations.check_tuple_sum",
+        "lattice.check_subset_enumeration",
+        "states.CircuitState.__init__",
+        "states.CircuitState.__init__",
+    ]
+
 def _private_definitions(tree: ast.Module) -> list:
     return [
         node
