@@ -39,7 +39,7 @@ from .combinatorics import (
     stirling2,
     q_sequence,
 )
-from .errors import CostGuardError, KahanSum, check_guard
+from .errors import KahanSum, check_guard, check_power_guard
 from .fluctuations import induced_moment, induced_moment_table, prefix_sizes
 from .gaussian import covariance_from_state, wick_moment
 from .lattice import (
@@ -53,7 +53,7 @@ from .lattice import (
     spread,
     spread_optimal_enumeration,
 )
-from .states import Assignment, GlobalState, _power_exceeds, correlator
+from .states import Assignment, GlobalState, correlator
 
 PRODUCT_PART_MAX_DEGREE = 8
 EXPANSION_MAX_SUPPORT = 8
@@ -65,6 +65,7 @@ _CORRECTION_ROW_BUDGET = 1024
 CENTERED_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-9
 EXPANSION_TOL = 1e-10
+SERIES_CUT = 1e-14
 
 
 def _require_centered(omega: SiteState, word: Sequence[SiteOperator]) -> None:
@@ -79,7 +80,8 @@ def _require_centered(omega: SiteState, word: Sequence[SiteOperator]) -> None:
 
 def _checked_size(size: int) -> int:
     # prefix_sizes' rule: Python or numpy integers only, so 2.5 is not read as 2
-    if not (isinstance(size, (int, np.integer)) and size >= 1):
+    # and True (a bool is an int) not as 1
+    if not (isinstance(size, (int, np.integer)) and not isinstance(size, bool) and size >= 1):
         raise ValueError(f"region size must be a positive integer, got {size!r}")
     return int(size)
 
@@ -133,8 +135,7 @@ def check_partition_degree(n: int, guard: str = "product-part partition sum") ->
 
 def check_correction_tuples(size: int, n: int, guard: str = "correction tuple sum") -> None:
     """Refuse a sum over the |X|^n site tuples above CORRECTION_TUPLE_GUARD."""
-    if _power_exceeds(int(size), n, CORRECTION_TUPLE_GUARD):
-        raise CostGuardError(guard, f"|X|^n = {size}^{n} exceeds {CORRECTION_TUPLE_GUARD}")
+    check_power_guard(guard, "|X|^n", int(size), n, CORRECTION_TUPLE_GUARD)
 
 
 def f_correction_moment(
@@ -349,7 +350,7 @@ def b_n_quantity(region: Region, n: int) -> float:
 def n_hat_series(k: int, metric: Metric, support: Region | None = None) -> float:
     """Sum over integer radii of (ball count)^k e^{-r}, with a tail majorant.
 
-    The series is truncated once terms decrease below 1e-14; the
+    The series is truncated once terms decrease below SERIES_CUT; the
     remainder is replaced by a geometric majorant using the next term
     and the (decreasing) term ratio, so the returned value is an upper
     bound on the infinite sum, accurate to about 1e-14.
@@ -362,7 +363,7 @@ def n_hat_series(k: int, metric: Metric, support: Region | None = None) -> float
     while r <= 100000:
         term = float(ball_count(metric, float(r), support)) ** k * math.exp(-float(r))
         total += term
-        if prev is not None and term < prev and term < 1e-14:
+        if prev is not None and term < prev and term < SERIES_CUT:
             break
         prev = term
         r += 1

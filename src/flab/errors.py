@@ -26,6 +26,14 @@ def check_guard(guard: str, what: str, value: int, limit: int) -> None:
         raise CostGuardError(guard, f"{what} exceeds {limit}")
 
 
+def check_power_guard(guard: str, what: str, base: int, exponent: int, limit: int) -> None:
+    """``check_guard`` on base**exponent as "<what> = <base>^<exponent>", never built
+    past limit's bit length: from there on any base >= 2 exceeds the limit."""
+    unbuilt = base > 1 and exponent >= limit.bit_length()
+    value = limit + 1 if unbuilt else base**exponent
+    check_guard(guard, f"{what} = {base}^{exponent}", value, limit)
+
+
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configuration."""
 

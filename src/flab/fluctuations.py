@@ -59,14 +59,13 @@ from ._moments import (
     product_moment,  # no caller here; bench/tracing.py wraps this name
     product_moment_batch,
 )
-from .errors import CostGuardError, check_guard
+from .errors import check_guard, check_power_guard
 from .lattice import Region
 from .states import (
     CircuitState,
     GlobalState,
     MarkovState,
     ProductState,
-    _power_exceeds,
     random_hermitian_units,
 )
 
@@ -81,11 +80,7 @@ CCR_BOUND_SLACK = 1e-12
 
 def check_tuple_sum(size: int, n: int) -> None:
     """Refuse an induced moment whose tuple sum has more than TUPLE_SUM_GUARD terms."""
-    if _power_exceeds(int(size), n, TUPLE_SUM_GUARD):
-        raise CostGuardError(
-            "induced-moment tuple sum",
-            f"|X|^n = {size}^{n} exceeds {TUPLE_SUM_GUARD}",
-        )
+    check_power_guard("induced-moment tuple sum", "|X|^n", int(size), n, TUPLE_SUM_GUARD)
 
 
 def check_moment_table(state: GlobalState, sizes: Sequence[int], n: int) -> None:
@@ -118,7 +113,7 @@ def prefix_sizes(sizes: Sequence[int], region: Region) -> list[int]:
     sizes = list(sizes)
     if not (
         sizes
-        and all(isinstance(k, (int, np.integer)) for k in sizes)
+        and all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in sizes)
         and 1 <= sizes[0]
         and sizes[-1] <= len(region)
         and all(a < b for a, b in zip(sizes, sizes[1:]))
@@ -391,6 +386,8 @@ BASIS_PRODUCT_CAP = 20000
 TIE_TOL = 1e-12
 NU_OMEGA_SLACK = 1e-9
 NU_SUM_SLACK = 1e-6
+CENTERED_NORM_FLOOR = 1e-9
+ASCENT_GAIN_TOL = 1e-15
 
 
 @dataclass
@@ -419,7 +416,7 @@ def _centered_units(mats: np.ndarray, omega: SiteState) -> tuple[np.ndarray, np.
 
     Row by row this is center() over op_norm(), bit for bit, with one
     batched norm for the whole stack. The second array marks the rows
-    kept: a row whose centered norm is below 1e-9 is refused.
+    kept: a row whose centered norm is below CENTERED_NORM_FLOOR is refused.
     """
     vals = np.trace(omega.rho @ mats, axis1=-2, axis2=-1)
     # as expect(): a Hermitian operator's value drops its imaginary residue
@@ -427,7 +424,7 @@ def _centered_units(mats: np.ndarray, omega: SiteState) -> tuple[np.ndarray, np.
     vals.imag[(dev <= HERMITIAN_TOL) & (np.abs(vals.imag) <= IMAG_RESIDUE_TOL)] = 0.0
     centered = mats - vals[:, None, None] * np.eye(mats.shape[-1])
     nrm = np.linalg.norm(centered, 2, axis=(-2, -1))
-    keep = ~(nrm < 1e-9)
+    keep = ~(nrm < CENTERED_NORM_FLOOR)
     return centered / np.where(keep, nrm, 1.0)[:, None, None], keep
 
 
@@ -748,7 +745,7 @@ def _search_chunk(
                 for k, op in zip(live, ops)
             ]
             for k, op, val in zip(live, ops, cands.value(live, cand_words)):
-                if val > vals[k] + 1e-15:
+                if val > vals[k] + ASCENT_GAIN_TOL:
                     vals[k] = val
                     word[k][slot] = op
 

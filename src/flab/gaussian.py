@@ -41,6 +41,7 @@ DIFFERENCE_MAX_DEGREE = 8
 WICK_NORM_PAD = 1.05
 WICK_BOUND_SLACK = 1e-12
 GAMMA_TOL = 1e-12
+ZERO_OPERATOR_TOL = 1e-14
 
 
 class Covariance:
@@ -211,7 +212,7 @@ def wick_difference_bound_table(
     normed = []
     for word in words:
         norms = [op_norm(a) for a in word]
-        if min(norms) < 1e-14:
+        if min(norms) < ZERO_OPERATOR_TOL:
             raise ValueError("cannot normalize a zero operator")
         normed.append(tuple(SiteOperator(a.mat / nrm) for a, nrm in zip(word, norms)))
     lhs_rows = [

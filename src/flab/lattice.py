@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CostGuardError, json_number
+from .errors import check_guard, json_number
 
 SUBSET_ENUMERATION_GUARD = 2_000_000
 # entries of one gathered (subsets, m, m) block of the distance matrix
@@ -302,10 +302,7 @@ def spread_decomposition_witness(region: Region, r: float):
 def check_subset_enumeration(size: int, k: int) -> None:
     """Refuse to enumerate more than SUBSET_ENUMERATION_GUARD k-subsets of size sites."""
     total = math.comb(size, k)
-    if total > SUBSET_ENUMERATION_GUARD:
-        raise CostGuardError(
-            "subset-spread enumeration", f"{total} subsets exceeds the enumeration guard"
-        )
+    check_guard("subset-spread enumeration", f"{total} subsets", total, SUBSET_ENUMERATION_GUARD)
 
 
 def count_subsets_with_spread(region: Region, k: int, r: float) -> int:

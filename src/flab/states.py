@@ -29,7 +29,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .algebra import SiteOperator, SiteState, _unit_basis, pure_state
-from .errors import CostGuardError, json_int, json_number
+from .errors import check_power_guard, json_int, json_number
 from .lattice import Metric, Region, chain_metric, metric_from_json, region_distance
 
 STATEVEC_MAX_DIM = 2**14
@@ -44,6 +44,10 @@ UNITARY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 HOMOGENEITY_TOL = 1e-10
+STATIONARY_SIGN_TOL = 1e-10
+MIXING_SLACK = 1e-10
+PURE_BASE_TOL = 1e-12
+POSITIVE_DEFINITE_TOL = 1e-12
 G0_MAX_REGION_SIZE = 2
 G0_MAX_SEPARATION = 8
 
@@ -233,7 +237,7 @@ class MarkovState(_HomogeneousState):
             v = np.real(eigvecs[:, idx])
             if v.sum() < 0:
                 v = -v
-            if np.min(v) < -1e-10:
+            if np.min(v) < -STATIONARY_SIGN_TOL:
                 raise ValueError("stationary vector has negative entries")
             pi = np.clip(v, 0.0, None)
             pi = pi / pi.sum()
@@ -247,7 +251,7 @@ class MarkovState(_HomogeneousState):
             raise ValueError("supplied vector is not stationary for T")
         lams = np.sort(np.abs(np.linalg.eigvals(T)))[::-1]
         self.second_eigenvalue = float(lams[1]) if d > 1 else 0.0
-        if self.second_eigenvalue > np.exp(-alpha) + 1e-10:
+        if self.second_eigenvalue > np.exp(-alpha) + MIXING_SLACK:
             raise ValueError(
                 f"second eigenvalue {self.second_eigenvalue:.6f} exceeds e^-alpha"
             )
@@ -328,11 +332,6 @@ def _apply_site(tensor: np.ndarray, mat: np.ndarray, x: int) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(tensor.shape)
 
 
-def _power_exceeds(d: int, exponent: int, limit: int) -> bool:
-    """d**exponent > limit, unbuilt: from limit's bit length on, any d >= 2 exceeds it."""
-    return d > 1 and (exponent >= limit.bit_length() or d**exponent > limit)
-
-
 class CircuitState(GlobalState):
     """Brickwork circuit on a chain segment of given length, open ends.
 
@@ -374,27 +373,19 @@ class CircuitState(GlobalState):
             self.layers.append((int(offset), g))
 
         probs, vecs = np.linalg.eigh(base.rho)
-        pure = bool(probs[-1] > 1.0 - 1e-12)
+        pure = bool(probs[-1] > 1.0 - PURE_BASE_TOL)
         if pure:
-            if _power_exceeds(d, length, STATEVEC_MAX_DIM):
-                raise CostGuardError(
-                    "circuit statevector size",
-                    f"d^L = {d}^{length} exceeds {STATEVEC_MAX_DIM}",
-                )
+            check_power_guard("circuit statevector size", "d^L", d, length, STATEVEC_MAX_DIM)
             start = vecs[:, -1]
         else:
-            if _power_exceeds(d, 2 * length, DENSITY_MAX_DIM):
-                raise CostGuardError(
-                    "circuit density-matrix size",
-                    f"d^2L = {d}^{2 * length} exceeds {DENSITY_MAX_DIM}",
-                )
+            check_power_guard("circuit density-matrix size", "d^2L", d, 2 * length, DENSITY_MAX_DIM)
             # purification: column k of a factor F with F F^dagger = rho, its
             # ancilla index k. A positive definite rho takes its Cholesky
             # factor, whose reconstruction error is below eigh's; a rank-
             # deficient one takes sqrt(p_k) |k>. SiteState admits eigenvalues
             # down to -1e-12; clipped alone they would lift the norm by up to
             # L * 1e-12, past the trace check
-            if probs[0] > 1e-12:
+            if probs[0] > POSITIVE_DEFINITE_TOL:
                 start = np.linalg.cholesky(base.rho) / np.sqrt(np.trace(base.rho).real)
             else:
                 p = np.clip(probs, 0.0, None)

@@ -795,8 +795,7 @@ def test_counting_radius_guard_admits_its_limit(tmp_path, capsys):
             "counting",
             "counting_sizes",
             [6, 10**9],
-            "'subset-spread enumeration': 499999999500000000 subsets exceeds "
-            "the enumeration guard",
+            "'subset-spread enumeration': 499999999500000000 subsets exceeds 2000000",
         ),
         (
             "weight-sum",

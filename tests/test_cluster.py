@@ -101,7 +101,8 @@ def test_product_part_degree_guard():
 
 
 def test_product_part_sizes_are_integers():
-    """A size of 2.5 is refused, not read as 2; numpy integers are sizes."""
+    """A size of 2.5 is refused, not read as 2, and True not as 1; numpy
+    integers are sizes."""
     rho = SiteState(np.diag([0.5, 0.5]))
     word = (SX,) * 4
     for call in (
@@ -109,7 +110,7 @@ def test_product_part_sizes_are_integers():
         lambda size: wick_defect_moment(rho, size, word),
         lambda size: ProductPartFunctional(rho, size)(word),
     ):
-        for size in (2.5, 2.0, 0, np.int64(-1)):
+        for size in (2.5, 2.0, 0, np.int64(-1), True):
             with pytest.raises(ValueError, match="positive integer"):
                 call(size)
         assert call(np.int64(2)) == call(2)
@@ -567,11 +568,12 @@ def _term_bytes(logged) -> tuple:
 
 
 @pytest.mark.parametrize(
-    "sizes", [[3, 2], [0, 2], [2, 5], [2.5], [2, 2.5], [2.0], []], ids=repr
+    "sizes", [[3, 2], [0, 2], [2, 5], [2.5], [2, 2.5], [2.0], [], [True, 3]], ids=repr
 )
 def test_prefix_rule_shared_by_moment_and_correction_tables(sizes):
-    """Descending sizes, 0, a size past |X|, non-integers and no size at all
-    are one ``ValueError``, with one message, from both size tables."""
+    """Descending sizes, 0, a size past |X|, non-integers (True among them)
+    and no size at all are one ``ValueError``, with one message, from both
+    size tables."""
     mk = MarkovState(T_STD, alpha=0.4)
     region = Region(mk.metric, range(4))
     messages = []

@@ -1,4 +1,8 @@
-"""Every count guard refuses through ``errors.check_guard``, at its edge."""
+"""Every cost guard refuses through ``errors.check_guard``, at its edge.
+
+The unbuilt-power guards reach it through ``errors.check_power_guard``, so
+their module entry is ``errors``.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from flab import (
     SZ,
     Assignment,
     Covariance,
+    CircuitState,
     CostGuardError,
     MarkovState,
     ProductState,
@@ -19,11 +24,14 @@ from flab import (
     errors,
     fluctuations,
     gaussian,
+    lattice,
 )
 
 T_STD = [[0.8, 0.2], [0.2, 0.8]]
 COV = Covariance(2, np.eye(4))
 PRODUCT = ProductState(SiteState(np.diag([0.75, 0.25])))
+PURE = SiteState(np.diag([1.0, 0.0]))
+MIXED = SiteState(np.diag([0.7, 0.3]))
 
 
 def _expansion(m: int):
@@ -156,6 +164,41 @@ GUARDS = {
         lambda: gaussian.wick_difference_bound_table([], [(SX,) * 10]),
         "degree 10 exceeds 8",
     ),
+    "tuple sum": (
+        errors,
+        "induced-moment tuple sum",
+        lambda: fluctuations.check_tuple_sum(10**4, 2),
+        lambda: fluctuations.check_tuple_sum(10**4 + 1, 2),
+        "|X|^n = 10001^2 exceeds 100000000",
+    ),
+    "correction tuples": (
+        errors,
+        "correction tuple sum",
+        lambda: cluster.check_correction_tuples(10**7, 1),
+        lambda: cluster.check_correction_tuples(10**7 + 1, 1),
+        "|X|^n = 10000001^1 exceeds 10000000",
+    ),
+    "circuit statevector": (
+        errors,
+        "circuit statevector size",
+        lambda: CircuitState(PURE, 14, []),
+        lambda: CircuitState(PURE, 15, []),
+        "d^L = 2^15 exceeds 16384",
+    ),
+    "circuit density matrix": (
+        errors,
+        "circuit density-matrix size",
+        lambda: CircuitState(MIXED, 10, []),
+        lambda: CircuitState(MIXED, 11, []),
+        "d^2L = 2^22 exceeds 1048576",
+    ),
+    "subset enumeration": (
+        lattice,
+        "subset-spread enumeration",
+        lambda: lattice.check_subset_enumeration(2000000, 1),
+        lambda: lattice.check_subset_enumeration(2000001, 1),
+        "2000001 subsets exceeds 2000000",
+    ),
 }
 
 
@@ -168,11 +211,12 @@ def test_guard_admits_its_limit(monkeypatch, case):
     """At the limit the module's first guard call is this guard, at value == limit,
     and ``check_guard`` lets it pass; the work it admits is not run."""
     module, guard, at_limit, _, _ = GUARDS[case]
+    check = errors.check_guard
     seen = []
 
     def admit(name, what, value, limit):
         seen.append((name, value == limit))
-        errors.check_guard(name, what, value, limit)
+        check(name, what, value, limit)
         raise _Admitted
 
     monkeypatch.setattr(module, "check_guard", admit)

@@ -83,25 +83,17 @@ def _guard_raises(node, scope: str) -> list:
 
 
 def test_cost_guards_refuse_through_check_guard():
-    """Every count guard raises through ``errors.check_guard``, in one message form.
+    """Every cost guard raises through ``errors.check_guard``, in one message form.
 
-    The kept raises compare an unbuilt power through ``states._power_exceeds``
-    (the tuple-sum, correction-tuple and two circuit size guards) or word
-    their message apart (the subset-count guard).
+    The unbuilt-power guards (the tuple-sum, correction-tuple and two
+    circuit size guards) reach it through ``errors.check_power_guard``.
     """
     raises = sorted(
         f"{path.stem}.{scope}"
         for path in sorted(PACKAGE.glob("*.py"))
         for scope in _guard_raises(ast.parse(path.read_text()), "")
     )
-    assert raises == [
-        "cluster.check_correction_tuples",
-        "errors.check_guard",
-        "fluctuations.check_tuple_sum",
-        "lattice.check_subset_enumeration",
-        "states.CircuitState.__init__",
-        "states.CircuitState.__init__",
-    ]
+    assert raises == ["errors.check_guard"]
 
 def _private_definitions(tree: ast.Module) -> list:
     return [

@@ -39,8 +39,9 @@ from flab import (
     random_hermitian_unit,
     state_from_json,
 )
+from flab.errors import check_power_guard
 from flab.lattice import explicit_metric, grid2d_metric
-from flab.states import POWER_CACHE_SIZE, _apply_site, _power_exceeds
+from flab.states import POWER_CACHE_SIZE, _apply_site
 
 RNG = np.random.default_rng(314159)
 
@@ -560,11 +561,19 @@ def test_circuit_cost_guards():
 
 @pytest.mark.parametrize("d, limit", [(1, 1), (2, 2**14), (2, 2**20), (3, 2**14), (4, 10**8)])
 def test_power_guard_equals_the_integer_power(d, limit):
-    """``_power_exceeds`` is d**e > limit at every exponent up to past the
-    limit's bit length, and stays true far beyond it for d >= 2."""
+    """``check_power_guard`` refuses exactly when d**e > limit at every exponent
+    up to past the limit's bit length, and at once far beyond it for d >= 2."""
+
+    def refuses(e):
+        try:
+            check_power_guard("power", "d^e", d, e, limit)
+        except CostGuardError:
+            return True
+        return False
+
     for e in range(limit.bit_length() + 3):
-        assert _power_exceeds(d, e, limit) == (d**e > limit)
-    assert _power_exceeds(d, 10**9, limit) == (d > 1)
+        assert refuses(e) == (d**e > limit)
+    assert refuses(10**9) == (d > 1)
 
 
 def _assert_circuit_matches_dense(base, rng, length=4):

@@ -17,7 +17,8 @@ under another when a reduction rounds differently; tests that compare
 two implementations in one process should pass under every setting.
 
 The script exits 0 once every setting has run, whatever the tests did.
-It is not part of tier-1 or CI.
+It is not part of tier-1. CI's ``kernel-matrix`` job runs it with
+``-k "pinned or readme"`` as advice: a failure there gates nothing.
 """
 
 from __future__ import annotations
